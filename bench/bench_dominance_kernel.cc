@@ -11,7 +11,8 @@
 //            "∃ pA ⪯ α·c(p)" range probe): scalar = early-exit Dominates
 //            loop; kernel = FindDominating blocked scan.
 //   insert   Pareto-frontier maintenance: scalar = the frozen pre-kernel
-//            ParetoFrontier::Insert; kernel = FrontierBank::BatchInsert.
+//            ParetoFrontier::Insert; kernel = ParetoFrontier::Insert, the
+//            production frontier on the kernel's batched primitives.
 //
 // Throughput is reported in million entry-comparisons per second
 // (filter/probe) and million inserts per second (insert), plus the
@@ -266,9 +267,9 @@ Result BenchInsert(int cell_size, int dims, uint64_t seed) {
                             1e3;
   const double kernel_ms = MeasureMs(
       [&](long) {
-        FrontierBank f(dims);
+        ParetoFrontier f;
         for (size_t i = 0; i < stream.size(); ++i) {
-          sink += f.BatchInsert(stream[i].data(), i);
+          sink += f.Insert(stream[i], i);
         }
       },
       &reps);
@@ -315,7 +316,6 @@ int Verify() {
     const int dims = 2 + trial % 3;
     Rng local(777 + static_cast<uint64_t>(trial));
     ScalarFrontier ref;
-    FrontierBank fb(dims);
     ParetoFrontier pf;
     for (int i = 0; i < 64; ++i) {
       CostVector c(dims);
@@ -323,32 +323,27 @@ int Verify() {
         c[d] = 0.5 * static_cast<double>(local.UniformInt(0, 7));
       }
       const bool r0 = ref.Insert(c, static_cast<uint64_t>(i));
-      const bool r1 = fb.BatchInsert(c.data(), static_cast<uint64_t>(i));
-      const bool r2 = pf.Insert(c, static_cast<uint64_t>(i));
-      if (r0 != r1 || r0 != r2) {
+      const bool r1 = pf.Insert(c, static_cast<uint64_t>(i));
+      if (r0 != r1) {
         std::fprintf(stderr, "insert decision mismatch trial %d step %d\n",
                      trial, i);
         ++failures;
       }
     }
-    if (ref.entries.size() != fb.size() ||
-        ref.entries.size() != pf.size()) {
+    if (ref.entries.size() != pf.size()) {
       std::fprintf(stderr, "frontier size mismatch trial %d\n", trial);
       ++failures;
       continue;
     }
     for (size_t i = 0; i < ref.entries.size(); ++i) {
-      bool same = ref.entries[i].payload == fb.payloads[i] &&
-                  ref.entries[i].payload == pf.entries()[i].payload;
+      bool same = ref.entries[i].payload == pf.entries()[i].payload;
       for (int d = 0; d < dims && same; ++d) {
-        uint64_t a, b, c2;
+        uint64_t a, b;
         const double da = ref.entries[i].cost.at(d);
-        const double db = fb.costs.At(i, d);
-        const double dc = pf.entries()[i].cost.at(d);
+        const double db = pf.entries()[i].cost.at(d);
         std::memcpy(&a, &da, 8);
         std::memcpy(&b, &db, 8);
-        std::memcpy(&c2, &dc, 8);
-        same = a == b && a == c2;
+        same = a == b;
       }
       if (!same) {
         std::fprintf(stderr, "frontier layout mismatch trial %d entry %zu\n",

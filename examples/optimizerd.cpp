@@ -10,7 +10,7 @@
 //                      [--quota TENANT=MAX[:WEIGHT]] [--default-quota MAX[:WEIGHT]]
 //                      [--max-connections N] [--fragment-cache-mb M]
 //                      [--store-path FILE] [--store-budget-mb M]
-//                      [--fsync MODE] [--workers N] [--dist-min-tables K]
+//                      [--fsync MODE]
 //
 //   --port P           TCP port; 0 (default) picks an ephemeral port
 //   --host H           bind address (default 127.0.0.1)
@@ -41,15 +41,6 @@
 //                      pages survive process death regardless), interval
 //                      (msync on a periodic tick of the write-behind
 //                      thread), always (msync every append)
-//   --workers N        fork N optimizer worker processes and route large
-//                      queries' phase-2 enumeration across them
-//                      (docs/DISTRIBUTED.md). Prints one
-//                      "optimizerd: workers PID..." line before
-//                      "listening" (crash drills parse it). Results stay
-//                      bit-identical to single-process runs — including
-//                      when a worker is SIGKILLed mid-query (0 = off)
-//   --dist-min-tables K  smallest query (tables) routed to the worker
-//                      tier; smaller ones run in-process (default 4)
 //
 
 // Prints exactly one line "optimizerd: listening on HOST:PORT" once
@@ -62,11 +53,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "catalog/tpch.h"
-#include "dist/backend.h"
 #include "net/server.h"
 #include "service/optimizer_service.h"
 
@@ -93,8 +82,6 @@ int main(int argc, char** argv) {
   service_options.max_iterations_limit = 100000;
   service_options.fragment_cache_bytes = 16u << 20;
   net::ServerOptions server_options;
-  int workers = 0;
-  int dist_min_tables = 4;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -153,10 +140,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--fsync wants none|interval|always\n");
         return 2;
       }
-    } else if (arg == "--workers") {
-      workers = std::atoi(next());
-    } else if (arg == "--dist-min-tables") {
-      dist_min_tables = std::atoi(next());
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
@@ -173,31 +156,6 @@ int main(int argc, char** argv) {
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
   Catalog catalog = MakeTpchCatalog();
-
-  // Fork the worker tier before the service spawns its threads (fork
-  // and threads don't mix) and declare it first so it outlives the
-  // service that routes runs into it. Children inherit the blocked
-  // signal mask, which is fine: they exit on socket EOF at teardown.
-  std::unique_ptr<dist::DistributedBackend> backend;
-  if (workers > 0) {
-    dist::BackendOptions dist_options;
-    dist_options.num_workers = static_cast<uint32_t>(workers);
-    dist_options.forked = true;
-    dist_options.worker.catalog = catalog.Snapshot();
-    dist_options.worker.schema = service_options.schema;
-    dist_options.worker.cost_params = service_options.cost_params;
-    dist_options.worker.operator_options = service_options.operator_options;
-    backend = std::make_unique<dist::DistributedBackend>(dist_options);
-    service_options.distributed_backend = backend.get();
-    service_options.distributed_min_tables = dist_min_tables;
-    std::printf("optimizerd: workers");
-    for (pid_t pid : backend->worker_pids()) {
-      std::printf(" %d", static_cast<int>(pid));
-    }
-    std::printf("\n");
-    std::fflush(stdout);
-  }
-
   OptimizerService service(catalog, service_options);
   if (!service_options.fragment_store_path.empty() &&
       service.fragment_store() != nullptr) {
@@ -243,13 +201,6 @@ int main(int argc, char** argv) {
   }
 
   const ServiceStats stats = service.stats();
-  if (backend != nullptr) {
-    std::printf(
-        "optimizerd: dist runs %llu, rejected %llu, live workers %zu/%d\n",
-        static_cast<unsigned long long>(backend->runs_started()),
-        static_cast<unsigned long long>(backend->runs_rejected()),
-        backend->live_workers(), workers);
-  }
   if (!service_options.fragment_store_path.empty()) {
     std::printf(
         "optimizerd: store publishes %llu, cold hits %llu, promotions %llu, "

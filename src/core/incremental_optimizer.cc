@@ -1,12 +1,21 @@
 #include "core/incremental_optimizer.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 #include "core/pruning.h"
 
 namespace moqo {
 namespace {
+
+// One join alternative of a fresh sub-plan pair, produced by phase-2
+// enumeration of a cell; turned into an arena plan during the level merge.
+struct CellJoin {
+  uint32_t left = 0;
+  uint32_t right = 0;
+  OperatorDesc op;
+  OpCost op_cost;
+};
 
 struct BatchEntry {
   uint32_t id = 0;
@@ -44,6 +53,16 @@ void SortBatch(std::vector<BatchEntry>& batch) {
 
 }  // namespace
 
+// The complete phase-2 enumeration output of one cell at one level: the
+// fresh sub-plan pairs tried, every join alternative they produced
+// (pre-prune), and the count of stale pairs skipped. Filled by one pool
+// worker, merged on the optimizer's thread after the level barrier.
+struct IncrementalOptimizer::CellDelta {
+  std::vector<std::pair<uint32_t, uint32_t>> fresh_pairs;
+  std::vector<CellJoin> joins;
+  uint64_t stale_pairs = 0;
+};
+
 IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
                                            ResolutionSchedule schedule,
                                            const CostVector& initial_bounds,
@@ -68,12 +87,6 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
     owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
     pool_ = owned_pool_.get();
   }
-  // A distributed exchange keeps replicas in lockstep; fragment seeding
-  // on one replica (or publishing from one) would silently break it.
-  MOQO_CHECK(options_.phase2_exchange == nullptr ||
-             (options_.fragment_store == nullptr &&
-              !options_.fragment_publish));
-  exchange_ = options_.phase2_exchange;
 
   const int n = factory_.NumTables();
   // Precompute the connected table subsets, grouped by size; the DP in
@@ -109,26 +122,36 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
   if (options_.fragment_publish) {
     publish_log_.resize(size_t{1} << n);
   }
-  if (options_.fragment_store != nullptr) SeedFragments(initial_bounds);
+  ReprobeFragments();
 }
 
-// Seeds every connected multi-table cell the provider knows: the stored
-// plans become opaque arena leaves and are replayed into the cell's
-// result index in the donor's chronological insertion order, each keeping
-// its original resolution stamp. Replay order matters — the cell index's
-// hash-map layout (and hence Collect's iteration order) then matches a
-// cold run's bit for bit. Entries are inserted with kNeverVisible so
-// their first Collect — which happens at the invocation of their
-// resolution stamp, exactly when the cold run would have inserted them —
-// classifies them as Δ. The cell itself is sealed: its phase-2
-// enumeration (and the generation work it stands for) never runs.
-void IncrementalOptimizer::SeedFragments(const CostVector& initial_bounds) {
-  (void)initial_bounds;  // The provider keys on the bounds already.
+// Seeds every unsealed connected multi-table cell the provider knows: the
+// stored plans become opaque arena leaves and are replayed into the
+// cell's result index in the donor's chronological insertion order, each
+// keeping its original resolution stamp. Replay order matters — the cell
+// index's hash-map layout (and hence Collect's iteration order) then
+// matches a cold run's bit for bit. Entries are inserted with
+// kNeverVisible so their first Collect — which happens at the invocation
+// of their resolution stamp, exactly when the cold run would have
+// inserted them — classifies them as Δ. The cell itself is sealed: its
+// phase-2 enumeration (and the generation work it stands for) never runs.
+//
+// The constructor probes first; runs admitted while overlapping leaders
+// were still in flight probe again before their first step, since the
+// admission-time probe raced those leaders' publishes. Before the first
+// Optimize call every unsealed multi-table cell is still empty — its
+// enumeration has not started — so either probe replays the donor log
+// into a virgin cell and the bit-identity argument holds for both.
+void IncrementalOptimizer::ReprobeFragments() {
+  if (first_optimize_done_ || options_.fragment_store == nullptr) return;
   const int n = factory_.NumTables();
-  sealed_.assign(size_t{1} << n, 0);
+  const bool had_seals = !sealed_.empty();
+  if (!had_seals) sealed_.assign(size_t{1} << n, 0);
   const int needed = schedule_.MaxResolution();
+  const uint64_t seeded_before = counters_.fragment_cells_seeded;
   for (size_t k = 2; k <= static_cast<size_t>(n); ++k) {
     for (TableSet q : connected_by_size_[k]) {
+      if (sealed_[q.mask()] != 0) continue;
       std::optional<FragmentSeed> seed =
           options_.fragment_store->Lookup(q, needed);
       if (!seed.has_value()) continue;
@@ -150,43 +173,8 @@ void IncrementalOptimizer::SeedFragments(const CostVector& initial_bounds) {
       ++counters_.fragment_cells_seeded;
     }
   }
-  // A cold store seeded nothing: drop the seal table so phase 2 keeps
-  // its zero-cost fast path (no per-level filtering) for the whole run.
-  if (counters_.fragment_cells_seeded == 0) sealed_.clear();
-}
-
-// Second seeding chance for runs admitted while overlapping leaders were
-// still in flight: the admission-time probe (constructor) raced their
-// publishes, so cells that missed then may hit now. Before the first
-// Optimize call every unsealed multi-table cell is still empty — its
-// enumeration has not started — so seeding it here replays the donor log
-// into a virgin cell exactly like the constructor would have, and the
-// bit-identity argument of SeedFragments carries over unchanged.
-void IncrementalOptimizer::ReprobeFragments() {
-  if (first_optimize_done_ || options_.fragment_store == nullptr) return;
-  const int n = factory_.NumTables();
-  const bool had_seals = !sealed_.empty();
-  if (!had_seals) sealed_.assign(size_t{1} << n, 0);
-  const int needed = schedule_.MaxResolution();
-  const uint64_t seeded_before = counters_.fragment_cells_seeded;
-  for (size_t k = 2; k <= static_cast<size_t>(n); ++k) {
-    for (TableSet q : connected_by_size_[k]) {
-      if (sealed_[q.mask()] != 0) continue;
-      std::optional<FragmentSeed> seed =
-          options_.fragment_store->Lookup(q, needed);
-      if (!seed.has_value()) continue;
-      CellIndex& res = res_.For(q);
-      for (const FragmentPlan& p : seed->plans) {
-        const PlanId id =
-            arena_.AddFragment(q, p.op, p.cost, p.output_rows, p.order);
-        res.Insert(id, p.cost, p.resolution, kNeverVisible, p.order);
-        ++counters_.fragment_plans_seeded;
-      }
-      sealed_[q.mask()] = 1;
-      ++counters_.fragment_cells_seeded;
-    }
-  }
-  // Keep the no-seals fast path if this probe also came up empty.
+  // Nothing seeded so far: drop the seal table so phase 2 keeps its
+  // zero-cost fast path (no per-level filtering) for the whole run.
   if (!had_seals && counters_.fragment_cells_seeded == seeded_before) {
     sealed_.clear();
   }
@@ -235,7 +223,7 @@ void IncrementalOptimizer::PrunePlan(TableSet q, uint32_t plan_id,
             options_.park_next_level_only, &counters_);
   // Fragment publishing logs every multi-table result insertion in
   // chronological order — replaying the log reproduces the cell's index
-  // layout exactly (see SeedFragments). Logging stops once the run
+  // layout exactly (see ReprobeFragments). Logging stops once the run
   // diverged from the publishable fixed-bounds sequence.
   if (outcome == PruneOutcome::kInsertedResult && !publish_log_.empty() &&
       publish_valid_ && q.Count() >= 2) {
@@ -300,7 +288,7 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
   // Bottom-up over connected table sets of increasing cardinality; for
   // each split into two combinable subsets, enumerate only sub-plan pairs
   // with at least one Δ member and an unseen (left, right) combination.
-  if (pool_ != nullptr || exchange_ != nullptr) {
+  if (pool_ != nullptr) {
     Phase2Partitioned(bounds, resolution);
   } else {
     Phase2Serial(bounds, resolution);
@@ -375,8 +363,7 @@ void IncrementalOptimizer::Phase2Serial(const CostVector& bounds,
   }
 }
 
-// Partitioned phase 2 (see OptimizerOptions::num_threads and
-// OptimizerOptions::phase2_exchange). Per level k:
+// Partitioned phase 2 (see OptimizerOptions::num_threads). Per level k:
 //   1. the main thread Collects every connected subset of size k-1 into a
 //      cache (sizes < k-1 are already cached: plans inserted at level j go
 //      only into size-j sets, so earlier collections stay valid for the
@@ -385,22 +372,13 @@ void IncrementalOptimizer::Phase2Serial(const CostVector& bounds,
 //      every connected proper subset of Q each invocation, since any such
 //      subset s forms the combinable split (s, {v}) of s ∪ {v} for some
 //      neighbor table v;
-//   2. the *owned* slice of the level's table sets is enumerated — across
-//      the pool when one is bound, serially otherwise. Enumeration probes
-//      CanCombine/IsFresh and buffers fresh pairs and their join
-//      alternatives into per-set CellDeltas (no shared writes). Without
-//      an exchange every cell is owned;
-//   3. at the level barrier, an attached exchange swaps deltas so the
-//      merged set covers what every participant enumerated. Cells a
-//      participant failed to provide (worker death) are re-enumerated
-//      locally during the merge — level-k enumeration only reads
-//      level-<k state plus fresh-pair entries no other cell can touch
-//      (a pair's table sets union to exactly one cell), so a recomputed
-//      delta is bit-identical to the one the dead worker would have sent;
-//   4. all of the level's cells are merged in canonical set order: pairs
-//      are marked in the fresh registry, plans appended to the arena, and
-//      each set's batch pruned cheapest-first — the identical sequence of
-//      Prune calls the serial path performs, on every replica.
+//   2. the level's live table sets are sharded across the pool; workers
+//      probe CanCombine/IsFresh and buffer fresh pairs and their join
+//      alternatives into per-set CellDeltas (no shared writes);
+//   3. after the barrier, the deltas are merged in canonical set order:
+//      pairs are marked in the fresh registry, plans appended to the
+//      arena, and each set's batch pruned cheapest-first — the identical
+//      sequence of Prune calls the serial path performs.
 void IncrementalOptimizer::Phase2Partitioned(const CostVector& bounds,
                                              int resolution) {
   const int n = factory_.NumTables();
@@ -424,72 +402,18 @@ void IncrementalOptimizer::Phase2Partitioned(const CostVector& bounds,
       }
       level = &live;
     }
-    // Empty levels are skipped without an exchange round. Replicas run
-    // in lockstep, so every participant skips the same levels and the
-    // wire protocol's per-level frame counts stay aligned.
     if (level->empty()) continue;
 
-    // The owned slice: the cells this participant enumerates itself.
-    std::vector<TableSet> owned_storage;
-    const std::vector<TableSet>* owned = level;
-    if (exchange_ != nullptr) {
-      owned_storage.reserve(level->size());
-      for (TableSet q : *level) {
-        if (exchange_->Owns(q)) owned_storage.push_back(q);
-      }
-      owned = &owned_storage;
-    }
+    std::vector<CellDelta> deltas(level->size());
+    pool_->ParallelFor(level->size(), [&](size_t j) {
+      EnumerateFreshPairs((*level)[j], collected, &deltas[j]);
+    });
 
-    std::vector<CellDelta> deltas(owned->size());
-    for (size_t j = 0; j < owned->size(); ++j) deltas[j].cell = (*owned)[j];
-    if (pool_ != nullptr && !owned->empty()) {
-      pool_->ParallelFor(owned->size(), [&](size_t j) {
-        EnumerateFreshPairs((*owned)[j], collected, &deltas[j]);
-      });
-    } else {
-      for (size_t j = 0; j < owned->size(); ++j) {
-        EnumerateFreshPairs((*owned)[j], collected, &deltas[j]);
-      }
-    }
-
-    std::vector<CellDelta> merged;
-    if (exchange_ != nullptr) {
-      if (!exchange_->ExchangeLevel(invocation_, resolution, k,
-                                    std::move(deltas), &merged)) {
-        // Released or transport lost mid-invocation: state is now
-        // incomplete and the session must be discarded (see
-        // exchange_aborted()).
-        exchange_aborted_ = true;
-        return;
-      }
-    } else {
-      merged = std::move(deltas);
-    }
-
-    std::unordered_map<uint32_t, const CellDelta*> by_mask;
-    by_mask.reserve(merged.size());
-    for (const CellDelta& d : merged) by_mask.emplace(d.cell.mask(), &d);
-
-    CellDelta scratch;
-    for (TableSet q : *level) {
-      const CellDelta* d;
-      const auto it = by_mask.find(q.mask());
-      if (it != by_mask.end()) {
-        d = it->second;
-      } else {
-        // Missing from the exchange (dead worker): recompute locally.
-        // Same-level merges so far only marked pairs belonging to other
-        // cells and appended level-k plans no level-<k Collect sees, so
-        // this enumeration matches what the owner would have produced.
-        scratch.cell = q;
-        scratch.fresh_pairs.clear();
-        scratch.joins.clear();
-        scratch.stale_pairs = 0;
-        EnumerateFreshPairs(q, collected, &scratch);
-        d = &scratch;
-      }
-      counters_.pairs_rejected_stale += d->stale_pairs;
-      for (const auto& [left, right] : d->fresh_pairs) {
+    for (size_t j = 0; j < level->size(); ++j) {
+      const TableSet q = (*level)[j];
+      const CellDelta& d = deltas[j];
+      counters_.pairs_rejected_stale += d.stale_pairs;
+      for (const auto& [left, right] : d.fresh_pairs) {
         // A pair's table sets union to q, so no other cell can have
         // buffered it; marking must succeed.
         const bool was_fresh = fresh_.Mark(left, right);
@@ -497,8 +421,8 @@ void IncrementalOptimizer::Phase2Partitioned(const CostVector& bounds,
         ++counters_.pairs_generated;
       }
       batch.clear();
-      batch.reserve(d->joins.size());
-      for (const CellJoin& pj : d->joins) {
+      batch.reserve(d.joins.size());
+      for (const CellJoin& pj : d.joins) {
         const PlanId id =
             arena_.AddJoin(q, pj.left, pj.right, pj.op, pj.op_cost.cost,
                            pj.op_cost.output_rows, pj.op_cost.order);

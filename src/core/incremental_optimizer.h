@@ -16,7 +16,6 @@
 #define MOQO_CORE_INCREMENTAL_OPTIMIZER_H_
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "core/counters.h"
@@ -31,61 +30,6 @@
 #include "util/thread_pool.h"
 
 namespace moqo {
-
-// --- Distributed phase-2 partitioning (docs/DISTRIBUTED.md) ---
-
-// One join alternative of a fresh sub-plan pair, produced by phase-2
-// enumeration of a cell; turned into an arena plan during the level
-// merge. `left`/`right` are arena plan ids — valid on any replica whose
-// optimizer state is in lockstep with the producer's (the distributed
-// tier's invariant).
-struct CellJoin {
-  uint32_t left = 0;
-  uint32_t right = 0;
-  OperatorDesc op;
-  OpCost op_cost;
-};
-
-// The complete phase-2 enumeration output of one cell at one level: the
-// fresh sub-plan pairs tried, every join alternative they produced
-// (pre-prune — pruning happens identically on every replica during the
-// merge), and the count of stale pairs skipped. This is the unit the
-// distributed tier ships between processes; it is also the thread-local
-// buffer of the in-process parallel engine.
-struct CellDelta {
-  TableSet cell;
-  std::vector<std::pair<uint32_t, uint32_t>> fresh_pairs;
-  std::vector<CellJoin> joins;
-  uint64_t stale_pairs = 0;
-};
-
-// Partitions phase-2 enumeration across replicated optimizers. Every
-// participant holds a full IncrementalOptimizer replica built
-// identically; per level each enumerates only the cells it Owns(), then
-// ExchangeLevel swaps deltas so that every replica merges the same set
-// in the same canonical order — arena ids and all downstream state stay
-// in bit-identical lockstep. ExchangeLevel returns the deltas it can
-// provide; any live cell missing from `merged` is re-enumerated locally
-// by the caller (the universal failure path: a dead worker's cells are
-// simply absent, and every replica recomputes them — level-k enumeration
-// only reads level-<k state, so recompute order is irrelevant). A false
-// return aborts the invocation (see IncrementalOptimizer::
-// exchange_aborted()); the optimizer's state is then mid-invocation and
-// the session must be discarded.
-class Phase2Exchange {
- public:
-  virtual ~Phase2Exchange() = default;
-  // True when this participant enumerates `cell`. Ownership must
-  // partition each level's cells across participants identically on
-  // every replica (typically a deterministic hash of the cell mask).
-  virtual bool Owns(TableSet cell) = 0;
-  // Swaps this participant's `local` level-`level` deltas for the merged
-  // delta set of all participants. Returns false to abort the run
-  // (coordinator released this worker, or the transport died).
-  virtual bool ExchangeLevel(uint32_t invocation, int resolution,
-                             size_t level, std::vector<CellDelta> local,
-                             std::vector<CellDelta>* merged) = 0;
-};
 
 struct OptimizerOptions {
   // Logarithmic cell width of the plan indexes.
@@ -154,14 +98,6 @@ struct OptimizerOptions {
   // (TakePublishableFragments). Costs one log append per result
   // insertion plus one FragmentPlan of memory per result plan.
   bool fragment_publish = false;
-  // Distributed phase-2 partitioning (docs/DISTRIBUTED.md). When set,
-  // phase 2 enumerates only the cells the exchange Owns() and swaps
-  // per-cell deltas with the other replicas at each level barrier.
-  // Mutually exclusive with fragment_store/fragment_publish (seeding on
-  // one replica would break lockstep; the service enforces this). Must
-  // outlive the optimizer, or be detached via SetPhase2Exchange(nullptr)
-  // between invocations.
-  Phase2Exchange* phase2_exchange = nullptr;
 };
 
 class IncrementalOptimizer {
@@ -245,34 +181,22 @@ class IncrementalOptimizer {
     return !sealed_.empty() && sealed_[cell.mask()] != 0;
   }
 
-  // Re-probes the fragment provider for cells that missed at
-  // construction. Admission-time seeding races concurrent publishes: a
-  // leader that publishes after this run was admitted (but before its
-  // first step) can still be harvested here. Only meaningful before the
-  // first Optimize call — a no-op afterwards (seeding into a cell whose
+  // Seeds and seals every connected multi-table cell that is not sealed
+  // yet and that the fragment provider has a frontier for. The
+  // constructor probes once; calling again re-probes the cells that
+  // missed. Admission-time seeding races concurrent publishes: a leader
+  // that publishes after this run was admitted (but before its first
+  // step) can still be harvested here. Only meaningful before the first
+  // Optimize call — a no-op afterwards (seeding into a cell whose
   // enumeration already started would corrupt the replay argument) and
   // without a provider.
   void ReprobeFragments();
-
-  // Attaches (or, with nullptr, detaches) the distributed phase-2
-  // exchange. Only legal between invocations, from the thread driving
-  // the optimizer. Detaching mid-run is safe: optimizer state is
-  // complete at every invocation boundary, so the run simply continues
-  // with local enumeration of all cells.
-  void SetPhase2Exchange(Phase2Exchange* exchange) { exchange_ = exchange; }
-  // True once an ExchangeLevel call returned false: the last Optimize
-  // call aborted mid-invocation and the optimizer's state is
-  // inconsistent. The session must be discarded, not stepped further.
-  bool exchange_aborted() const { return exchange_aborted_; }
 
  private:
   // Runs Prune for a plan of table set q.
   void PrunePlan(TableSet q, uint32_t plan_id, const CostVector& cost,
                  int order, const CostVector& bounds, int resolution);
 
-  // Seeds and seals every connected multi-table cell the fragment
-  // provider has a frontier for (constructor tail).
-  void SeedFragments(const CostVector& initial_bounds);
   // Bounds changed on an optimizer that consumed fragments: unseal every
   // cell and force-Δ all result entries, so the pairings the sealed
   // cells never enumerated are (re)tried. The fresh-pair registry keeps
@@ -281,18 +205,21 @@ class IncrementalOptimizer {
   void UnsealForBoundsChange();
 
   // Phase 2 (Algorithm 2 lines 13-22): single-threaded reference path,
-  // and the partitioned enumerate-then-merge path used by both the
-  // in-process pool (options_.num_threads/pool) and the distributed
-  // exchange (options_.phase2_exchange) — per level, enumerate owned
-  // cells into CellDeltas, exchange at the level barrier, then merge all
-  // cells in canonical order.
+  // and the partitioned enumerate-then-merge path the pool runs — per
+  // level, enumerate the live cells into CellDeltas across the pool,
+  // then merge them in canonical order. The serial path stays because
+  // routing no-pool runs through the partitioned one measured 1.08-1.11x
+  // slower (bench_fig3, bench_fig4, bench_parallel_scaling 1; 4-core
+  // AMD EPYC, gcc 12 Release; it lost 17 of 18 alternating A/B pairs).
   void Phase2Serial(const CostVector& bounds, int resolution);
   void Phase2Partitioned(const CostVector& bounds, int resolution);
 
+  // One cell's phase-2 enumeration output (defined in the .cc).
+  struct CellDelta;
   // Worker body of the partitioned phase 2: enumerates the fresh
   // sub-plan pairs of table set q against the pre-collected sub-plan
   // sets and buffers their join alternatives. Read-only on all shared
-  // state (out->cell is left untouched).
+  // state.
   void EnumerateFreshPairs(
       TableSet q,
       const std::vector<std::vector<CellIndex::Collected>>& collected,
@@ -319,11 +246,6 @@ class IncrementalOptimizer {
   // Per-invocation cache of Collect() results by table-set mask, reused
   // across Phase2Partitioned calls to avoid re-allocating 2^n vectors.
   std::vector<std::vector<CellIndex::Collected>> collected_;
-  // Distributed exchange (options_.phase2_exchange, re-bindable via
-  // SetPhase2Exchange); null = all cells enumerated locally.
-  Phase2Exchange* exchange_ = nullptr;
-  // Sticky: an ExchangeLevel returned false and the invocation aborted.
-  bool exchange_aborted_ = false;
 
   // --- Fragment sharing state ---
   // By mask: 1 = cell seeded from the provider, phase 2 skips it. Empty

@@ -481,96 +481,6 @@ Status DecodeHelloOk(const Frame& frame, uint32_t* wire_version,
   return Status::OK();
 }
 
-std::string EncodeWorkerEnvelope(uint64_t seq, const std::string& record) {
-  Writer w;
-  w.PutU64(seq);
-  w.PutStr(record);
-  return w.bytes();
-}
-
-Status DecodeWorkerEnvelope(const Frame& frame, uint64_t* seq,
-                            std::string* record) {
-  Reader r(frame.payload);
-  MOQO_RETURN_IF_ERROR(r.GetU64(seq));
-  MOQO_RETURN_IF_ERROR(r.GetStr(record));
-  if (!r.AtEnd()) return TrailingGarbage();
-  return Status::OK();
-}
-
-std::string EncodeAssignOk(uint64_t seq, bool ok, const std::string& message) {
-  Writer w;
-  w.PutU64(seq);
-  w.PutU8(ok ? 1 : 0);
-  w.PutStr(message);
-  return w.bytes();
-}
-
-Status DecodeAssignOk(const Frame& frame, uint64_t* seq, bool* ok,
-                      std::string* message) {
-  Reader r(frame.payload);
-  MOQO_RETURN_IF_ERROR(r.GetU64(seq));
-  uint8_t flag = 0;
-  MOQO_RETURN_IF_ERROR(r.GetU8(&flag));
-  if (flag > 1) return Status::InvalidArgument("ASSIGN_OK flag out of range");
-  *ok = flag != 0;
-  MOQO_RETURN_IF_ERROR(r.GetStr(message));
-  if (!r.AtEnd()) return TrailingGarbage();
-  return Status::OK();
-}
-
-std::string EncodeLevelBarrier(uint64_t seq, uint64_t invocation,
-                               uint32_t level, uint32_t cells) {
-  Writer w;
-  w.PutU64(seq);
-  w.PutU64(invocation);
-  w.PutU32(level);
-  w.PutU32(cells);
-  return w.bytes();
-}
-
-Status DecodeLevelBarrier(const Frame& frame, uint64_t* seq,
-                          uint64_t* invocation, uint32_t* level,
-                          uint32_t* cells) {
-  Reader r(frame.payload);
-  MOQO_RETURN_IF_ERROR(r.GetU64(seq));
-  MOQO_RETURN_IF_ERROR(r.GetU64(invocation));
-  MOQO_RETURN_IF_ERROR(r.GetU32(level));
-  MOQO_RETURN_IF_ERROR(r.GetU32(cells));
-  if (!r.AtEnd()) return TrailingGarbage();
-  return Status::OK();
-}
-
-std::string EncodeMergeAck(uint64_t seq, uint64_t invocation, uint32_t level) {
-  Writer w;
-  w.PutU64(seq);
-  w.PutU64(invocation);
-  w.PutU32(level);
-  return w.bytes();
-}
-
-Status DecodeMergeAck(const Frame& frame, uint64_t* seq, uint64_t* invocation,
-                      uint32_t* level) {
-  Reader r(frame.payload);
-  MOQO_RETURN_IF_ERROR(r.GetU64(seq));
-  MOQO_RETURN_IF_ERROR(r.GetU64(invocation));
-  MOQO_RETURN_IF_ERROR(r.GetU32(level));
-  if (!r.AtEnd()) return TrailingGarbage();
-  return Status::OK();
-}
-
-std::string EncodeRelease(uint64_t seq) {
-  Writer w;
-  w.PutU64(seq);
-  return w.bytes();
-}
-
-Status DecodeRelease(const Frame& frame, uint64_t* seq) {
-  Reader r(frame.payload);
-  MOQO_RETURN_IF_ERROR(r.GetU64(seq));
-  if (!r.AtEnd()) return TrailingGarbage();
-  return Status::OK();
-}
-
 namespace {
 
 Status WriteAll(int fd, const char* data, size_t size) {

@@ -51,22 +51,15 @@ inline constexpr uint32_t kMaxWireSubscriptionCapacity = 1024;
 
 /// Frame type byte. Client-to-server types are < 16, server-to-client
 /// types >= 16. Unknown types are a protocol error.
+///
+/// Types 8-11 and 22-25 are retired. Never reuse them, so that a frame
+/// from an older peer is never read under a new meaning.
 enum class MsgType : uint8_t {
   // Client -> server:
   kHello = 1,     ///< {u32 wire_version} — must be the first frame.
   kSubmit = 2,    ///< {u64 tag, SubmitRequest} — submit a query.
   kCancel = 3,    ///< {u64 tag, u64 id} — cancel one of this
                   ///< connection's runs.
-  // Optimizer worker -> coordinator (the distributed tier speaks the
-  // same framing on its coordinator/worker socketpairs; the worker is
-  // the "client" side of those connections):
-  kAssignOk = 8,   ///< {u64 seq, u8 ok, str message} — assignment verdict.
-  kDelta = 9,      ///< {u64 seq, str frontier-delta record} — one owned
-                   ///< cell's phase-2 enumeration output.
-  kLevelDone = 10,  ///< {u64 seq, u64 invocation, u32 level, u32 cells} —
-                    ///< all owned deltas for the level were sent.
-  kMergeAck = 11,   ///< {u64 seq, u64 invocation, u32 level} — the merged
-                    ///< level was applied; the replica is at the barrier.
   // Server -> client:
   kHelloOk = 16,   ///< {u32 wire_version, u32 service_api_version}.
   kSubmitOk = 17,  ///< {u64 tag, u64 id, u64 catalog_version, u8 flags}.
@@ -74,15 +67,6 @@ enum class MsgType : uint8_t {
   kCancelOk = 19,  ///< {u64 tag, u8 cancelled}.
   kSnapshot = 20,  ///< {u64 id, u64 sequence, u64 dropped, frontier}.
   kResult = 21,    ///< {u64 id, QueryResult} — the run's terminal result.
-  // Coordinator -> optimizer worker:
-  kAssign = 22,     ///< {u64 seq, str partition-assignment record} — begin
-                    ///< a distributed run under sequence `seq`.
-  kMergeCell = 23,  ///< {u64 seq, str frontier-delta record} — one cell of
-                    ///< the merged level set, broadcast in canonical order.
-  kMergeDone = 24,  ///< {u64 seq, u64 invocation, u32 level, u32 cells} —
-                    ///< the merged level set is complete; apply and ack.
-  kRelease = 25,    ///< {u64 seq} — abandon the run (fallback/cancel);
-                    ///< the worker discards its replica and reports idle.
 };
 
 /// One decoded frame: the type byte plus its raw payload bytes.
@@ -239,57 +223,6 @@ std::string EncodeHelloOk(uint32_t wire_version, uint32_t api_version);
 /// Decodes a HELLO_OK payload.
 Status DecodeHelloOk(const Frame& frame, uint32_t* wire_version,
                      uint32_t* api_version);
-
-// --- Worker-protocol payload codecs (distributed tier). -----------------
-//
-// Frames that carry a fragment-codec record (ASSIGN, DELTA, MERGE_CELL)
-// share one envelope shape — {u64 seq, str record} — with the record
-// bytes opaque to this layer: the wire frames them, fragment_codec
-// interprets them, and the two cannot drift because the envelope never
-// parses its cargo. `seq` is the run sequence number: a worker processes
-// only frames tagged with its current sequence, which makes frames from
-// an abandoned run (released mid-level) harmless stragglers instead of
-// state corruption.
-
-/// Encodes a {u64 seq, str record} envelope (ASSIGN/DELTA/MERGE_CELL).
-std::string EncodeWorkerEnvelope(uint64_t seq, const std::string& record);
-
-/// Decodes a {u64 seq, str record} envelope.
-Status DecodeWorkerEnvelope(const Frame& frame, uint64_t* seq,
-                            std::string* record);
-
-/// Encodes an ASSIGN_OK payload: the worker's verdict on an assignment
-/// (`ok` false when its catalog snapshot or build rejects it; `message`
-/// says why, for the coordinator's fallback log line).
-std::string EncodeAssignOk(uint64_t seq, bool ok, const std::string& message);
-
-/// Decodes an ASSIGN_OK payload.
-Status DecodeAssignOk(const Frame& frame, uint64_t* seq, bool* ok,
-                      std::string* message);
-
-/// Encodes a LEVEL_DONE or MERGE_DONE payload — the two level barriers
-/// share a shape: {u64 seq, u64 invocation, u32 level, u32 cells}, where
-/// `cells` counts the delta frames that preceded this barrier.
-std::string EncodeLevelBarrier(uint64_t seq, uint64_t invocation,
-                               uint32_t level, uint32_t cells);
-
-/// Decodes a LEVEL_DONE or MERGE_DONE payload.
-Status DecodeLevelBarrier(const Frame& frame, uint64_t* seq,
-                          uint64_t* invocation, uint32_t* level,
-                          uint32_t* cells);
-
-/// Encodes a MERGE_ACK payload.
-std::string EncodeMergeAck(uint64_t seq, uint64_t invocation, uint32_t level);
-
-/// Decodes a MERGE_ACK payload.
-Status DecodeMergeAck(const Frame& frame, uint64_t* seq, uint64_t* invocation,
-                      uint32_t* level);
-
-/// Encodes a RELEASE payload.
-std::string EncodeRelease(uint64_t seq);
-
-/// Decodes a RELEASE payload.
-Status DecodeRelease(const Frame& frame, uint64_t* seq);
 
 // --- Blocking frame I/O over a connected socket. ---
 

@@ -177,36 +177,4 @@ size_t FilterByBounds(const CostBank& bank, const double* bounds,
   return MaskCount(mask, bank.size());
 }
 
-bool FrontierBank::BatchInsert(const double* cost, uint64_t payload) {
-  const size_t n = costs.size();
-  // Reject iff some member m satisfies m ⪯ cost: strict dominators and
-  // exact duplicates both land in that mask (first payload wins).
-  if (FindDominating(costs, cost) != kKernelNpos) return false;
-  if (n > 0) {
-    // Evict members the candidate strictly dominates: cost ⪯ m and
-    // m != cost. Since no member has m ⪯ cost here, geq alone is the
-    // strict mask (equality would imply m ⪯ cost, already rejected).
-    scratch_.resize(n);
-    DominatedMask(costs, cost, nullptr, scratch_.data());
-    // Swap-with-back compaction, exactly the scalar eviction order: a
-    // mask bit travels with its entry when it is moved into a vacated
-    // slot, so the final layout matches the scalar path bit for bit.
-    size_t i = 0, end = n;
-    while (i < end) {
-      if (scratch_[i]) {
-        --end;
-        scratch_[i] = scratch_[end];
-        costs.SwapRemove(i);  // lane[i] = lane[end], size becomes end.
-        payloads[i] = payloads[end];
-        payloads.pop_back();
-      } else {
-        ++i;
-      }
-    }
-  }
-  costs.PushBack(cost);
-  payloads.push_back(payload);
-  return true;
-}
-
 }  // namespace moqo

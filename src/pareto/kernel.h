@@ -200,30 +200,6 @@ uint32_t FindDominating(const CostBank& bank, const double* bounds,
 size_t FilterByBounds(const CostBank& bank, const double* bounds,
                       uint8_t* mask);
 
-// --- Batched Pareto-frontier insertion -------------------------------------
-
-// A Pareto frontier in bank layout: cost lanes plus one payload lane.
-// BatchInsert replicates the scalar ParetoFrontier::Insert semantics
-// bit for bit: reject when any member dominates (or equals) the
-// candidate, evict members the candidate strictly dominates in
-// swap-with-back order, first payload wins among cost-equal duplicates.
-struct FrontierBank {
-  explicit FrontierBank(int dims) : costs(dims) {}
-
-  CostBank costs;
-  std::vector<uint64_t> payloads;
-
-  // Attempts to insert; returns true iff the entry was kept. `cost` is
-  // `costs.dims()` doubles.
-  bool BatchInsert(const double* cost, uint64_t payload);
-
-  size_t size() const { return costs.size(); }
-
- private:
-  // Scratch masks reused across insertions (leq then geq).
-  std::vector<uint8_t> scratch_;
-};
-
 }  // namespace moqo
 
 #endif  // MOQO_PARETO_KERNEL_H_

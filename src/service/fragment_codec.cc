@@ -3,12 +3,10 @@
 #include <array>
 #include <cstring>
 
-#include "core/incremental_optimizer.h"
 #include "cost/cost_vector.h"
 #include "net/wire.h"
 #include "service/fragment_store.h"
 #include "util/common.h"
-#include "util/table_set.h"
 
 namespace moqo {
 namespace {
@@ -23,19 +21,6 @@ constexpr size_t kMinPlanEncodedBytes =
 // resolution_complete travels as a varint but lands in an int; anything
 // beyond this is corrupt, not a real schedule.
 constexpr uint64_t kMaxResolutionComplete = 1u << 20;
-// Frontier-delta ceilings: a fresh pair is two varints; a cell join is
-// two plan-id varints, four operator bytes/varints, the cost vector
-// (dims byte + lanes), output_rows, and the order byte.
-constexpr size_t kMinFreshPairEncodedBytes = 2;
-constexpr size_t kMinCellJoinEncodedBytes =
-    1 /*left*/ + 1 /*right*/ + 1 /*is_scan*/ + 1 /*alg*/ + 1 /*workers*/ +
-    1 /*sampling varint*/ + 1 /*dims*/ + 8 /*output_rows*/ + 1 /*order*/;
-// Partition-assignment ceilings. num_workers is forked-local today; the
-// cap only has to reject corrupt counts, not size real clusters.
-constexpr uint64_t kMaxAssignmentWorkers = 4096;
-constexpr size_t kMinTableRefEncodedBytes =
-    1 /*table varint*/ + 8 /*selectivity*/ + 1 /*alias len*/;
-constexpr size_t kMinJoinPredEncodedBytes = 1 /*left*/ + 1 /*right*/ + 8;
 
 Status Corrupt(const char* what) { return Status::InvalidArgument(what); }
 
@@ -142,286 +127,6 @@ Status DecodeEpochRecord(const std::string& bytes, uint64_t* epoch) {
   }
   MOQO_RETURN_IF_ERROR(r.GetVarint(epoch));
   if (!r.AtEnd()) return Corrupt("trailing bytes after epoch record");
-  return Status::OK();
-}
-
-std::string EncodeFrontierDelta(const FrontierDeltaRecord& record,
-                                const CellDelta& delta) {
-  MOQO_CHECK(record.resolution >= 0);
-  net::Writer w;
-  w.PutU8(kFragmentCodecVersion);
-  w.PutVarint(record.invocation);
-  w.PutVarint(static_cast<uint64_t>(record.resolution));
-  w.PutVarint(record.level);
-  w.PutU32(delta.cell.mask());
-  w.PutVarint(delta.fresh_pairs.size());
-  for (const auto& [left, right] : delta.fresh_pairs) {
-    w.PutVarint(left);
-    w.PutVarint(right);
-  }
-  w.PutVarint(delta.joins.size());
-  for (const CellJoin& join : delta.joins) {
-    w.PutVarint(join.left);
-    w.PutVarint(join.right);
-    w.PutU8(join.op.is_scan ? 1 : 0);
-    w.PutU8(join.op.alg);
-    w.PutU8(join.op.workers);
-    w.PutVarint(join.op.sampling_permille);
-    const int dims = join.op_cost.cost.dims();
-    w.PutU8(static_cast<uint8_t>(dims));
-    for (int i = 0; i < dims; ++i) w.PutF64(join.op_cost.cost.at(i));
-    w.PutF64(join.op_cost.output_rows);
-    w.PutU8(join.op_cost.order);
-  }
-  w.PutVarint(delta.stale_pairs);
-  return w.bytes();
-}
-
-Status DecodeFrontierDelta(const std::string& bytes,
-                           FrontierDeltaRecord* record, CellDelta* delta) {
-  net::Reader r(bytes);
-  uint8_t version = 0;
-  MOQO_RETURN_IF_ERROR(r.GetU8(&version));
-  if (version != kFragmentCodecVersion) {
-    return Corrupt("unsupported fragment codec version");
-  }
-  uint64_t invocation = 0;
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&invocation));
-  if (invocation > 0xFFFFFFFFu) return Corrupt("delta invocation out of range");
-  record->invocation = static_cast<uint32_t>(invocation);
-  uint64_t resolution = 0;
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&resolution));
-  if (resolution > kMaxResolutionComplete) {
-    return Corrupt("delta resolution out of range");
-  }
-  record->resolution = static_cast<int>(resolution);
-  uint64_t level = 0;
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&level));
-  if (level > static_cast<uint64_t>(kMaxTables)) {
-    return Corrupt("delta level out of range");
-  }
-  record->level = static_cast<uint32_t>(level);
-  uint32_t mask = 0;
-  MOQO_RETURN_IF_ERROR(r.GetU32(&mask));
-  if (mask >= (1u << kMaxTables)) return Corrupt("delta cell mask out of range");
-  delta->cell = TableSet(mask);
-  uint64_t pair_count = 0;
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&pair_count));
-  if (pair_count > bytes.size() / kMinFreshPairEncodedBytes) {
-    return Corrupt("delta fresh-pair count exceeds payload capacity");
-  }
-  delta->fresh_pairs.clear();
-  delta->fresh_pairs.reserve(pair_count);
-  for (uint64_t i = 0; i < pair_count; ++i) {
-    uint64_t left = 0;
-    uint64_t right = 0;
-    MOQO_RETURN_IF_ERROR(r.GetVarint(&left));
-    MOQO_RETURN_IF_ERROR(r.GetVarint(&right));
-    if (left > 0xFFFFFFFFu || right > 0xFFFFFFFFu) {
-      return Corrupt("delta fresh-pair plan id out of range");
-    }
-    delta->fresh_pairs.emplace_back(static_cast<uint32_t>(left),
-                                    static_cast<uint32_t>(right));
-  }
-  uint64_t join_count = 0;
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&join_count));
-  if (join_count > bytes.size() / kMinCellJoinEncodedBytes) {
-    return Corrupt("delta join count exceeds payload capacity");
-  }
-  delta->joins.clear();
-  delta->joins.reserve(join_count);
-  for (uint64_t i = 0; i < join_count; ++i) {
-    CellJoin join;
-    uint64_t left = 0;
-    uint64_t right = 0;
-    MOQO_RETURN_IF_ERROR(r.GetVarint(&left));
-    MOQO_RETURN_IF_ERROR(r.GetVarint(&right));
-    if (left > 0xFFFFFFFFu || right > 0xFFFFFFFFu) {
-      return Corrupt("delta join plan id out of range");
-    }
-    join.left = static_cast<uint32_t>(left);
-    join.right = static_cast<uint32_t>(right);
-    uint8_t is_scan = 0;
-    MOQO_RETURN_IF_ERROR(r.GetU8(&is_scan));
-    if (is_scan > 1) return Corrupt("delta join is_scan flag out of range");
-    join.op.is_scan = is_scan != 0;
-    MOQO_RETURN_IF_ERROR(r.GetU8(&join.op.alg));
-    MOQO_RETURN_IF_ERROR(r.GetU8(&join.op.workers));
-    uint64_t sampling = 0;
-    MOQO_RETURN_IF_ERROR(r.GetVarint(&sampling));
-    if (sampling > 0xFFFF) return Corrupt("delta join sampling out of range");
-    join.op.sampling_permille = static_cast<uint16_t>(sampling);
-    uint8_t dims = 0;
-    MOQO_RETURN_IF_ERROR(r.GetU8(&dims));
-    if (dims > kMaxMetrics) return Corrupt("delta join dims out of range");
-    join.op_cost.cost = CostVector(static_cast<int>(dims));
-    for (int d = 0; d < dims; ++d) {
-      MOQO_RETURN_IF_ERROR(r.GetF64(&join.op_cost.cost.data()[d]));
-    }
-    MOQO_RETURN_IF_ERROR(r.GetF64(&join.op_cost.output_rows));
-    MOQO_RETURN_IF_ERROR(r.GetU8(&join.op_cost.order));
-    delta->joins.push_back(join);
-  }
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&delta->stale_pairs));
-  if (!r.AtEnd()) return Corrupt("trailing bytes after frontier delta");
-  return Status::OK();
-}
-
-std::string EncodePartitionAssignment(const PartitionAssignment& assignment) {
-  MOQO_CHECK(assignment.num_workers >= 1);
-  MOQO_CHECK(assignment.worker_index < assignment.num_workers);
-  net::Writer w;
-  w.PutU8(kFragmentCodecVersion);
-  w.PutVarint(assignment.worker_index);
-  w.PutVarint(assignment.num_workers);
-  w.PutVarint(assignment.catalog_version);
-  w.PutStr(assignment.query.name);
-  w.PutVarint(assignment.query.tables.size());
-  for (const TableRef& ref : assignment.query.tables) {
-    MOQO_CHECK(ref.table >= 0);
-    w.PutVarint(static_cast<uint64_t>(ref.table));
-    w.PutF64(ref.predicate_selectivity);
-    w.PutStr(ref.alias);
-  }
-  w.PutVarint(assignment.query.joins.size());
-  for (const JoinPredicate& join : assignment.query.joins) {
-    MOQO_CHECK(join.left >= 0 && join.right >= 0);
-    w.PutVarint(static_cast<uint64_t>(join.left));
-    w.PutVarint(static_cast<uint64_t>(join.right));
-    w.PutF64(join.selectivity);
-  }
-  w.PutVarint(static_cast<uint64_t>(assignment.schedule.NumLevels()));
-  w.PutF64(assignment.schedule.alpha_target());
-  w.PutF64(assignment.schedule.alpha_step());
-  w.PutU8(static_cast<uint8_t>(assignment.schedule.kind()));
-  if (assignment.initial_bounds.has_value()) {
-    const int dims = assignment.initial_bounds->dims();
-    w.PutU8(1);
-    w.PutU8(static_cast<uint8_t>(dims));
-    for (int i = 0; i < dims; ++i) w.PutF64(assignment.initial_bounds->at(i));
-  } else {
-    w.PutU8(0);
-  }
-  w.PutF64(assignment.cell_gamma);
-  const uint8_t flags =
-      (assignment.prune_against_all_resolutions ? 1u : 0u) |
-      (assignment.park_next_level_only ? 2u : 0u) |
-      (assignment.sorted_pruning ? 4u : 0u);
-  w.PutU8(flags);
-  w.PutVarint(assignment.steps);
-  return w.bytes();
-}
-
-Status DecodePartitionAssignment(const std::string& bytes,
-                                 PartitionAssignment* assignment) {
-  net::Reader r(bytes);
-  uint8_t version = 0;
-  MOQO_RETURN_IF_ERROR(r.GetU8(&version));
-  if (version != kFragmentCodecVersion) {
-    return Corrupt("unsupported fragment codec version");
-  }
-  uint64_t worker_index = 0;
-  uint64_t num_workers = 0;
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&worker_index));
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&num_workers));
-  if (num_workers < 1 || num_workers > kMaxAssignmentWorkers) {
-    return Corrupt("assignment num_workers out of range");
-  }
-  if (worker_index >= num_workers) {
-    return Corrupt("assignment worker_index out of range");
-  }
-  assignment->worker_index = static_cast<uint32_t>(worker_index);
-  assignment->num_workers = static_cast<uint32_t>(num_workers);
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&assignment->catalog_version));
-  MOQO_RETURN_IF_ERROR(r.GetStr(&assignment->query.name));
-  uint64_t table_count = 0;
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&table_count));
-  if (table_count > static_cast<uint64_t>(kMaxTables) ||
-      table_count > bytes.size() / kMinTableRefEncodedBytes) {
-    return Corrupt("assignment table count out of range");
-  }
-  assignment->query.tables.clear();
-  assignment->query.tables.reserve(table_count);
-  for (uint64_t i = 0; i < table_count; ++i) {
-    TableRef ref;
-    uint64_t table = 0;
-    MOQO_RETURN_IF_ERROR(r.GetVarint(&table));
-    if (table > 0x7FFFFFFFu) return Corrupt("assignment table id out of range");
-    ref.table = static_cast<TableId>(table);
-    MOQO_RETURN_IF_ERROR(r.GetF64(&ref.predicate_selectivity));
-    MOQO_RETURN_IF_ERROR(r.GetStr(&ref.alias));
-    assignment->query.tables.push_back(std::move(ref));
-  }
-  uint64_t join_count = 0;
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&join_count));
-  if (join_count > bytes.size() / kMinJoinPredEncodedBytes) {
-    return Corrupt("assignment join count exceeds payload capacity");
-  }
-  assignment->query.joins.clear();
-  assignment->query.joins.reserve(join_count);
-  for (uint64_t i = 0; i < join_count; ++i) {
-    JoinPredicate join;
-    uint64_t left = 0;
-    uint64_t right = 0;
-    MOQO_RETURN_IF_ERROR(r.GetVarint(&left));
-    MOQO_RETURN_IF_ERROR(r.GetVarint(&right));
-    if (left >= table_count || right >= table_count) {
-      return Corrupt("assignment join endpoint out of range");
-    }
-    join.left = static_cast<int>(left);
-    join.right = static_cast<int>(right);
-    MOQO_RETURN_IF_ERROR(r.GetF64(&join.selectivity));
-    assignment->query.joins.push_back(join);
-  }
-  uint64_t num_levels = 0;
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&num_levels));
-  double alpha_target = 0.0;
-  double alpha_step = 0.0;
-  MOQO_RETURN_IF_ERROR(r.GetF64(&alpha_target));
-  MOQO_RETURN_IF_ERROR(r.GetF64(&alpha_step));
-  uint8_t kind = 0;
-  MOQO_RETURN_IF_ERROR(r.GetU8(&kind));
-  // Validate everything the ResolutionSchedule constructor CHECKs; the
-  // comparisons are written so NaN fails them.
-  if (num_levels < 1 || num_levels > 256) {
-    return Corrupt("assignment schedule levels out of range");
-  }
-  if (!(alpha_target > 1.0) || !(alpha_step >= 0.0)) {
-    return Corrupt("assignment schedule alpha out of range");
-  }
-  if (kind > static_cast<uint8_t>(ResolutionSchedule::Kind::kGeometric)) {
-    return Corrupt("assignment schedule kind out of range");
-  }
-  assignment->schedule =
-      ResolutionSchedule(static_cast<int>(num_levels), alpha_target,
-                         alpha_step, static_cast<ResolutionSchedule::Kind>(kind));
-  uint8_t has_bounds = 0;
-  MOQO_RETURN_IF_ERROR(r.GetU8(&has_bounds));
-  if (has_bounds > 1) return Corrupt("assignment bounds flag out of range");
-  if (has_bounds != 0) {
-    uint8_t dims = 0;
-    MOQO_RETURN_IF_ERROR(r.GetU8(&dims));
-    if (dims > kMaxMetrics) return Corrupt("assignment bounds dims out of range");
-    CostVector bounds(static_cast<int>(dims));
-    for (int d = 0; d < dims; ++d) {
-      MOQO_RETURN_IF_ERROR(r.GetF64(&bounds.data()[d]));
-    }
-    assignment->initial_bounds = bounds;
-  } else {
-    assignment->initial_bounds.reset();
-  }
-  MOQO_RETURN_IF_ERROR(r.GetF64(&assignment->cell_gamma));
-  uint8_t flags = 0;
-  MOQO_RETURN_IF_ERROR(r.GetU8(&flags));
-  if (flags > 7) return Corrupt("assignment flags out of range");
-  assignment->prune_against_all_resolutions = (flags & 1u) != 0;
-  assignment->park_next_level_only = (flags & 2u) != 0;
-  assignment->sorted_pruning = (flags & 4u) != 0;
-  uint64_t steps = 0;
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&steps));
-  if (steps > 0xFFFFFFFFu) return Corrupt("assignment steps out of range");
-  assignment->steps = static_cast<uint32_t>(steps);
-  if (!r.AtEnd()) return Corrupt("trailing bytes after partition assignment");
   return Status::OK();
 }
 

@@ -5,11 +5,9 @@
 /// store epoch, catalog version, and the cell's chronological plan
 /// insertion log — into a self-contained byte string, and frames such
 /// payloads into the FragmentStore's append-only persistence log. It is
-/// the byte layer under two ROADMAP items at once: the cold tier of the
-/// tiered fragment store (fragments the DRAM budget cannot hold live on
-/// as compact serialized records, decoded back on demand) and the future
-/// distributed exchange of per-cell Pareto deltas between shared-nothing
-/// optimizer processes (the same record travels as a message).
+/// the byte layer under the cold tier of the tiered fragment store:
+/// fragments the DRAM budget cannot hold live on as compact serialized
+/// records, decoded back on demand.
 ///
 /// **Bit identity.** Doubles are serialized as their IEEE-754 bit
 /// pattern via the net::Writer/net::Reader primitives (the same helpers
@@ -35,18 +33,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
-#include "core/resolution.h"
-#include "cost/cost_vector.h"
-#include "query/query.h"
 #include "util/status.h"
 
 namespace moqo {
 
 struct StoredFragment;  // service/fragment_store.h (cyclic include guard).
-struct CellDelta;       // core/incremental_optimizer.h (heavy header).
 
 /// Fragment payload format version. Decoders reject any other value with
 /// Status (never a crash): a record written by a future format rev is
@@ -58,9 +51,9 @@ inline constexpr uint8_t kFragmentCodecVersion = 1;
 /// prefix — the persistence analogue of net::kMaxFrameBytes.
 inline constexpr uint32_t kMaxFragmentRecordBytes = 64u << 20;
 
-/// One fragment as it travels through the persistence log (and, later,
-/// the distributed exchange): the canonical key plus everything Lookup
-/// needs to serve it without consulting the donor process again.
+/// One fragment as it travels through the persistence log: the canonical
+/// key plus everything Lookup needs to serve it without consulting the
+/// donor process again.
 struct FragmentRecord {
   /// Canonical sub-join-graph key (FragmentQueryBinding encoding). The
   /// key embeds the store epoch textually; the binary `epoch` field
@@ -91,86 +84,11 @@ std::string EncodeFragmentRecord(const FragmentRecord& record,
 Status DecodeFragmentRecord(const std::string& bytes, FragmentRecord* record,
                             StoredFragment* fragment);
 
-/// Record type tag inside the persistence log. The same tag space doubles
-/// as the payload discriminator for codec records travelling over the
-/// distributed worker protocol (net/wire frames carry them verbatim).
+/// Record type tag inside the persistence log.
 enum class LogRecordType : uint8_t {
-  kFragment = 1,             ///< EncodeFragmentRecord payload.
-  kEpoch = 2,                ///< EncodeEpochRecord payload (store epoch bump).
-  kFrontierDelta = 3,        ///< EncodeFrontierDelta payload (phase-2 cell delta).
-  kPartitionAssignment = 4,  ///< EncodePartitionAssignment payload.
+  kFragment = 1,  ///< EncodeFragmentRecord payload.
+  kEpoch = 2,     ///< EncodeEpochRecord payload (store epoch bump).
 };
-
-/// Context of one per-cell phase-2 delta: which invocation, resolution
-/// level, and enumeration level (join cardinality k) produced it. The
-/// cell itself and its enumeration output travel in the CellDelta the
-/// record is encoded with.
-struct FrontierDeltaRecord {
-  /// Optimize() invocation counter of the producing replica.
-  uint32_t invocation = 0;
-  /// Resolution level the invocation ran at (0..rM).
-  int resolution = 0;
-  /// Phase-2 enumeration level k (cell cardinality, 2..n).
-  uint32_t level = 0;
-};
-
-/// Encodes `record` + `delta` (one cell's complete phase-2 enumeration
-/// output: fresh pairs tried, join alternatives with bit-exact costs,
-/// stale-pair count) into canonical payload bytes. Deterministic, so
-/// replicated merges of equal deltas stay bit-identical.
-std::string EncodeFrontierDelta(const FrontierDeltaRecord& record,
-                                const CellDelta& delta);
-
-/// Decodes payload bytes produced by EncodeFrontierDelta. Returns
-/// InvalidArgument on version mismatch, truncation, out-of-range fields,
-/// or trailing garbage — never crashes: deltas arrive over sockets from
-/// peer processes that may be arbitrarily wedged.
-Status DecodeFrontierDelta(const std::string& bytes,
-                           FrontierDeltaRecord* record, CellDelta* delta);
-
-/// Everything a worker process needs to build an IncrementalOptimizer
-/// replica in lockstep with the coordinator: the query block, the
-/// resolution schedule, the result-affecting optimizer knobs, and this
-/// worker's slot in the cell partition. Fields that do not affect
-/// enumeration output (thread counts, fragment caching) are deliberately
-/// absent — replicas must agree only on what determines the frontier.
-struct PartitionAssignment {
-  /// This worker's slot in [0, num_workers); cell ownership is
-  /// hash(cell mask) % num_workers == worker_index.
-  uint32_t worker_index = 0;
-  /// Total enumerating workers (the coordinator owns no cells).
-  uint32_t num_workers = 1;
-  /// Catalog version the replica must be pinned to; a worker whose
-  /// snapshot differs rejects the assignment and the run falls back to
-  /// local execution.
-  uint64_t catalog_version = 0;
-  /// The query block to replicate (validated against the catalog by the
-  /// worker before optimizer construction).
-  Query query;
-  /// Resolution schedule of the anytime session.
-  ResolutionSchedule schedule = ResolutionSchedule::Moderate(5);
-  /// Initial cost bounds, or unset for unbounded.
-  std::optional<CostVector> initial_bounds;
-  /// Result-affecting optimizer knobs (must match the coordinator's).
-  double cell_gamma = 2.0;
-  bool prune_against_all_resolutions = false;
-  bool park_next_level_only = false;
-  bool sorted_pruning = true;
-  /// Number of autonomous Step()/Continue() turns the worker executes in
-  /// lockstep with the coordinator's session.
-  uint32_t steps = 0;
-};
-
-/// Encodes a partition assignment into canonical payload bytes.
-std::string EncodePartitionAssignment(const PartitionAssignment& assignment);
-
-/// Decodes payload bytes produced by EncodePartitionAssignment. Bounds
-/// every count and validates every field the ResolutionSchedule and
-/// TableSet constructors would CHECK (num_levels in [1, 256],
-/// alpha_target > 1, table count <= kMaxTables, join endpoints in
-/// range), so hostile bytes are rejected with Status, never a crash.
-Status DecodePartitionAssignment(const std::string& bytes,
-                                 PartitionAssignment* assignment);
 
 /// Encodes an epoch-bump payload (version byte + varint epoch). Epoch
 /// records make BumpEpoch durable: replay recovers the exact epoch, so

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "dist/backend.h"
 #include "util/str.h"
 
 namespace moqo {
@@ -191,10 +190,6 @@ struct OptimizerService::RunState {
   // Shard-thread-only state (built lazily on the first turn, or at
   // admission when the fragment store is enabled — see Submit):
   std::unique_ptr<PlanFactory> factory;
-  // Lease on the distributed worker tier (null for local runs). Ordered
-  // before `session`: the session's optimizer holds a pointer to the
-  // lease's exchange, so the session must be destroyed first.
-  std::unique_ptr<dist::DistRun> dist;
   std::unique_ptr<IamaSession> session;
   // Per-run adapter between the session's optimizer and the service's
   // fragment store (null when the store is disabled). Shard-thread-only
@@ -761,27 +756,7 @@ void OptimizerService::BuildRun(RunState* run) {
   iama.optimizer.pool = nullptr;   // Rebound to the stepping shard's pool
   iama.optimizer.num_threads = 1;  // each turn; the service owns all
                                    // parallelism.
-  // Large queries try to lease the distributed worker tier. A null
-  // lease (tier busy, dead, or a worker rejected the assignment — e.g.
-  // the run pins a catalog version the workers don't have) just means
-  // this run executes locally; distribution is never a requirement.
-  if (options_.distributed_backend != nullptr &&
-      options_.distributed_min_tables > 0 &&
-      run->query.NumTables() >= options_.distributed_min_tables &&
-      run->max_iterations > 0) {
-    run->dist = options_.distributed_backend->TryBeginRun(
-        run->query, run->catalog_version, iama,
-        static_cast<uint32_t>(run->max_iterations));
-  }
-  if (run->dist != nullptr) {
-    // Distributed runs exchange per-cell deltas instead of sharing
-    // fragments: a cell seeded on one replica but not another would
-    // break lockstep, so the optimizer CHECKs the two are exclusive
-    // (any request-supplied fragment options are cleared here).
-    iama.optimizer.phase2_exchange = run->dist->exchange();
-    iama.optimizer.fragment_store = nullptr;
-    iama.optimizer.fragment_publish = false;
-  } else if (fragment_store_ != nullptr) {
+  if (fragment_store_ != nullptr) {
     run->fragment_provider = std::make_unique<FragmentStoreProvider>(
         fragment_store_.get(), run->query, options_.schema, run->iama,
         options_.operator_options.enable_interesting_orders,
@@ -1032,14 +1007,6 @@ void OptimizerService::SchedulerLoop(size_t shard) {
     // stepping shard's own pool partition keeps every pool single-caller.
     run->session->RebindPool(pools_[shard].get());
     if (pending.has_value()) {
-      if (run->dist != nullptr) {
-        // Re-bounding resets the resolution schedule, which the fixed-
-        // step worker replicas cannot follow. Release the tier and let
-        // the run finish locally: session state is complete at
-        // invocation boundaries, so nothing is lost but the workers.
-        run->session->mutable_optimizer()->SetPhase2Exchange(nullptr);
-        run->dist.reset();
-      }
       // Dimensions were validated by ApplyBounds against the service
       // schema, which every session shares.
       MOQO_CHECK(run->session->SetBounds(*pending));
@@ -1074,14 +1041,6 @@ void OptimizerService::SchedulerLoop(size_t shard) {
         finished = true;
         end_state = QueryState::kCancelled;
       }
-    }
-
-    // A finishing run releases its worker-tier lease before taking the
-    // lock: RELEASE frames are syscalls, and the tier frees up for the
-    // next distributed run as early as possible.
-    if (finished && run->dist != nullptr) {
-      run->session->mutable_optimizer()->SetPhase2Exchange(nullptr);
-      run->dist.reset();
     }
 
     // The publication copy (an O(|plans|) deep copy) happens while this

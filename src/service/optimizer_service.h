@@ -129,11 +129,6 @@
 
 namespace moqo {
 
-namespace dist {
-class DistributedBackend;  // dist/backend.h
-class DistRun;
-}  // namespace dist
-
 /// Service-wide configuration, fixed at construction.
 struct ServiceOptions {
   /// Total worker budget shared by all sessions' phase-2 enumeration,
@@ -225,18 +220,6 @@ struct ServiceOptions {
   CostModelParams cost_params;
   /// Operator library configuration shared by all queries (service-wide).
   OperatorOptions operator_options;
-  /// Distributed enumeration tier (docs/DISTRIBUTED.md): non-null routes
-  /// eligible queries' phase-2 enumeration through the backend's
-  /// coordinator/worker exchange. The backend must outlive the service.
-  /// Distribution is frontier-transparent — a distributed run's result
-  /// is bit-identical to the local run's — so it participates in no
-  /// cache key. Distributed runs never seed from or publish to the
-  /// fragment store (replica lockstep excludes pre-seeded cells).
-  dist::DistributedBackend* distributed_backend = nullptr;
-  /// Smallest query (in tables) routed to the distributed tier; smaller
-  /// queries always run locally — per-level exchange round trips dwarf
-  /// small enumerations. 0 disables routing even with a backend set.
-  int distributed_min_tables = 0;
 };
 
 /// Cache/placement key for a submission: canonicalized join graph

@@ -2,8 +2,8 @@
 // (pareto/kernel.h): the batched primitives must be *bit-identical* to
 // the scalar reference paths they replaced. The reference frontier below
 // is a frozen copy of the pre-kernel scalar ParetoFrontier::Insert; the
-// rewritten ParetoFrontier and the kernel's FrontierBank are both checked
-// against it, decision by decision and byte by byte.
+// rewritten ParetoFrontier is checked against it, decision by decision
+// and byte by byte.
 //
 // Cost values are drawn from a small discrete grid so exact duplicates,
 // component ties, and mutual non-dominance all occur constantly — the
@@ -72,48 +72,39 @@ CostVector RandomCost(Rng& rng, int dims, double scale = 1.0) {
 }
 
 void ExpectSameFrontier(const ScalarFrontier& ref, const ParetoFrontier& pf,
-                        const FrontierBank& fb, int dims) {
+                        int dims) {
   ASSERT_EQ(ref.entries.size(), pf.size());
-  ASSERT_EQ(ref.entries.size(), fb.size());
   for (size_t i = 0; i < ref.entries.size(); ++i) {
     EXPECT_EQ(ref.entries[i].payload, pf.entries()[i].payload)
         << "payload order diverged at entry " << i;
-    EXPECT_EQ(ref.entries[i].payload, fb.payloads[i])
-        << "bank payload order diverged at entry " << i;
     for (int d = 0; d < dims; ++d) {
       EXPECT_TRUE(SameBits(ref.entries[i].cost.at(d),
                            pf.entries()[i].cost.at(d)))
           << "frontier cost bits diverged at entry " << i << " dim " << d;
-      EXPECT_TRUE(SameBits(ref.entries[i].cost.at(d), fb.costs.At(i, d)))
-          << "bank cost bits diverged at entry " << i << " dim " << d;
     }
   }
 }
 
 // ~12k insertions across 1200 random sequences: every accept/reject
 // decision and the full entry ordering must match the scalar reference.
-TEST(KernelPropertyTest, BatchInsertBitIdenticalToScalarFrontier) {
+TEST(KernelPropertyTest, InsertBitIdenticalToScalarFrontier) {
   size_t trials = 0;
   for (uint64_t seed = 0; seed < 1200; ++seed) {
     Rng rng(seed * 7919 + 1);
     const int dims = 2 + static_cast<int>(seed % 3);
     ScalarFrontier ref;
     ParetoFrontier pf;
-    FrontierBank fb(dims);
     const int inserts = 4 + static_cast<int>(rng.Uniform(12));
     for (int i = 0; i < inserts; ++i) {
       const CostVector c = RandomCost(rng, dims);
       const uint64_t payload = 1000 * seed + static_cast<uint64_t>(i);
       const bool r0 = ref.Insert(c, payload);
       const bool r1 = pf.Insert(c, payload);
-      const bool r2 = fb.BatchInsert(c.data(), payload);
       ASSERT_EQ(r0, r1) << "ParetoFrontier decision diverged, seed " << seed
-                        << " insert " << i;
-      ASSERT_EQ(r0, r2) << "FrontierBank decision diverged, seed " << seed
                         << " insert " << i;
       ++trials;
     }
-    ExpectSameFrontier(ref, pf, fb, dims);
+    ExpectSameFrontier(ref, pf, dims);
   }
   EXPECT_GE(trials, 10000u);
 }
@@ -214,27 +205,24 @@ TEST(KernelPropertyTest, FilterByBoundsMatchesLinearScan) {
 }
 
 // First payload wins among exact duplicates; a later duplicate must not
-// replace it in either implementation.
+// replace it.
 TEST(KernelPropertyTest, DuplicateCostTieBreakKeepsFirstPayload) {
   const int dims = 3;
   ScalarFrontier ref;
   ParetoFrontier pf;
-  FrontierBank fb(dims);
   const CostVector c{1.0, 2.0, 3.0};
   EXPECT_TRUE(ref.Insert(c, 11));
   EXPECT_TRUE(pf.Insert(c, 11));
-  EXPECT_TRUE(fb.BatchInsert(c.data(), 11));
   EXPECT_FALSE(ref.Insert(c, 22));
   EXPECT_FALSE(pf.Insert(c, 22));
-  EXPECT_FALSE(fb.BatchInsert(c.data(), 22));
   // A non-comparable entry, then the duplicate again.
   const CostVector other{3.0, 2.0, 1.0};
   EXPECT_TRUE(ref.Insert(other, 33));
   EXPECT_TRUE(pf.Insert(other, 33));
-  EXPECT_TRUE(fb.BatchInsert(other.data(), 33));
-  EXPECT_FALSE(fb.BatchInsert(c.data(), 44));
-  ExpectSameFrontier(ref, pf, fb, dims);
-  EXPECT_EQ(fb.payloads[0], 11u);
+  EXPECT_FALSE(ref.Insert(c, 44));
+  EXPECT_FALSE(pf.Insert(c, 44));
+  ExpectSameFrontier(ref, pf, dims);
+  EXPECT_EQ(pf.entries()[0].payload, 11u);
 }
 
 // Arena-backed banks behave exactly like heap-backed ones across growth.

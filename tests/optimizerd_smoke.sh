@@ -12,12 +12,6 @@
 # and the warm pass must reproduce the cold pass's frontier digests
 # bit for bit.
 #
-# Third leg: the distributed worker tier. A single-process server's
-# frontier digests are the reference; a --workers 2 server must
-# reproduce them bit for bit, both before and after one worker process
-# is SIGKILLed mid-load (the survivors recompute the dead worker's
-# cells, so results never change — docs/DISTRIBUTED.md).
-#
 # Usage: optimizerd_smoke.sh <build-dir> [store-dir]
 # store-dir defaults to a fresh mktemp -d; CI's Release leg passes a
 # tmpfs path (/dev/shm) to keep the crash leg off spinning disks.
@@ -36,17 +30,12 @@ else
 fi
 LOG="$(mktemp)"
 LOG2="$(mktemp)"
-LOG3="$(mktemp)"
 COLD_DIGESTS="$(mktemp)"
 WARM_DIGESTS="$(mktemp)"
-REF_DIGESTS="$(mktemp)"
-REF2_DIGESTS="$(mktemp)"
-DIST_DIGESTS="$(mktemp)"
 SERVER_PID=""
 cleanup() {
   [ -n "$SERVER_PID" ] && kill -9 "$SERVER_PID" 2>/dev/null || true
-  rm -f "$LOG" "$LOG2" "$LOG3" "$COLD_DIGESTS" "$WARM_DIGESTS"
-  rm -f "$REF_DIGESTS" "$REF2_DIGESTS" "$DIST_DIGESTS" "$DIST_DIGESTS.raw"
+  rm -f "$LOG" "$LOG2" "$COLD_DIGESTS" "$WARM_DIGESTS"
   rm -f "$STORE_DIR/fragments.log" "$STORE_DIR/fragments.log.compact"
   [ "$CLEAN_STORE_DIR" -eq 1 ] && rmdir "$STORE_DIR" 2>/dev/null || true
 }
@@ -157,76 +146,4 @@ SERVER_PID=""
 [ "$STATUS" -eq 0 ] || { cat "$LOG2"; echo "FAIL: exit status $STATUS after recovery"; exit 1; }
 grep -q "optimizerd: store publishes" "$LOG2" || { cat "$LOG2"; echo "FAIL: no store summary"; exit 1; }
 echo "PASS: optimizerd smoke (crash-recovery leg)"
-
-# --- Leg 3: distributed worker tier, bit-identity under worker death --------
-
-# Reference digests from a plain single-process server.
-: > "$LOG"
-"$BUILD_DIR/optimizerd" --port 0 --threads 2 --shards 2 \
-  --max-inflight 16 > "$LOG" &
-SERVER_PID=$!
-wait_for_port "$LOG"
-"$BUILD_DIR/loadgen" --port "$PORT" --sessions 4 --queries 3 \
-  --tenants 2 --max-iterations 8 --seed 11 --digest | \
-  sed -n 's/^loadgen-digest: //p' | sort > "$REF_DIGESTS" || {
-  echo "FAIL: reference loadgen pass"; exit 1;
-}
-[ -s "$REF_DIGESTS" ] || { echo "FAIL: reference pass produced no digests"; exit 1; }
-# Second reference workload (fresh seed) for the worker-kill pass: a
-# repeated seed would be served from the frontier cache and never
-# exercise the worker tier at all.
-"$BUILD_DIR/loadgen" --port "$PORT" --sessions 4 --queries 3 \
-  --tenants 2 --max-iterations 8 --seed 13 --digest | \
-  sed -n 's/^loadgen-digest: //p' | sort > "$REF2_DIGESTS" || {
-  echo "FAIL: second reference loadgen pass"; exit 1;
-}
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID" || { cat "$LOG"; echo "FAIL: reference server drain"; exit 1; }
-SERVER_PID=""
-
-# Same workload against the worker tier: digests must match bit for bit.
-"$BUILD_DIR/optimizerd" --port 0 --threads 2 --shards 2 \
-  --max-inflight 16 --workers 2 --dist-min-tables 3 > "$LOG3" &
-SERVER_PID=$!
-wait_for_port "$LOG3"
-WORKER_PIDS="$(sed -n 's/^optimizerd: workers //p' "$LOG3")"
-[ -n "$WORKER_PIDS" ] || { cat "$LOG3"; echo "FAIL: no worker-pids line"; exit 1; }
-"$BUILD_DIR/loadgen" --port "$PORT" --sessions 4 --queries 3 \
-  --tenants 2 --max-iterations 8 --seed 11 --digest | \
-  sed -n 's/^loadgen-digest: //p' | sort > "$DIST_DIGESTS" || {
-  echo "FAIL: distributed loadgen pass"; exit 1;
-}
-diff "$REF_DIGESTS" "$DIST_DIGESTS" || {
-  echo "FAIL: distributed frontier digests differ from single-process run"; exit 1;
-}
-
-# SIGKILL one worker while a fresh (uncached) load is in flight; the
-# run it interrupts and every run after it must still match the
-# single-process digests.
-VICTIM="$(echo "$WORKER_PIDS" | awk '{print $2}')"
-[ -n "$VICTIM" ] || { cat "$LOG3"; echo "FAIL: could not pick a victim worker"; exit 1; }
-"$BUILD_DIR/loadgen" --port "$PORT" --sessions 4 --queries 3 \
-  --tenants 2 --max-iterations 8 --seed 13 --digest > "$DIST_DIGESTS.raw" &
-LOADGEN_PID=$!
-sleep 0.2
-kill -9 "$VICTIM" 2>/dev/null || true
-wait "$LOADGEN_PID" || { echo "FAIL: loadgen pass during worker kill"; exit 1; }
-sed -n 's/^loadgen-digest: //p' "$DIST_DIGESTS.raw" | sort > "$DIST_DIGESTS"
-rm -f "$DIST_DIGESTS.raw"
-diff "$REF2_DIGESTS" "$DIST_DIGESTS" || {
-  echo "FAIL: digests diverged after a worker was SIGKILLed mid-load"; exit 1;
-}
-
-kill -TERM "$SERVER_PID"
-STATUS=0
-wait "$SERVER_PID" || STATUS=$?
-SERVER_PID=""
-[ "$STATUS" -eq 0 ] || { cat "$LOG3"; echo "FAIL: exit status $STATUS with workers"; exit 1; }
-DIST_LINE="$(grep "optimizerd: dist runs" "$LOG3" || true)"
-[ -n "$DIST_LINE" ] || { cat "$LOG3"; echo "FAIL: no dist summary line"; exit 1; }
-echo "$DIST_LINE"
-echo "$DIST_LINE" | grep -q "dist runs 0," && {
-  cat "$LOG3"; echo "FAIL: no queries were routed to the worker tier"; exit 1;
-}
-echo "PASS: optimizerd smoke (distributed leg)"
 echo "PASS: optimizerd smoke"
