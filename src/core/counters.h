@@ -29,6 +29,12 @@ struct Counters {
   uint64_t result_insertions = 0;
   uint64_t candidate_insertions = 0;
   uint64_t plans_discarded = 0;  // Dominated at max resolution.
+  // Fresh phase-2 join plans discarded before they were stored: counted
+  // in plans_generated and plans_discarded, but never given an arena
+  // node. Every other generated plan is stored, so
+  // arena().size() + joins_discarded_unstored
+  //     == plans_generated + fragment_plans_seeded.
+  uint64_t joins_discarded_unstored = 0;
   // Dominance comparisons performed inside Prune.
   uint64_t dominance_checks = 0;
   // Cross-query fragment sharing (core/fragment.h): cells whose result
@@ -48,6 +54,11 @@ struct Counters {
     ++candidate_retrievals;
     if (track_per_plan) ++retrievals_by_plan[plan_id];
   }
+
+  // Adds every scalar count of `other` (not the per-plan map). Phase 2
+  // counts each cell on the worker that ran it and merges after the
+  // level barrier.
+  void AddCounts(const Counters& other);
 
   std::string ToString() const;
 };

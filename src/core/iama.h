@@ -176,7 +176,7 @@ class IamaSession {
   /// if `bounds` does not match the session's metric dimensionality.
   bool SetBounds(const CostVector& bounds);
 
-  /// Rebinds the session's optimizer to `pool` (null = serial phase 2).
+  /// Rebinds the session's optimizer to `pool` (null = phase 2 inline).
   /// The work-stealing hook for serving layers: a scheduler thread that
   /// picks this session up rebinds it to its own pool partition before
   /// stepping, so a pool never sees two concurrent ParallelFor callers.

@@ -8,15 +8,18 @@
 namespace moqo {
 namespace {
 
-// One join alternative of a fresh sub-plan pair, produced by phase-2
-// enumeration of a cell; turned into an arena plan during the level merge.
+// One join alternative of a fresh sub-plan pair, buffered by phase-2
+// enumeration. Its cost and order live in the batch entry that points at
+// it; only survivors of the judge become arena plans.
 struct CellJoin {
   uint32_t left = 0;
   uint32_t right = 0;
   OperatorDesc op;
-  OpCost op_cost;
+  double output_rows = 0.0;
 };
 
+// A plan awaiting Prune. `id` is the arena id, except in phase 2, where
+// it indexes the cell's CellJoin buffer (the plan has no arena id yet).
 struct BatchEntry {
   uint32_t id = 0;
   CostVector cost;
@@ -53,14 +56,25 @@ void SortBatch(std::vector<BatchEntry>& batch) {
 
 }  // namespace
 
-// The complete phase-2 enumeration output of one cell at one level: the
-// fresh sub-plan pairs tried, every join alternative they produced
-// (pre-prune), and the count of stale pairs skipped. Filled by one pool
-// worker, merged on the optimizer's thread after the level barrier.
-struct IncrementalOptimizer::CellDelta {
+// One cell's phase-2 work at one level. The main thread creates the
+// cell's sets before dispatch; the worker that takes the cell fills the
+// rest; the main thread reads it after the level barrier.
+struct IncrementalOptimizer::CellWork {
+  // A judged plan that entered one of the cell's sets under a
+  // placeholder id: batch[batch_pos] at `handle` in res or cand.
+  struct Survivor {
+    uint32_t batch_pos = 0;
+    bool in_result = false;
+    CellIndex::Handle handle;
+  };
+
+  CellIndex* res = nullptr;
+  CellIndex* cand = nullptr;
   std::vector<std::pair<uint32_t, uint32_t>> fresh_pairs;
   std::vector<CellJoin> joins;
-  uint64_t stale_pairs = 0;
+  std::vector<BatchEntry> batch;       // One entry per join; judge order.
+  std::vector<Survivor> survivors;     // In judge order.
+  Counters counters;
 };
 
 IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
@@ -214,23 +228,16 @@ void IncrementalOptimizer::PrunePlan(TableSet q, uint32_t plan_id,
                                      const CostVector& cost, int order,
                                      const CostVector& bounds,
                                      int resolution) {
-  const int compare_resolution = options_.prune_against_all_resolutions
-                                     ? schedule_.MaxResolution()
-                                     : resolution;
   const PruneOutcome outcome =
-      Prune(res_.For(q), cand_.For(q), bounds, resolution, compare_resolution,
-            schedule_, plan_id, cost, order, invocation_,
-            options_.park_next_level_only, &counters_);
-  // Fragment publishing logs every multi-table result insertion in
-  // chronological order — replaying the log reproduces the cell's index
-  // layout exactly (see ReprobeFragments). Logging stops once the run
-  // diverged from the publishable fixed-bounds sequence.
-  if (outcome == PruneOutcome::kInsertedResult && !publish_log_.empty() &&
-      publish_valid_ && q.Count() >= 2) {
+      Prune(res_.For(q), cand_.For(q), bounds, resolution,
+            CompareResolution(resolution), schedule_, plan_id, cost, order,
+            invocation_, options_.park_next_level_only, &counters_);
+  std::vector<FragmentPlan>* publish = PublishLog(q);
+  if (outcome == PruneOutcome::kInsertedResult && publish != nullptr) {
     const PlanNode& node = arena_.at(plan_id);
-    publish_log_[q.mask()].push_back({cost, node.output_cardinality, node.op,
-                                      static_cast<uint8_t>(order),
-                                      static_cast<uint8_t>(resolution)});
+    publish->push_back({cost, node.output_cardinality, node.op,
+                        static_cast<uint8_t>(order),
+                        static_cast<uint8_t>(resolution)});
   }
 }
 
@@ -288,111 +295,41 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
   // Bottom-up over connected table sets of increasing cardinality; for
   // each split into two combinable subsets, enumerate only sub-plan pairs
   // with at least one Δ member and an unseen (left, right) combination.
-  if (pool_ != nullptr) {
-    Phase2Partitioned(bounds, resolution);
-  } else {
-    Phase2Serial(bounds, resolution);
-  }
+  Phase2(bounds, resolution);
 }
 
-void IncrementalOptimizer::Phase2Serial(const CostVector& bounds,
-                                        int resolution) {
-  const int n = factory_.NumTables();
-  std::vector<BatchEntry> batch;
-  for (size_t k = 2; k <= static_cast<size_t>(n); ++k) {
-    for (TableSet q : connected_by_size_[k]) {
-      // A sealed cell already carries its complete frontier (seeded from
-      // the fragment store); enumerating it would only regenerate plans
-      // the donor run produced. Its sub-cells still get collected by
-      // their other (non-sealed) consumers.
-      if (IsSealed(q)) continue;
-      batch.clear();
-      for (SubsetIter split(q); !split.Done(); split.Next()) {
-        const TableSet q1 = split.Subset();
-        const TableSet q2 = split.Complement();
-        if (!factory_.CanCombine(q1, q2)) continue;
-
-        std::vector<CellIndex::Collected> p1 =
-            res_.For(q1).Collect(bounds, resolution, invocation_);
-        if (p1.empty()) continue;
-        std::vector<CellIndex::Collected> p2 =
-            res_.For(q2).Collect(bounds, resolution, invocation_);
-        if (p2.empty()) continue;
-
-        // Enumerate ΔP1 × P2  ∪  (P1 \ ΔP1) × ΔP2 without touching
-        // non-Δ × non-Δ pairs (those were combined in prior invocations).
-        auto combine = [&](const CellIndex::Collected& a,
-                           const CellIndex::Collected& b) {
-          if (!fresh_.Mark(a.id, b.id)) {
-            ++counters_.pairs_rejected_stale;
-            return;
-          }
-          ++counters_.pairs_generated;
-          // Copy the nodes: the callback below appends to the arena,
-          // which may reallocate and invalidate references into it.
-          const PlanNode left = arena_.at(a.id);
-          const PlanNode right = arena_.at(b.id);
-          factory_.ForEachJoin(
-              left, right, [&](const OperatorDesc& op, const OpCost& oc) {
-                const PlanId id = arena_.AddJoin(
-                    q, a.id, b.id, op, oc.cost, oc.output_rows, oc.order);
-                ++counters_.plans_generated;
-                batch.push_back({id, oc.cost, 0.0, oc.order});
-              });
-        };
-
-        for (const CellIndex::Collected& a : p1) {
-          if (!a.delta) continue;
-          for (const CellIndex::Collected& b : p2) combine(a, b);
-        }
-        for (const CellIndex::Collected& b : p2) {
-          if (!b.delta) continue;
-          for (const CellIndex::Collected& a : p1) {
-            if (a.delta) continue;  // Δ × Δ already handled above.
-            combine(a, b);
-          }
-        }
-      }
-      // Prune this table set's freshly generated plans, cheapest first,
-      // before any superset of q consumes them.
-      if (options_.sorted_pruning) SortBatch(batch);
-      for (const BatchEntry& e : batch) {
-        PrunePlan(q, e.id, e.cost, e.order, bounds, resolution);
-      }
-    }
-  }
-}
-
-// Partitioned phase 2 (see OptimizerOptions::num_threads). Per level k:
+// Phase 2 (see OptimizerOptions::num_threads). Per level k:
 //   1. the main thread Collects every connected subset of size k-1 into a
 //      cache (sizes < k-1 are already cached: plans inserted at level j go
 //      only into size-j sets, so earlier collections stay valid for the
-//      rest of the invocation). This performs exactly the visibility
-//      stamping the serial path does — the serial split loop collects
-//      every connected proper subset of Q each invocation, since any such
-//      subset s forms the combinable split (s, {v}) of s ∪ {v} for some
-//      neighbor table v;
-//   2. the level's live table sets are sharded across the pool; workers
-//      probe CanCombine/IsFresh and buffer fresh pairs and their join
-//      alternatives into per-set CellDeltas (no shared writes);
-//   3. after the barrier, the deltas are merged in canonical set order:
-//      pairs are marked in the fresh registry, plans appended to the
-//      arena, and each set's batch pruned cheapest-first — the identical
-//      sequence of Prune calls the serial path performs.
-void IncrementalOptimizer::Phase2Partitioned(const CostVector& bounds,
-                                             int resolution) {
+//      rest of the invocation). Any connected proper subset s of a cell
+//      forms the combinable split (s, {v}) of s ∪ {v} for some neighbor
+//      table v, so this stamps visibility exactly as Algorithm 2's
+//      per-split retrieval would. It also creates the live cells' result
+//      and candidate sets;
+//   2. the live cells are spread over the pool (or run inline without
+//      one). Each cell's worker enumerates its fresh pairs into a batch,
+//      sorts it, and judges it in order against the cell's own result
+//      set, inserting survivors under placeholder ids. A cell's Prune
+//      calls read and write only that cell's sets, so each cell sees the
+//      same sequence of Prune calls at every thread count;
+//   3. after the barrier, the main thread walks the cells in canonical
+//      order: it merges their counters, marks their fresh pairs, appends
+//      their survivors to the arena in judge order and patches the ids.
+//      Discarded plans never get an arena node, and survivors are
+//      numbered identically at every thread count.
+void IncrementalOptimizer::Phase2(const CostVector& bounds, int resolution) {
   const int n = factory_.NumTables();
   if (collected_.empty()) collected_.resize(size_t{1} << n);
-  std::vector<std::vector<CellIndex::Collected>>& collected = collected_;
-  std::vector<BatchEntry> batch;
+  std::vector<CellWork> work;
   for (size_t k = 2; k <= static_cast<size_t>(n); ++k) {
     for (TableSet s : connected_by_size_[k - 1]) {
-      collected[s.mask()] =
+      collected_[s.mask()] =
           res_.For(s).Collect(bounds, resolution, invocation_);
     }
-    // Sealed (fragment-seeded) cells are excluded from the dispatch; the
-    // merge below then visits the same cells in the same canonical order
-    // as the serial path's seal-aware loop.
+    // A sealed cell already carries its complete frontier (seeded from
+    // the fragment store); enumerating it would only regenerate plans the
+    // donor run produced.
     const std::vector<TableSet>* level = &connected_by_size_[k];
     std::vector<TableSet> live;
     if (!sealed_.empty()) {
@@ -404,34 +341,38 @@ void IncrementalOptimizer::Phase2Partitioned(const CostVector& bounds,
     }
     if (level->empty()) continue;
 
-    std::vector<CellDelta> deltas(level->size());
-    pool_->ParallelFor(level->size(), [&](size_t j) {
-      EnumerateFreshPairs((*level)[j], collected, &deltas[j]);
-    });
+    work.clear();
+    work.resize(level->size());
+    for (size_t j = 0; j < level->size(); ++j) {
+      work[j].res = &res_.For((*level)[j]);
+      work[j].cand = &cand_.For((*level)[j]);
+    }
+    const auto run_cell = [&](size_t j) {
+      EnumerateFreshPairs((*level)[j], collected_, &work[j]);
+      JudgeCell((*level)[j], bounds, resolution, &work[j]);
+    };
+    if (pool_ != nullptr) {
+      pool_->ParallelFor(level->size(), run_cell);
+    } else {
+      for (size_t j = 0; j < level->size(); ++j) run_cell(j);
+    }
 
     for (size_t j = 0; j < level->size(); ++j) {
       const TableSet q = (*level)[j];
-      const CellDelta& d = deltas[j];
-      counters_.pairs_rejected_stale += d.stale_pairs;
-      for (const auto& [left, right] : d.fresh_pairs) {
+      const CellWork& w = work[j];
+      counters_.AddCounts(w.counters);
+      for (const auto& [left, right] : w.fresh_pairs) {
         // A pair's table sets union to q, so no other cell can have
         // buffered it; marking must succeed.
         const bool was_fresh = fresh_.Mark(left, right);
         MOQO_CHECK(was_fresh);
-        ++counters_.pairs_generated;
       }
-      batch.clear();
-      batch.reserve(d.joins.size());
-      for (const CellJoin& pj : d.joins) {
-        const PlanId id =
-            arena_.AddJoin(q, pj.left, pj.right, pj.op, pj.op_cost.cost,
-                           pj.op_cost.output_rows, pj.op_cost.order);
-        ++counters_.plans_generated;
-        batch.push_back({id, pj.op_cost.cost, 0.0, pj.op_cost.order});
-      }
-      if (options_.sorted_pruning) SortBatch(batch);
-      for (const BatchEntry& e : batch) {
-        PrunePlan(q, e.id, e.cost, e.order, bounds, resolution);
+      for (const CellWork::Survivor& s : w.survivors) {
+        const BatchEntry& e = w.batch[s.batch_pos];
+        const CellJoin& join = w.joins[e.id];
+        const PlanId id = arena_.AddJoin(q, join.left, join.right, join.op,
+                                         e.cost, join.output_rows, e.order);
+        (s.in_result ? w.res : w.cand)->SetId(s.handle, id);
       }
     }
   }
@@ -440,7 +381,7 @@ void IncrementalOptimizer::Phase2Partitioned(const CostVector& bounds,
 void IncrementalOptimizer::EnumerateFreshPairs(
     TableSet q,
     const std::vector<std::vector<CellIndex::Collected>>& collected,
-    CellDelta* out) const {
+    CellWork* work) const {
   for (SubsetIter split(q); !split.Done(); split.Next()) {
     const TableSet q1 = split.Subset();
     const TableSet q2 = split.Complement();
@@ -454,20 +395,26 @@ void IncrementalOptimizer::EnumerateFreshPairs(
     auto combine = [&](const CellIndex::Collected& a,
                        const CellIndex::Collected& b) {
       if (!fresh_.IsFresh(a.id, b.id)) {
-        ++out->stale_pairs;
+        ++work->counters.pairs_rejected_stale;
         return;
       }
-      out->fresh_pairs.emplace_back(a.id, b.id);
+      work->fresh_pairs.emplace_back(a.id, b.id);
+      ++work->counters.pairs_generated;
       // References are stable: the arena is not appended to while the
       // level's workers run.
       const PlanNode& left = arena_.at(a.id);
       const PlanNode& right = arena_.at(b.id);
       factory_.ForEachJoin(
           left, right, [&](const OperatorDesc& op, const OpCost& oc) {
-            out->joins.push_back({a.id, b.id, op, oc});
+            const uint32_t index = static_cast<uint32_t>(work->joins.size());
+            work->joins.push_back({a.id, b.id, op, oc.output_rows});
+            work->batch.push_back({index, oc.cost, 0.0, oc.order});
+            ++work->counters.plans_generated;
           });
     };
 
+    // Enumerate ΔP1 × P2  ∪  (P1 \ ΔP1) × ΔP2 without touching
+    // non-Δ × non-Δ pairs (those were combined in prior invocations).
     for (const CellIndex::Collected& a : p1) {
       if (!a.delta) continue;
       for (const CellIndex::Collected& b : p2) combine(a, b);
@@ -478,6 +425,36 @@ void IncrementalOptimizer::EnumerateFreshPairs(
         if (a.delta) continue;  // Δ × Δ already handled above.
         combine(a, b);
       }
+    }
+  }
+}
+
+void IncrementalOptimizer::JudgeCell(TableSet q, const CostVector& bounds,
+                                     int resolution, CellWork* work) {
+  // Cheapest first, before any superset of q consumes the cell.
+  if (options_.sorted_pruning) SortBatch(work->batch);
+  const int compare_resolution = CompareResolution(resolution);
+  std::vector<FragmentPlan>* publish = PublishLog(q);
+  for (size_t pos = 0; pos < work->batch.size(); ++pos) {
+    const BatchEntry& e = work->batch[pos];
+    const PruneVerdict verdict =
+        JudgePlan(*work->res, bounds, resolution, compare_resolution,
+                  schedule_, e.cost, e.order, options_.park_next_level_only,
+                  &work->counters);
+    if (verdict.outcome == PruneOutcome::kDiscarded) {
+      ++work->counters.joins_discarded_unstored;
+      continue;
+    }
+    const CellIndex::Handle handle =
+        ApplyVerdict(verdict, *work->res, *work->cand, kInvalidPlan, e.cost,
+                     e.order, invocation_, &work->counters);
+    const bool in_result = verdict.outcome == PruneOutcome::kInsertedResult;
+    work->survivors.push_back(
+        {static_cast<uint32_t>(pos), in_result, handle});
+    if (in_result && publish != nullptr) {
+      const CellJoin& join = work->joins[e.id];
+      publish->push_back({e.cost, join.output_rows, join.op, e.order,
+                          static_cast<uint8_t>(resolution)});
     }
   }
 }

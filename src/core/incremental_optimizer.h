@@ -1,7 +1,9 @@
 // The incremental multi-objective optimizer (paper §4.2, Algorithm 2).
 //
 // One IncrementalOptimizer instance holds all state for one query:
-//   * the plan arena (all plans ever generated, never discarded),
+//   * the plan arena: every scan plan, and every join plan that entered
+//     a result or candidate set (phase 2 never stores a join that
+//     pruning discards on arrival); plans are never removed from it,
 //   * the result plan sets Res^q and candidate plan sets Cand^q, indexed
 //     by cost vector and resolution level (CellIndex),
 //   * the IsFresh pair registry.
@@ -57,21 +59,22 @@ struct OptimizerOptions {
   bool sorted_pruning = true;
   // Number of threads used by phase 2 (fresh plan generation). Must be
   // >= 1 (CHECKed by the optimizer constructor); 1 (the default) runs
-  // the exact legacy single-threaded code path.
+  // phase 2's per-cell work inline on the calling thread.
   //
-  // The parallel engine shards the connected table subsets of each
-  // cardinality level k across a fixed pool of workers and joins them at a
-  // per-level barrier, preserving the bottom-up dependency on levels < k.
-  // Workers are pure readers: the sub-plan sets each level consumes are
-  // collected once on the main thread before the level is dispatched, and
-  // workers only probe IsFresh and buffer (left, right, operator, cost)
-  // tuples thread-locally. After the barrier the buffers are merged on
-  // the main thread in the canonical table-set order — appending to the
-  // plan arena, marking fresh pairs, and pruning each subset's batch in
-  // sorted cost order — so CellIndex, PlanSetTable, PlanArena, and
-  // FreshPairRegistry stay single-writer and lock-free, and the result
-  // frontiers are bit-identical to the num_threads=1 run (Theorems 1-2
-  // are untouched; parallel_optimizer_test asserts the equivalence).
+  // Phase 2 shards the connected table subsets (cells) of each
+  // cardinality level k across a fixed pool of workers and joins them at
+  // a per-level barrier, preserving the bottom-up dependency on levels
+  // < k. The sub-plan sets a level consumes are collected once on the
+  // main thread before the level is dispatched. The worker that takes a
+  // cell enumerates its fresh sub-plan pairs, sorts the cell's batch,
+  // judges it, and inserts the survivors into the cell's own result and
+  // candidate sets under placeholder ids; no two workers touch the same
+  // cell. After the barrier the main thread walks the cells in canonical
+  // order, marks the fresh pairs, appends only the survivors to the plan
+  // arena in judge order and patches their ids. Arenas are therefore
+  // identical at every thread count, and the result frontiers are
+  // bit-identical to the num_threads=1 run (Theorems 1-2 are untouched;
+  // parallel_optimizer_test asserts the equivalence).
   int num_threads = 1;
   // Optional externally owned pool. When set it is used instead of
   // spawning num_threads workers — callers can share one pool across
@@ -129,15 +132,16 @@ class IncrementalOptimizer {
 
   const PlanFactory& factory() const { return factory_; }
   // The pool phase 2 runs on: the injected options.pool if given, else
-  // the owned pool spawned for num_threads > 1, else null (serial path).
+  // the owned pool spawned for num_threads > 1, else null (inline).
   // Lets callers and tests pin the pool-wins contract.
   const ThreadPool* pool() const { return pool_; }
   bool owns_pool() const { return owned_pool_ != nullptr; }
-  // Swaps the injected pool phase 2 runs on; `pool` may be null (serial
-  // path). For serving layers whose schedulers step one optimizer from
-  // different threads over its lifetime (work stealing): each stepping
-  // thread rebinds the optimizer to its own pool partition before
-  // Optimize, so no pool ever sees two concurrent ParallelFor callers.
+  // Swaps the injected pool phase 2 runs on; `pool` may be null (phase 2
+  // then runs inline). For serving layers whose schedulers step one
+  // optimizer from different threads over its lifetime (work stealing):
+  // each stepping thread rebinds the optimizer to its own pool partition
+  // before Optimize, so no pool ever sees two concurrent ParallelFor
+  // callers.
   // Only legal between invocations, from the thread driving the
   // optimizer, and only on optimizers that do not own their pool.
   // Thread counts never affect results, so rebinding never changes
@@ -204,26 +208,42 @@ class IncrementalOptimizer {
   // a one-time cost of diverging a seeded run.
   void UnsealForBoundsChange();
 
-  // Phase 2 (Algorithm 2 lines 13-22): single-threaded reference path,
-  // and the partitioned enumerate-then-merge path the pool runs — per
-  // level, enumerate the live cells into CellDeltas across the pool,
-  // then merge them in canonical order. The serial path stays because
-  // routing no-pool runs through the partitioned one measured 1.08-1.11x
-  // slower (bench_fig3, bench_fig4, bench_parallel_scaling 1; 4-core
-  // AMD EPYC, gcc 12 Release; it lost 17 of 18 alternating A/B pairs).
-  void Phase2Serial(const CostVector& bounds, int resolution);
-  void Phase2Partitioned(const CostVector& bounds, int resolution);
+  // Cell q's chronological log of result insertions while the run is
+  // publishable (options.fragment_publish, multi-table cells), else null.
+  // Replaying the log reproduces the cell's index layout exactly (see
+  // ReprobeFragments); logging stops once the run diverged from the
+  // publishable fixed-bounds sequence.
+  std::vector<FragmentPlan>* PublishLog(TableSet q) {
+    return !publish_log_.empty() && publish_valid_ && q.Count() >= 2
+               ? &publish_log_[q.mask()]
+               : nullptr;
+  }
 
-  // One cell's phase-2 enumeration output (defined in the .cc).
-  struct CellDelta;
-  // Worker body of the partitioned phase 2: enumerates the fresh
-  // sub-plan pairs of table set q against the pre-collected sub-plan
-  // sets and buffers their join alternatives. Read-only on all shared
-  // state.
+  // The resolution whose result plans Prune compares against.
+  int CompareResolution(int resolution) const {
+    return options_.prune_against_all_resolutions ? schedule_.MaxResolution()
+                                                  : resolution;
+  }
+
+  // Phase 2 (Algorithm 2 lines 13-22), one level at a time: each live
+  // cell is enumerated and judged on the pool (or inline without one),
+  // then the survivors get arena ids in canonical order.
+  void Phase2(const CostVector& bounds, int resolution);
+
+  // One cell's phase-2 work at one level (defined in the .cc).
+  struct CellWork;
+  // Enumerates the fresh sub-plan pairs of cell q against the
+  // pre-collected sub-plan sets and buffers their join alternatives.
+  // Reads shared state only.
   void EnumerateFreshPairs(
       TableSet q,
       const std::vector<std::vector<CellIndex::Collected>>& collected,
-      CellDelta* out) const;
+      CellWork* work) const;
+  // Sorts the cell's batch and judges it in order, inserting survivors
+  // into the cell's own result and candidate sets under placeholder ids.
+  // Writes only the cell's sets, publish log and `work`.
+  void JudgeCell(TableSet q, const CostVector& bounds, int resolution,
+                 CellWork* work);
 
   const PlanFactory& factory_;
   ResolutionSchedule schedule_;
@@ -244,7 +264,7 @@ class IncrementalOptimizer {
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
   // Per-invocation cache of Collect() results by table-set mask, reused
-  // across Phase2Partitioned calls to avoid re-allocating 2^n vectors.
+  // across Phase2 calls to avoid re-allocating 2^n vectors.
   std::vector<std::vector<CellIndex::Collected>> collected_;
 
   // --- Fragment sharing state ---

@@ -12,6 +12,19 @@ PruneOutcome Prune(CellIndex& result_set, CellIndex& candidate_set,
                    const ResolutionSchedule& schedule, uint32_t plan_id,
                    const CostVector& cost, int order, uint32_t invocation,
                    bool park_next_level_only, Counters* counters) {
+  const PruneVerdict verdict =
+      JudgePlan(result_set, bounds, resolution, compare_resolution, schedule,
+                cost, order, park_next_level_only, counters);
+  ApplyVerdict(verdict, result_set, candidate_set, plan_id, cost, order,
+               invocation, counters);
+  return verdict.outcome;
+}
+
+PruneVerdict JudgePlan(const CellIndex& result_set, const CostVector& bounds,
+                       int resolution, int compare_resolution,
+                       const ResolutionSchedule& schedule,
+                       const CostVector& cost, int order,
+                       bool park_next_level_only, Counters* counters) {
   if (counters != nullptr) ++counters->prune_calls;
   const int max_resolution = schedule.MaxResolution();
   const double alpha_r = schedule.Alpha(resolution);
@@ -52,24 +65,33 @@ PruneOutcome Prune(CellIndex& result_set, CellIndex& candidate_set,
     }
     if (park_level < 0) {
       if (counters != nullptr) ++counters->plans_discarded;
-      return PruneOutcome::kDiscarded;
+      return {PruneOutcome::kDiscarded, -1};
     }
-    candidate_set.Insert(plan_id, cost, park_level, invocation, order);
-    if (counters != nullptr) ++counters->candidate_insertions;
-    return PruneOutcome::kParkedForHigherResolution;
+    return {PruneOutcome::kParkedForHigherResolution, park_level};
   }
 
   if (!RespectsBounds(cost, bounds)) {
     // Exceeds the bounds: may become relevant when the bounds change;
     // keep as candidate at the current resolution.
-    candidate_set.Insert(plan_id, cost, resolution, invocation, order);
-    if (counters != nullptr) ++counters->candidate_insertions;
-    return PruneOutcome::kParkedForDifferentBounds;
+    return {PruneOutcome::kParkedForDifferentBounds, resolution};
   }
+  return {PruneOutcome::kInsertedResult, resolution};
+}
 
-  result_set.Insert(plan_id, cost, resolution, invocation, order);
-  if (counters != nullptr) ++counters->result_insertions;
-  return PruneOutcome::kInsertedResult;
+CellIndex::Handle ApplyVerdict(const PruneVerdict& verdict,
+                               CellIndex& result_set,
+                               CellIndex& candidate_set, uint32_t plan_id,
+                               const CostVector& cost, int order,
+                               uint32_t invocation, Counters* counters) {
+  if (verdict.outcome == PruneOutcome::kDiscarded) return {};
+  if (verdict.outcome == PruneOutcome::kInsertedResult) {
+    if (counters != nullptr) ++counters->result_insertions;
+    return result_set.Insert(plan_id, cost, verdict.level, invocation,
+                             order);
+  }
+  if (counters != nullptr) ++counters->candidate_insertions;
+  return candidate_set.Insert(plan_id, cost, verdict.level, invocation,
+                              order);
 }
 
 }  // namespace moqo

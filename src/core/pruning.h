@@ -45,6 +45,17 @@ enum class PruneOutcome {
   kDiscarded,
 };
 
+// Where a judged plan goes: ApplyVerdict indexes it at `level` (the park
+// level, or the current resolution) unless it is discarded.
+struct PruneVerdict {
+  PruneOutcome outcome = PruneOutcome::kDiscarded;
+  int level = 0;
+};
+
+// Prune is JudgePlan then ApplyVerdict. The split lets phase 2 judge a
+// cell's plans on a pool worker and give arena ids only to the plans
+// that survive.
+//
 // `compare_resolution` controls which result plans participate in the
 // dominance check: the paper's design uses compare_resolution ==
 // resolution (only plans indexed at the current resolution or lower); the
@@ -60,6 +71,24 @@ PruneOutcome Prune(CellIndex& result_set, CellIndex& candidate_set,
                    const ResolutionSchedule& schedule, uint32_t plan_id,
                    const CostVector& cost, int order, uint32_t invocation,
                    bool park_next_level_only, Counters* counters);
+
+// The decision half of Prune: the dominance probe and the park level.
+// Reads the result set only. Counts prune_calls, dominance_checks and
+// plans_discarded.
+PruneVerdict JudgePlan(const CellIndex& result_set, const CostVector& bounds,
+                       int resolution, int compare_resolution,
+                       const ResolutionSchedule& schedule,
+                       const CostVector& cost, int order,
+                       bool park_next_level_only, Counters* counters);
+
+// The insert half of Prune: indexes the plan where `verdict` says and
+// counts the insertion. Returns the new entry's handle in the set it
+// went to; a discarded plan inserts nothing and gets a default handle.
+CellIndex::Handle ApplyVerdict(const PruneVerdict& verdict,
+                               CellIndex& result_set,
+                               CellIndex& candidate_set, uint32_t plan_id,
+                               const CostVector& cost, int order,
+                               uint32_t invocation, Counters* counters);
 
 }  // namespace moqo
 

@@ -131,8 +131,8 @@ void CellIndex::KeyMap::Clear() {
 
 // --- CellIndex -------------------------------------------------------------
 
-CellIndex::Cell& CellIndex::CellFor(const CostVector& cost, int resolution,
-                                    int order) {
+uint32_t CellIndex::CellFor(const CostVector& cost, int resolution,
+                           int order) {
   const Key key = MakeKey(cost, resolution, order);
   uint32_t slot = map_.Find(key);
   if (slot == kKernelNpos) {
@@ -145,7 +145,7 @@ CellIndex::Cell& CellIndex::CellFor(const CostVector& cost, int resolution,
     cell.order = static_cast<uint8_t>(order);
     map_.Insert(key, slot);
   }
-  return cells_[slot];
+  return slot;
 }
 
 const CellIndex::Entry& CellIndex::MaterializeEntry(const Cell& cell,
@@ -163,11 +163,14 @@ const CellIndex::Entry& CellIndex::MaterializeEntry(const Cell& cell,
   return *e;
 }
 
-void CellIndex::Insert(uint32_t id, const CostVector& cost, int resolution,
-                       uint32_t invocation, int order) {
+CellIndex::Handle CellIndex::Insert(uint32_t id, const CostVector& cost,
+                                    int resolution, uint32_t invocation,
+                                    int order) {
   MOQO_CHECK(cost.IsFinite());
   MOQO_CHECK(cost.IsNonNegative());
-  Cell& cell = CellFor(cost, resolution, order);
+  const uint32_t slot = CellFor(cost, resolution, order);
+  Cell& cell = cells_[slot];
+  const Handle handle{slot, static_cast<uint32_t>(cell.size())};
   cell.bank.PushBack(cost.data());
   if (MOQO_PREDICT_FALSE(cell.entries.capacity() < cell.bank.capacity())) {
     // Keep the payload lane's growth in lockstep with the bank's padded
@@ -176,6 +179,7 @@ void CellIndex::Insert(uint32_t id, const CostVector& cost, int resolution,
   }
   cell.entries.push_back({id, invocation, 1});
   ++size_;
+  return handle;
 }
 
 bool CellIndex::AnyInRange(const CostVector& bounds, int max_res,

@@ -83,12 +83,27 @@ class CellIndex {
   explicit CellIndex(int dims, double gamma = 2.0,
                      BankArena* arena = nullptr);
 
+  // Where an entry lives: its cell's slot and its position in the cell.
+  // Valid until the next Drain or Clear, the only calls that move or
+  // drop entries; a slot survives growth of the cell store. Phase 2
+  // inserts under a placeholder id and patches it through the handle
+  // once the plan has an arena id.
+  struct Handle {
+    uint32_t slot = kKernelNpos;
+    uint32_t index = 0;
+  };
+
   // Inserts an entry; `invocation` stamps it as first visible (and Δ) in
   // the given optimizer invocation. `order` tags the plan's interesting
   // tuple order (0 = none); the order participates in the cell key so
   // order-restricted dominance queries skip whole cells.
-  void Insert(uint32_t id, const CostVector& cost, int resolution,
-              uint32_t invocation, int order = 0);
+  Handle Insert(uint32_t id, const CostVector& cost, int resolution,
+                uint32_t invocation, int order = 0);
+
+  // Replaces the id of the entry at `handle`.
+  void SetId(Handle handle, uint32_t id) {
+    cells_[handle.slot].entries[handle.index].id = id;
+  }
 
   // Visits every entry with resolution <= max_res and cost ⪯ bounds.
   // Does not touch visibility stamps.
@@ -212,8 +227,9 @@ class CellIndex {
   // Classifies a cell against the query box described by `bound_key` and
   // the order requirement.
   CellRelation Classify(Key cell, Key bound, int required_order) const;
-  // Finds or creates the cell for (cost, resolution, order).
-  Cell& CellFor(const CostVector& cost, int resolution, int order);
+  // Finds or creates the cell for (cost, resolution, order); returns
+  // its slot in cells_.
+  uint32_t CellFor(const CostVector& cost, int resolution, int order);
   // Copies entry i of `cell` into *e and returns it.
   const Entry& MaterializeEntry(const Cell& cell, size_t i, Entry* e) const;
 

@@ -19,8 +19,11 @@ class PlanSetTable {
   // `num_tables` tables in the query, `dims` cost metrics.
   PlanSetTable(int num_tables, int dims, double gamma = 2.0);
 
-  // Lazily creates the set on first touch. Single-writer: only the
-  // optimizer's main thread may call the non-const overload.
+  // Lazily creates the set on first touch. Only the optimizer's main
+  // thread may call the non-const overload: phase 2 creates a level's
+  // live sets there before dispatch, and each pool worker then writes
+  // only into the sets of the cell it took (the sets' shared arena is
+  // thread-safe).
   CellIndex& For(TableSet q);
   // Const-safe for concurrent readers: never allocates; untouched sets
   // alias a shared empty index (same dims/gamma, zero entries).

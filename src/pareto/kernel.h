@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "util/common.h"
@@ -55,9 +56,9 @@ inline constexpr uint32_t kKernelNpos = 0xFFFFFFFFu;
 // epoch). This replaces per-cell vector reallocation churn with pointer
 // bumps, and keeps one table's lanes closely packed in memory.
 //
-// Single-writer, like the structures it backs: only the optimizer's
-// main thread allocates; concurrent const readers only dereference
-// previously returned blocks.
+// Thread-safe: phase-2 workers grow the banks of different cells of one
+// table at the same time. Only bank growth allocates, so the mutex is
+// rarely taken.
 class BankArena {
  public:
   BankArena() = default;
@@ -66,6 +67,7 @@ class BankArena {
 
   // Returns an uninitialized block of `n` doubles (n > 0).
   double* Allocate(size_t n) {
+    std::lock_guard<std::mutex> lock(mu_);
     if (MOQO_PREDICT_FALSE(used_ + n > chunk_size_)) NewChunk(n);
     double* out = chunks_.back().get() + used_;
     used_ += n;
@@ -75,6 +77,7 @@ class BankArena {
   // Epoch reset: every block ever handed out becomes invalid, the
   // backing memory is released. Callers must drop their banks first.
   void Reset() {
+    std::lock_guard<std::mutex> lock(mu_);
     chunks_.clear();
     used_ = 0;
     chunk_size_ = 0;
@@ -83,6 +86,7 @@ class BankArena {
  private:
   void NewChunk(size_t min_doubles);
 
+  std::mutex mu_;  // Guards the chunk list and the bump pointer.
   std::vector<std::unique_ptr<double[]>> chunks_;
   size_t chunk_size_ = 0;  // Capacity of chunks_.back().
   size_t used_ = 0;        // Doubles consumed in chunks_.back().

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/common.h"
 
@@ -206,6 +207,11 @@ PlanFactory::PlanFactory(const Query& query,
     }
     scan_order_.push_back(order);
   }
+  const double small = op_options_.nested_loop_max_inner_rows;
+  joins_small_input_ = JoinAlternatives(small, small, op_options_);
+  joins_large_inputs_ =
+      JoinAlternatives(std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::infinity(), op_options_);
 }
 
 bool PlanFactory::CanCombine(TableSet a, TableSet b) const {

@@ -161,9 +161,13 @@ class PlanFactory {
           1 + graph_.FirstPredicateBetween(left.tables, right.tables);
       if (merge_order > 255) merge_order = 0;  // Tag domain exhausted.
     }
+    // JoinAlternatives adds the nested-loop variant when either input is
+    // small enough; both possible lists are built once.
+    const double small = op_options_.nested_loop_max_inner_rows;
+    const bool small_input = left.output_cardinality <= small ||
+                             right.output_cardinality <= small;
     for (const OperatorDesc& op :
-         JoinAlternatives(left.output_cardinality, right.output_cardinality,
-                          op_options_)) {
+         small_input ? joins_small_input_ : joins_large_inputs_) {
       fn(op, cost_model_.JoinCost(left, right, selectivity, op,
                                   merge_order));
     }
@@ -181,6 +185,10 @@ class PlanFactory {
   // Interesting-order tag produced by an index scan of each table ref
   // (0 when orders are disabled or no predicate touches the table).
   std::vector<int> scan_order_;
+  // JoinAlternatives with some input at or below
+  // nested_loop_max_inner_rows, and with both inputs above it.
+  std::vector<OperatorDesc> joins_small_input_;
+  std::vector<OperatorDesc> joins_large_inputs_;
 };
 
 }  // namespace moqo

@@ -136,6 +136,34 @@ TEST(CellIndexTest, CollectRespectsRange) {
   }
 }
 
+// Phase 2 inserts under a placeholder id and patches it later: a handle
+// taken at insert time must still name its entry after many more cells
+// were created and the first cell grew.
+TEST(CellIndexTest, HandlesSurviveGrowthAndPatchIds) {
+  CellIndex index(2);
+  Rng rng(5);
+  std::vector<std::pair<CellIndex::Handle, CostVector>> inserted;
+  for (uint32_t i = 0; i < 500; ++i) {
+    const CostVector c{std::pow(2.0, rng.UniformDouble(0.0, 20.0)),
+                       std::pow(2.0, rng.UniformDouble(0.0, 20.0))};
+    inserted.emplace_back(
+        index.Insert(kKernelNpos, c, static_cast<int>(i % 3), 1), c);
+  }
+  for (uint32_t i = 0; i < inserted.size(); ++i) {
+    index.SetId(inserted[i].first, i);
+  }
+  std::vector<bool> seen(inserted.size(), false);
+  index.ForEachInRange(CostVector::Infinite(2), 255,
+                       [&](const CellIndex::Entry& e) {
+                         ASSERT_LT(e.id, inserted.size());
+                         EXPECT_TRUE(e.cost.Equals(inserted[e.id].second));
+                         EXPECT_FALSE(seen[e.id]);
+                         seen[e.id] = true;
+                       });
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true),
+            static_cast<long>(inserted.size()));
+}
+
 TEST(CellIndexTest, ClearEmptiesIndex) {
   CellIndex index(2);
   index.Insert(1, CostVector{1.0, 1.0}, 0, 1);

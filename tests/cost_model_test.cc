@@ -285,5 +285,45 @@ TEST(PlanFactoryTest, ForEachScanYieldsAllAlternatives) {
             ScanAlternatives(table, op_options).size());
 }
 
+// ForEachJoin walks join-alternative lists the factory built once; they
+// must match JoinAlternatives for the inputs at hand on both sides of
+// the nested-loop threshold, for either input being the small one.
+TEST(PlanFactoryTest, ForEachJoinYieldsJoinAlternatives) {
+  const Catalog catalog = MakeTpchCatalog();
+  const auto blocks = TpchBlocksWithTables(catalog, 2);
+  ASSERT_FALSE(blocks.empty());
+  for (const bool nested_loop : {true, false}) {
+    OperatorOptions op_options;
+    op_options.enable_nested_loop = nested_loop;
+    const PlanFactory factory(blocks[0], catalog, MetricSchema::Standard3(),
+                              CostModelParams{}, op_options);
+    const double limit = op_options.nested_loop_max_inner_rows;
+    for (const double small : {1.0, limit, std::nextafter(limit, 1e300)}) {
+      for (const bool small_left : {true, false}) {
+        PlanNode left;
+        left.tables = TableSet::Singleton(0);
+        left.cost = CostVector(3, 1.0);
+        left.output_cardinality = small_left ? small : 1e8;
+        PlanNode right = left;
+        right.tables = TableSet::Singleton(1);
+        right.output_cardinality = small_left ? 1e8 : small;
+        std::vector<OperatorDesc> got;
+        factory.ForEachJoin(left, right,
+                            [&](const OperatorDesc& op, const OpCost&) {
+                              got.push_back(op);
+                            });
+        const std::vector<OperatorDesc> want =
+            JoinAlternatives(left.output_cardinality,
+                             right.output_cardinality, op_options);
+        ASSERT_EQ(got.size(), want.size()) << "rows=" << small;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].alg, want[i].alg) << "rows=" << small;
+          EXPECT_EQ(got[i].workers, want[i].workers) << "rows=" << small;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace moqo

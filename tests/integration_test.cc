@@ -54,7 +54,8 @@ TEST_P(TpchBlockTest, FullSessionOnEveryBlockOfSize) {
       EXPECT_TRUE(e.cost.IsNonNegative());
     }
     // Lemma 5 bookkeeping holds.
-    EXPECT_EQ(session.optimizer().arena().size(),
+    EXPECT_EQ(session.optimizer().arena().size() +
+                  session.optimizer().counters().joins_discarded_unstored,
               session.optimizer().counters().plans_generated)
         << query.name;
 
@@ -173,7 +174,8 @@ TEST(TpchIntegrationTest, InteractiveScenarioOnQ5) {
     if (e.cost[1] > 1.0) parallel_after_relax = true;
   }
   EXPECT_TRUE(parallel_after_relax);
-  EXPECT_EQ(session.optimizer().arena().size(),
+  EXPECT_EQ(session.optimizer().arena().size() +
+                session.optimizer().counters().joins_discarded_unstored,
             session.optimizer().counters().plans_generated);
 }
 

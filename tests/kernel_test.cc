@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -259,6 +260,50 @@ TEST(KernelPropertyTest, ArenaAndHeapBanksAgree) {
   }
 }
 
+// Phase-2 workers grow the banks of different cells from one shared
+// arena at the same time: every lane must hold exactly what its own
+// thread pushed (and TSan must see no race on the arena).
+TEST(KernelPropertyTest, ConcurrentBanksShareOneArena) {
+  constexpr int kThreads = 4;
+  constexpr int kBanksPerThread = 8;
+  constexpr int kDims = 3;
+  BankArena arena;
+  std::vector<std::vector<CostBank>> banks(kThreads);
+  std::vector<std::vector<std::vector<CostVector>>> mirrors(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(1000 + static_cast<uint64_t>(t));
+      for (int b = 0; b < kBanksPerThread; ++b) {
+        banks[t].emplace_back(kDims, &arena);
+      }
+      mirrors[t].resize(kBanksPerThread);
+      // Round-robin pushes so every bank grows through many arena
+      // allocations interleaved with the other threads' growth.
+      for (int i = 0; i < 2000; ++i) {
+        const size_t b = static_cast<size_t>(i % kBanksPerThread);
+        const CostVector c = RandomCost(rng, kDims);
+        banks[t][b].PushBack(c.data());
+        mirrors[t][b].push_back(c);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int b = 0; b < kBanksPerThread; ++b) {
+      const CostBank& bank = banks[t][b];
+      const std::vector<CostVector>& mirror = mirrors[t][b];
+      ASSERT_EQ(bank.size(), mirror.size());
+      for (size_t i = 0; i < bank.size(); ++i) {
+        for (int d = 0; d < kDims; ++d) {
+          ASSERT_TRUE(SameBits(bank.At(i, d), mirror[i].at(d)))
+              << "thread " << t << " bank " << b << " entry " << i;
+        }
+      }
+    }
+  }
+}
+
 // CellIndex order-tag filtering: AnyInRange/FindInRange with a required
 // order must agree with a brute-force scan over everything inserted.
 TEST(KernelPropertyTest, CellIndexOrderTagFiltering) {
@@ -306,7 +351,9 @@ TEST(KernelPropertyTest, CellIndexOrderTagFiltering) {
       if (got) {
         // The found entry must itself satisfy the query.
         EXPECT_LE(found.resolution, max_res);
-        if (order != kAnyOrder) EXPECT_EQ(found.order, order);
+        if (order != kAnyOrder) {
+          EXPECT_EQ(found.order, order);
+        }
         EXPECT_TRUE(found.cost.Dominates(bounds));
       }
     }

@@ -58,9 +58,11 @@ TEST_P(RandomQueryStress, IamaAndOneShotMutuallyCover) {
   EXPECT_TRUE(b.covered) << "seed=" << seed << " worst=" << b.worst_factor;
 
   // Space accounting (Theorem 3 flavor): every generated plan is either
-  // indexed (result/candidate) or was discarded; nothing leaks.
+  // indexed (result/candidate) or was discarded; nothing leaks. Phase 2
+  // stores only the join plans that survive pruning.
   const Counters& c = opt.counters();
-  EXPECT_EQ(c.plans_generated, opt.arena().size());
+  EXPECT_EQ(c.plans_generated,
+            opt.arena().size() + c.joins_discarded_unstored);
   EXPECT_LE(opt.NumResultEntries() + opt.NumCandidateEntries(),
             opt.arena().size());
   EXPECT_EQ(c.result_insertions, opt.NumResultEntries());
@@ -112,7 +114,8 @@ TEST_P(InteractionScriptStress, RandomBoundWalksStayConsistent) {
       EXPECT_TRUE(RespectsBounds(e.cost, snap.bounds));
     }
   }
-  EXPECT_EQ(session.optimizer().arena().size(),
+  EXPECT_EQ(session.optimizer().arena().size() +
+                session.optimizer().counters().joins_discarded_unstored,
             session.optimizer().counters().plans_generated);
 }
 
