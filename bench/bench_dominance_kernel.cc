@@ -116,58 +116,6 @@ struct Result {
   }
 };
 
-// Merges a one-line "kernel" member (speedups vs the scalar path, keyed
-// workload_cell_dims) into BENCH_service.json so the kernel and
-// end-to-end perf trajectories travel in one file. The member is kept
-// before bench_net_loadgen's "net_loadgen" member (which owns the file
-// tail — it erases everything after its own key on rerun). Both writers
-// have known output shapes, so plain string surgery is safe; a missing
-// file gets a minimal body.
-void MergeKernelIntoServiceJson(const std::vector<Result>& results) {
-  std::string body;
-  if (std::FILE* f = std::fopen("BENCH_service.json", "r")) {
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) body.append(buf, n);
-    std::fclose(f);
-  }
-  const std::string key = ",\n  \"kernel\":";
-  const std::string next_key = ",\n  \"net_loadgen\":";
-  const size_t existing = body.find(key);
-  if (existing != std::string::npos) {
-    // The member is one line; it ends where the next member (or the
-    // closing brace's newline) begins.
-    size_t end = body.find(next_key, existing + key.size());
-    if (end == std::string::npos) end = body.find("\n}", existing + key.size());
-    if (end == std::string::npos) end = body.size();
-    body.erase(existing, end - existing);
-  }
-  std::string member = "{\"unit\": \"speedup vs scalar\"";
-  for (const Result& r : results) {
-    char item[96];
-    std::snprintf(item, sizeof(item), ", \"%s_c%d_d%d\": %.2f", r.workload,
-                  r.cell_size, r.dims, r.speedup());
-    member += item;
-  }
-  member += "}";
-  const std::string entry = key + " " + member;
-  size_t insert_at = body.find(next_key);
-  if (insert_at == std::string::npos) insert_at = body.rfind("\n}");
-  if (insert_at == std::string::npos) {
-    body = "{\n  \"bench\": \"dominance_kernel\"" + entry + "\n}\n";
-  } else {
-    body.insert(insert_at, entry);
-  }
-  std::FILE* f = std::fopen("BENCH_service.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "failed to write BENCH_service.json\n");
-    return;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  std::printf("merged \"kernel\" into BENCH_service.json\n");
-}
-
 // Calibrates reps so each measured side runs ~80ms, then measures.
 template <typename F>
 double MeasureMs(F&& body, long* reps_out) {
@@ -383,8 +331,6 @@ int Main(int argc, char** argv) {
       }
     }
   }
-
-  MergeKernelIntoServiceJson(results);
 
   FILE* f = std::fopen("BENCH_kernel.json", "w");
   if (f != nullptr) {

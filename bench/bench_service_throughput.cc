@@ -46,6 +46,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "catalog/tpch.h"
@@ -152,14 +153,18 @@ ConfigResult RunConfig(const Catalog& catalog,
   service_options.operator_options = ServiceBenchOperatorOptions();
   OptimizerService service(catalog, service_options);
 
-  SubmitOptions submit;
+  // Request template; each submission fills in its query.
+  SubmitRequest submit;
   submit.iama.schedule = ResolutionSchedule::Moderate(levels);
 
   if (warm) {
     for (const Query& query : workload) {
-      const StatusOr<QueryId> id = service.Submit(query, submit);
-      MOQO_CHECK(id.ok());
-      const QueryResult r = service.Wait(id.value());
+      SubmitRequest request = submit;
+      request.query = query;
+      const StatusOr<SubmitResponse> submitted =
+          service.Submit(std::move(request));
+      MOQO_CHECK(submitted.ok());
+      const QueryResult r = service.Wait(submitted.value().id);
       MOQO_CHECK(r.state == QueryState::kDone);
     }
     // A completed run's publish lands on its shard thread shortly
@@ -196,16 +201,18 @@ ConfigResult RunConfig(const Catalog& catalog,
     for (size_t i = base; i < wave_end; ++i) {
       auto ttff = std::make_shared<std::atomic<double>>(-1.0);
       auto first = std::make_shared<std::atomic<bool>>(false);
+      SubmitRequest request = submit;
+      request.query = workload[i];
       const Clock::time_point submitted = Clock::now();
-      StatusOr<QueryId> id = service.Submit(
-          workload[i], submit,
-          [ttff, first, submitted](QueryId, const FrontierSnapshot&) {
-            if (!first->exchange(true)) {
-              ttff->store(MillisSince(submitted));
-            }
-          });
-      MOQO_CHECK(id.ok());
-      wave.push_back({id.value(), ttff});
+      request.observer = [ttff, first, submitted](QueryId,
+                                                  const FrontierSnapshot&) {
+        if (!first->exchange(true)) {
+          ttff->store(MillisSince(submitted));
+        }
+      };
+      StatusOr<SubmitResponse> response = service.Submit(std::move(request));
+      MOQO_CHECK(response.ok());
+      wave.push_back({response.value().id, ttff});
     }
     for (const Track& t : wave) {
       const QueryResult r = service.Wait(t.id);
@@ -382,12 +389,15 @@ int main(int argc, char** argv) {
     prepass_options.fragment_store_path = store_path;
     prepass_options.operator_options = ServiceBenchOperatorOptions();
     OptimizerService prepass(catalog, prepass_options);
-    SubmitOptions submit;
-    submit.iama.schedule = ResolutionSchedule::Moderate(levels);
     for (const Query& query : workload) {
-      const StatusOr<QueryId> id = prepass.Submit(query, submit);
-      MOQO_CHECK(id.ok());
-      MOQO_CHECK(prepass.Wait(id.value()).state == QueryState::kDone);
+      SubmitRequest request;
+      request.query = query;
+      request.iama.schedule = ResolutionSchedule::Moderate(levels);
+      const StatusOr<SubmitResponse> submitted =
+          prepass.Submit(std::move(request));
+      MOQO_CHECK(submitted.ok());
+      MOQO_CHECK(prepass.Wait(submitted.value().id).state ==
+                 QueryState::kDone);
     }
     // Destruction flushes the write-behind queue into the log.
   }

@@ -109,15 +109,6 @@ std::string CanonicalQueryKey(const Query& query, const MetricSchema& schema,
                       CanonicalQueryKeySuffix(query, schema, request));
 }
 
-std::string CanonicalQueryKey(const Query& query, const MetricSchema& schema,
-                              const SubmitOptions& options,
-                              uint64_t catalog_version) {
-  SubmitRequest request;
-  request.iama = options.iama;
-  request.max_iterations = options.max_iterations;
-  return CanonicalQueryKey(query, schema, request, catalog_version);
-}
-
 // One submitted query: its observer, scheduling parameters, and the run
 // it is attached to (its own for a leader; a shared one for a follower).
 struct OptimizerService::QueryEntry {
@@ -221,7 +212,6 @@ OptimizerService::OptimizerService(const Catalog& catalog,
     store_options.store_path = options_.fragment_store_path;
     store_options.cold_budget_bytes = options_.fragment_cold_budget_bytes;
     store_options.fsync_mode = options_.fragment_fsync;
-    store_options.fsync_interval_ms = options_.fragment_fsync_interval_ms;
     // With a store_path this replays the persistence log before any
     // query is admitted: the recovered epoch and cold index are in
     // place when the first lookup happens.
@@ -263,21 +253,6 @@ OptimizerService::~OptimizerService() {
   // Drain threads already inside Wait(): they still touch mu_, done_cv_,
   // and results_, which must not be destroyed under them.
   waiters_cv_.wait(lock, [this] { return waiters_ == 0; });
-}
-
-StatusOr<QueryId> OptimizerService::Submit(const Query& query,
-                                           SubmitOptions options,
-                                           SnapshotObserver observer) {
-  SubmitRequest request;
-  request.query = query;
-  request.priority = options.priority;
-  request.deadline_ms = options.deadline_ms;
-  request.max_iterations = options.max_iterations;
-  request.iama = std::move(options.iama);
-  request.observer = std::move(observer);
-  StatusOr<SubmitResponse> response = Submit(std::move(request));
-  if (!response.ok()) return response.status();
-  return response.value().id;
 }
 
 StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
@@ -762,7 +737,7 @@ void OptimizerService::BuildRun(RunState* run) {
         options_.operator_options.enable_interesting_orders,
         options_.fragment_min_tables, run->fragment_epoch);
     iama.optimizer.fragment_store = run->fragment_provider.get();
-    iama.optimizer.fragment_publish = options_.fragment_publish;
+    iama.optimizer.fragment_publish = true;
   }
   run->session = std::make_unique<IamaSession>(*run->factory, iama);
 }

@@ -98,8 +98,8 @@
 /// streaming is pull-based and backpressure-safe: a subscriber owns a
 /// bounded drop-oldest queue (SnapshotSubscription) the shard pushes
 /// into in O(1), so a stalled consumer can never hold a shard's turn —
-/// the legacy synchronous observer remains for in-process tooling that
-/// guarantees not to block.
+/// the synchronous in-process observer (SubmitRequest::observer) is for
+/// callers that guarantee not to block.
 #ifndef MOQO_SERVICE_OPTIMIZER_SERVICE_H_
 #define MOQO_SERVICE_OPTIMIZER_SERVICE_H_
 
@@ -159,10 +159,6 @@ struct ServiceOptions {
   /// seed the shared cells instead of enumerating them. One store is
   /// shared by all scheduler shards. 0 disables fragment sharing.
   size_t fragment_cache_bytes = 0;
-  /// Whether completed, non-diverged runs publish their cells back to
-  /// the fragment store. Disable to run the store read-only (e.g. a
-  /// pre-warmed benchmark). No effect while the store is disabled.
-  bool fragment_publish = true;
   /// Smallest sub-join-graph (in tables) stored or seeded; clamped to
   /// >= 2. Larger values trade hit opportunities for fewer, bigger
   /// fragments.
@@ -183,9 +179,9 @@ struct ServiceOptions {
   /// without fragment_store_path.
   size_t fragment_cold_budget_bytes = 0;
   /// Durability policy for the fragment log (optimizerd --fsync=...).
+  /// kInterval uses the store's default tick
+  /// (FragmentStore::Options::fsync_interval_ms, 100 ms).
   FragmentFsyncMode fragment_fsync = FragmentFsyncMode::kNone;
-  /// Tick period of FragmentFsyncMode::kInterval, in milliseconds.
-  int fragment_fsync_interval_ms = 100;
   /// Admission backpressure: the maximum number of physical runs (live
   /// optimizations, queued or stepping) the service holds at once.
   /// A Submit that would create a run beyond this bound is load-shed
@@ -241,20 +237,10 @@ std::string CanonicalQueryKey(const Query& query, const MetricSchema& schema,
                               const SubmitRequest& request,
                               uint64_t catalog_version);
 
-/// Legacy-options overload of CanonicalQueryKey.
-/// \deprecated Use the SubmitRequest overload.
-std::string CanonicalQueryKey(const Query& query, const MetricSchema& schema,
-                              const SubmitOptions& options,
-                              uint64_t catalog_version);
-
 /// The sharded multi-query serving layer; see the file comment for the
 /// full design (shards, stealing, coalescing, caching).
 class OptimizerService {
  public:
-  /// The legacy synchronous observer type; see moqo::SnapshotObserver
-  /// for the contract (kept as a nested alias for source compatibility).
-  using SnapshotObserver = moqo::SnapshotObserver;
-
   /// Starts the shard threads, pinning `catalog`'s current snapshot for
   /// admissions. `catalog` must outlive the service; it may be mutated
   /// while the service runs (Catalog is thread-safe), but mutations
@@ -284,11 +270,6 @@ class OptimizerService {
   /// without optimizing; one matching a run still in flight attaches to
   /// it as a follower (see the file comment).
   StatusOr<SubmitResponse> Submit(SubmitRequest request);
-
-  /// Legacy positional Submit.
-  /// \deprecated Shim over Submit(SubmitRequest); use that directly.
-  StatusOr<QueryId> Submit(const Query& query, SubmitOptions options = {},
-                           SnapshotObserver observer = nullptr);
 
   /// Requests cancellation; returns false if the query is unknown or
   /// already finished. After a true return, Wait() observes kCancelled —

@@ -10,9 +10,7 @@
 /// submission — query, tenant, scheduling, bounds, streaming — into one
 /// struct that the in-process API and the network codec share
 /// (src/net/wire.h encodes and decodes exactly this struct), and
-/// SubmitResponse carries everything admission decides. The legacy
-/// `Submit(query, SubmitOptions, observer)` overload remains as a thin
-/// shim and is deprecated.
+/// SubmitResponse carries everything admission decides.
 ///
 /// **Error taxonomy.** Every admission rejection returns a distinct
 /// util::Status code that round-trips through the wire protocol:
@@ -53,13 +51,13 @@ using QueryId = uint64_t;
 /// The never-issued id; marks unknown queries in results.
 inline constexpr QueryId kInvalidQueryId = 0;
 
-/// Observes one query's frontier stream — the *legacy, synchronous*
+/// Observes one query's frontier stream — the synchronous in-process
 /// streaming path. Invoked with the service mutex released, from the
 /// shard thread stepping the query's run (or from inside Submit for
 /// cache hits); calls for one query are serialized; observers may
 /// Submit, Cancel, or ApplyBounds, but must not Wait and must not
 /// block — a blocking observer holds its scheduler shard's turn.
-/// In-process tooling that wants every snapshot can keep using it;
+/// In-process tooling that wants every snapshot uses it;
 /// anything that may stall (network peers, slow sinks) must use the
 /// pull-based SnapshotSubscription instead (SubmitRequest::subscribe),
 /// whose bounded queue cannot stall a shard.
@@ -116,8 +114,8 @@ struct SubmitRequest {
   /// Capacity (events) of the subscription's queue; clamped to >= 1.
   /// Ignored unless `subscribe` is set.
   size_t subscription_capacity = 8;
-  /// Optional legacy synchronous observer (see SnapshotObserver for the
-  /// contract and its sharp edge). May be combined with `subscribe`.
+  /// Optional synchronous in-process callback (see SnapshotObserver for
+  /// the contract and its sharp edge). May be combined with `subscribe`.
   SnapshotObserver observer;
 };
 
@@ -146,20 +144,6 @@ struct SubmitResponse {
   /// a trailing optional field — wire-v1 peers that do not send or
   /// expect it interoperate unchanged (the decoder defaults it to 0).
   uint64_t tenant_fragment_hits = 0;
-};
-
-/// Per-submission options of the legacy Submit overload.
-/// \deprecated Use SubmitRequest; this struct only feeds the
-/// compatibility shim and will not grow new fields.
-struct SubmitOptions {
-  /// See SubmitRequest::iama.
-  IamaOptions iama;
-  /// See SubmitRequest::max_iterations.
-  int max_iterations = 0;
-  /// See SubmitRequest::priority.
-  int priority = 1;
-  /// See SubmitRequest::deadline_ms.
-  double deadline_ms = 0.0;
 };
 
 /// Terminal states as reported by Wait(); kQueued is only ever seen as

@@ -63,7 +63,8 @@ TEST(CatalogRefreshStressTest, RefreshRacesSubmitCancelWait) {
   service_opts.operator_options = TinyOperatorOptions(/*sampling=*/true);
   OptimizerService service(catalog, service_opts);
 
-  SubmitOptions submit;
+  // Request template; each submission fills in its query.
+  SubmitRequest submit;
   submit.iama.schedule = ResolutionSchedule(3, 1.02, 0.3);
 
   // Every catalog generation's snapshot, recorded by the (single)
@@ -111,10 +112,13 @@ TEST(CatalogRefreshStressTest, RefreshRacesSubmitCancelWait) {
       for (int i = 0; i < kPerClient; ++i) {
         const size_t qi =
             static_cast<size_t>(c + i) % queries.size();
-        StatusOr<QueryId> id = service.Submit(queries[qi], submit);
-        ASSERT_TRUE(id.ok()) << id.status().ToString();
-        if (i % 5 == 4) service.Cancel(id.value());
-        const QueryResult r = service.Wait(id.value());
+        SubmitRequest request = submit;
+        request.query = queries[qi];
+        StatusOr<SubmitResponse> submitted = service.Submit(std::move(request));
+        ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+        const QueryId id = submitted.value().id;
+        if (i % 5 == 4) service.Cancel(id);
+        const QueryResult r = service.Wait(id);
         if (r.state != QueryState::kDone) continue;  // Cancelled mid-run.
         std::shared_ptr<const CatalogSnapshot> snapshot;
         {
@@ -174,7 +178,8 @@ TEST(CatalogRefreshStressTest, RefreshRacesDestruction) {
   service_opts.num_threads = 2;
   service_opts.num_shards = 2;
   service_opts.operator_options = TinyOperatorOptions(/*sampling=*/true);
-  SubmitOptions submit;
+  // Request template; each submission fills in its query.
+  SubmitRequest submit;
   submit.iama.schedule = ResolutionSchedule(3, 1.02, 0.3);
   submit.max_iterations = 1000000;  // Runs outlive the service on purpose.
 
@@ -183,7 +188,9 @@ TEST(CatalogRefreshStressTest, RefreshRacesDestruction) {
   {
     OptimizerService service(catalog, service_opts);
     for (const Query& q : queries) {
-      ASSERT_TRUE(service.Submit(q, submit).ok());
+      SubmitRequest request = submit;
+      request.query = q;
+      ASSERT_TRUE(service.Submit(std::move(request)).ok());
     }
     mutator = std::thread([&] {
       int i = 0;

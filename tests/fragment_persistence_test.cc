@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -493,7 +494,8 @@ ServiceOptions PersistentServiceOptions(const std::string& store_path) {
 
 TEST(FragmentPersistenceServiceTest, WarmRestartBitIdenticalToColdRun) {
   const Catalog catalog = MakeTpchCatalog();
-  SubmitOptions submit;
+  // Request template; each submission fills in its query.
+  SubmitRequest submit;
   submit.iama.schedule = ResolutionSchedule(4, 1.02, 0.3);
   const std::vector<Query> workload = {ChainQuery(), OverlapQuery(0),
                                        OverlapQuery(1)};
@@ -509,8 +511,10 @@ TEST(FragmentPersistenceServiceTest, WarmRestartBitIdenticalToColdRun) {
     ASSERT_NE(service.fragment_store(), nullptr);
     ASSERT_TRUE(service.fragment_store()->cold_status().ok());
     for (const Query& query : workload) {
+      SubmitRequest request = submit;
+      request.query = query;
       const QueryResult result =
-          service.Wait(service.Submit(query, submit).value());
+          service.Wait(service.Submit(std::move(request)).value().id);
       ASSERT_EQ(result.state, QueryState::kDone) << query.name;
       cold_signatures.push_back(FrontierSignature(result.frontier.plans));
     }
@@ -527,8 +531,10 @@ TEST(FragmentPersistenceServiceTest, WarmRestartBitIdenticalToColdRun) {
   ASSERT_TRUE(service.fragment_store()->cold_status().ok());
   EXPECT_GT(service.fragment_store()->Stats().replayed_fragments, 0u);
   for (size_t q = 0; q < workload.size(); ++q) {
+    SubmitRequest request = submit;
+    request.query = workload[q];
     const QueryResult result =
-        service.Wait(service.Submit(workload[q], submit).value());
+        service.Wait(service.Submit(std::move(request)).value().id);
     ASSERT_EQ(result.state, QueryState::kDone) << workload[q].name;
     EXPECT_EQ(FrontierSignature(result.frontier.plans), cold_signatures[q])
         << workload[q].name;
@@ -545,14 +551,15 @@ TEST(FragmentPersistenceServiceTest, WarmRestartBitIdenticalToColdRun) {
 
 TEST(FragmentPersistenceServiceTest, RefreshCatalogInvalidationIsDurable) {
   Catalog catalog = MakeTpchCatalog();
-  SubmitOptions submit;
+  SubmitRequest submit;
+  submit.query = ChainQuery();
   submit.iama.schedule = ResolutionSchedule(4, 1.02, 0.3);
   TempDir dir;
   {
     OptimizerService service(catalog,
                              PersistentServiceOptions(dir.LogPath()));
     const QueryResult result =
-        service.Wait(service.Submit(ChainQuery(), submit).value());
+        service.Wait(service.Submit(submit).value().id);
     ASSERT_EQ(result.state, QueryState::kDone);
     // Publishing happens on the shard thread after the result is
     // waitable; destruction is the only barrier that covers *all* of a
@@ -580,8 +587,7 @@ TEST(FragmentPersistenceServiceTest, RefreshCatalogInvalidationIsDurable) {
   // Pre-bump fragments stay invalidated: the replay keeps none of them.
   EXPECT_EQ(service.fragment_store()->Stats().replayed_fragments, 0u);
   // And a fresh run is still correct (publishes under the new epoch).
-  const QueryResult result =
-      service.Wait(service.Submit(ChainQuery(), submit).value());
+  const QueryResult result = service.Wait(service.Submit(submit).value().id);
   EXPECT_EQ(result.state, QueryState::kDone);
   EXPECT_EQ(service.stats().fragment_cold_hits, 0u);
 }

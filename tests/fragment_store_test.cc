@@ -16,6 +16,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -502,10 +503,11 @@ ServiceOptions FragmentServiceOptions(int shards, size_t fragment_bytes) {
   return options;
 }
 
-SubmitOptions FragmentSubmitOptions() {
-  SubmitOptions submit;
-  submit.iama.schedule = ResolutionSchedule(4, 1.02, 0.3);
-  return submit;
+SubmitRequest FragmentRequest(const Query& query) {
+  SubmitRequest request;
+  request.query = query;
+  request.iama.schedule = ResolutionSchedule(4, 1.02, 0.3);
+  return request;
 }
 
 // The acceptance bar: with fragment sharing on, every frontier equals
@@ -517,8 +519,8 @@ TEST(OptimizerServiceFragmentTest, WarmFrontiersBitIdenticalAcrossShards) {
   std::vector<Query> workload = {CoreQuery(), VariantQuery(0),
                                  VariantQuery(1), VariantQuery(2),
                                  RenumberedQuery()};
-  const SubmitOptions submit = FragmentSubmitOptions();
-  const int iterations = submit.iama.schedule.NumLevels();
+  const int iterations =
+      FragmentRequest(workload.front()).iama.schedule.NumLevels();
 
   for (const int shards : {1, 2, 4}) {
     ServiceOptions service_opts =
@@ -526,7 +528,8 @@ TEST(OptimizerServiceFragmentTest, WarmFrontiersBitIdenticalAcrossShards) {
     OptimizerService service(catalog, service_opts);
     for (int pass = 0; pass < 2; ++pass) {
       for (const Query& query : workload) {
-        const QueryId id = service.Submit(query, submit).value();
+        const SubmitRequest submit = FragmentRequest(query);
+        const QueryId id = service.Submit(submit).value().id;
         const QueryResult result = service.Wait(id);
         ASSERT_EQ(result.state, QueryState::kDone) << query.name;
         EXPECT_EQ(result.iterations, iterations);
@@ -549,13 +552,12 @@ TEST(OptimizerServiceFragmentTest, WarmFrontiersBitIdenticalAcrossShards) {
 // variant does strictly less work than on a fragment-less service.
 TEST(OptimizerServiceFragmentTest, WarmStoreCutsOptimizerWork) {
   const Catalog catalog = MakeTpchCatalog();
-  const SubmitOptions submit = FragmentSubmitOptions();
 
   // Cold counters from a service without a fragment store.
   ServiceOptions cold_opts = FragmentServiceOptions(1, /*fragment_bytes=*/0);
   OptimizerService cold_service(catalog, cold_opts);
   const QueryResult cold_variant = cold_service.Wait(
-      cold_service.Submit(VariantQuery(0), submit).value());
+      cold_service.Submit(FragmentRequest(VariantQuery(0))).value().id);
   ASSERT_EQ(cold_variant.state, QueryState::kDone);
   ASSERT_GT(cold_variant.pairs_generated, 0u);
 
@@ -563,21 +565,21 @@ TEST(OptimizerServiceFragmentTest, WarmStoreCutsOptimizerWork) {
       FragmentServiceOptions(1, /*fragment_bytes=*/16 << 20);
   OptimizerService service(catalog, warm_opts);
   const QueryResult first =
-      service.Wait(service.Submit(CoreQuery(), submit).value());
+      service.Wait(service.Submit(FragmentRequest(CoreQuery())).value().id);
   ASSERT_EQ(first.state, QueryState::kDone);
   EXPECT_GT(first.pairs_generated, 0u);
 
   // Identical query again (whole-query cache is off): fully seeded.
   const QueryResult repeat =
-      service.Wait(service.Submit(CoreQuery(), submit).value());
+      service.Wait(service.Submit(FragmentRequest(CoreQuery())).value().id);
   ASSERT_EQ(repeat.state, QueryState::kDone);
   EXPECT_EQ(repeat.pairs_generated, 0u);
   EXPECT_FALSE(repeat.from_cache);
   EXPECT_EQ(repeat.iterations, cold_variant.iterations);
 
   // Overlapping variant: strictly less work than without the store.
-  const QueryResult warm_variant =
-      service.Wait(service.Submit(VariantQuery(0), submit).value());
+  const QueryResult warm_variant = service.Wait(
+      service.Submit(FragmentRequest(VariantQuery(0))).value().id);
   ASSERT_EQ(warm_variant.state, QueryState::kDone);
   EXPECT_LT(warm_variant.pairs_generated, cold_variant.pairs_generated);
   EXPECT_GT(warm_variant.pairs_generated, 0u);
@@ -591,16 +593,15 @@ TEST(OptimizerServiceFragmentTest, WarmStoreCutsOptimizerWork) {
 // hit rate.
 TEST(OptimizerServiceFragmentTest, TinyBudgetEvictsButStaysCorrect) {
   const Catalog catalog = MakeTpchCatalog();
-  const SubmitOptions submit = FragmentSubmitOptions();
-  const int iterations = submit.iama.schedule.NumLevels();
   ServiceOptions service_opts =
       FragmentServiceOptions(2, /*fragment_bytes=*/4096);
   OptimizerService service(catalog, service_opts);
   std::vector<Query> workload = {CoreQuery(), VariantQuery(0),
                                  VariantQuery(1), CoreQuery()};
   for (const Query& query : workload) {
-    const QueryResult result =
-        service.Wait(service.Submit(query, submit).value());
+    const SubmitRequest submit = FragmentRequest(query);
+    const int iterations = submit.iama.schedule.NumLevels();
+    const QueryResult result = service.Wait(service.Submit(submit).value().id);
     ASSERT_EQ(result.state, QueryState::kDone);
     const FrontierSnapshot reference = SequentialFinalSnapshot(
         query, catalog, service_opts, submit.iama, iterations);
@@ -615,17 +616,15 @@ TEST(OptimizerServiceFragmentTest, TinyBudgetEvictsButStaysCorrect) {
 // identical submission pays full price again.
 TEST(OptimizerServiceFragmentTest, EpochBumpInvalidatesStore) {
   const Catalog catalog = MakeTpchCatalog();
-  const SubmitOptions submit = FragmentSubmitOptions();
+  const SubmitRequest submit = FragmentRequest(CoreQuery());
   ServiceOptions service_opts =
       FragmentServiceOptions(1, /*fragment_bytes=*/16 << 20);
   OptimizerService service(catalog, service_opts);
-  const QueryResult first =
-      service.Wait(service.Submit(CoreQuery(), submit).value());
+  const QueryResult first = service.Wait(service.Submit(submit).value().id);
   ASSERT_EQ(first.state, QueryState::kDone);
   ASSERT_NE(service.fragment_store(), nullptr);
   service.fragment_store()->BumpEpoch();
-  const QueryResult second =
-      service.Wait(service.Submit(CoreQuery(), submit).value());
+  const QueryResult second = service.Wait(service.Submit(submit).value().id);
   ASSERT_EQ(second.state, QueryState::kDone);
   EXPECT_EQ(second.pairs_generated, first.pairs_generated);
   EXPECT_GT(second.pairs_generated, 0u);
@@ -638,7 +637,7 @@ TEST(OptimizerServiceFragmentTest, EpochBumpInvalidatesStore) {
 // new catalog bit for bit — and then re-warm the store under the new
 // epoch. Runs admitted before the refresh publish nothing.
 TEST(OptimizerServiceFragmentTest, RefreshCatalogInvalidatesFragments) {
-  const SubmitOptions submit = FragmentSubmitOptions();
+  const SubmitRequest submit = FragmentRequest(CoreQuery());
   const int iterations = submit.iama.schedule.NumLevels();
   for (const int shards : {1, 2, 4}) {
     Catalog catalog = MakeTpchCatalog();
@@ -646,8 +645,7 @@ TEST(OptimizerServiceFragmentTest, RefreshCatalogInvalidatesFragments) {
         FragmentServiceOptions(shards, /*fragment_bytes=*/16 << 20);
     OptimizerService service(catalog, service_opts);
 
-    const QueryResult cold =
-        service.Wait(service.Submit(CoreQuery(), submit).value());
+    const QueryResult cold = service.Wait(service.Submit(submit).value().id);
     ASSERT_EQ(cold.state, QueryState::kDone);
     ASSERT_GT(cold.pairs_generated, 0u);
     // Publishing happens on the shard thread after the result is
@@ -658,8 +656,7 @@ TEST(OptimizerServiceFragmentTest, RefreshCatalogInvalidatesFragments) {
       std::this_thread::yield();
     }
     // Store warm: an identical resubmission is fully seeded.
-    const QueryResult warm =
-        service.Wait(service.Submit(CoreQuery(), submit).value());
+    const QueryResult warm = service.Wait(service.Submit(submit).value().id);
     ASSERT_EQ(warm.state, QueryState::kDone);
     ASSERT_EQ(warm.pairs_generated, 0u);
 
@@ -676,7 +673,7 @@ TEST(OptimizerServiceFragmentTest, RefreshCatalogInvalidatesFragments) {
     const uint64_t publishes_before_recold =
         service.stats().fragment_publishes;
     const QueryResult recold =
-        service.Wait(service.Submit(CoreQuery(), submit).value());
+        service.Wait(service.Submit(submit).value().id);
     ASSERT_EQ(recold.state, QueryState::kDone);
     EXPECT_EQ(recold.catalog_version, v1);
     EXPECT_GT(recold.pairs_generated, 0u) << "shards " << shards;
@@ -692,7 +689,7 @@ TEST(OptimizerServiceFragmentTest, RefreshCatalogInvalidatesFragments) {
 
     // The store re-warms under the new epoch.
     const QueryResult rewarm =
-        service.Wait(service.Submit(CoreQuery(), submit).value());
+        service.Wait(service.Submit(submit).value().id);
     ASSERT_EQ(rewarm.state, QueryState::kDone);
     EXPECT_EQ(rewarm.pairs_generated, 0u) << "shards " << shards;
     ASSERT_EQ(FrontierSignature(rewarm.frontier.plans),
@@ -709,32 +706,30 @@ TEST(OptimizerServiceFragmentTest, StaleRunsDoNotPublishFragments) {
   ServiceOptions service_opts =
       FragmentServiceOptions(1, /*fragment_bytes=*/16 << 20);
   OptimizerService service(catalog, service_opts);
-  SubmitOptions submit = FragmentSubmitOptions();
 
   // Blocker: parks the shard inside its first observer call.
   std::mutex mu;
   std::condition_variable cv;
   bool entered = false, released = false, blocked_once = false;
-  SubmitOptions blocker_submit = FragmentSubmitOptions();
+  SubmitRequest blocker_submit = FragmentRequest(VariantQuery(3));
   blocker_submit.max_iterations = 1000000;
+  blocker_submit.observer = [&](QueryId, const FrontierSnapshot&) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (blocked_once) return;
+    blocked_once = entered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  };
   const QueryId blocker =
-      service
-          .Submit(VariantQuery(3), blocker_submit,
-                  [&](QueryId, const FrontierSnapshot&) {
-                    std::unique_lock<std::mutex> lock(mu);
-                    if (blocked_once) return;
-                    blocked_once = entered = true;
-                    cv.notify_all();
-                    cv.wait(lock, [&] { return released; });
-                  })
-          .value();
+      service.Submit(std::move(blocker_submit)).value().id;
   {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return entered; });
   }
 
   // Admitted pre-refresh; completes post-refresh as a stale run.
-  const QueryId stale = service.Submit(CoreQuery(), submit).value();
+  const QueryId stale =
+      service.Submit(FragmentRequest(CoreQuery())).value().id;
   ASSERT_TRUE(
       catalog
           .UpdateStats(TpchTable::kOrders,
@@ -763,13 +758,13 @@ TEST(OptimizerServiceFragmentTest, SubmitRejectsFragmentKnobs) {
   FragmentStoreProvider provider(&store, CoreQuery(),
                                  MetricSchema::Standard3(), SmallIama(),
                                  false, 2);
-  SubmitOptions bad = FragmentSubmitOptions();
+  SubmitRequest bad = FragmentRequest(CoreQuery());
   bad.iama.optimizer.fragment_store = &provider;
-  EXPECT_EQ(service.Submit(CoreQuery(), bad).status().code(),
+  EXPECT_EQ(service.Submit(std::move(bad)).status().code(),
             StatusCode::kInvalidArgument);
-  SubmitOptions bad2 = FragmentSubmitOptions();
+  SubmitRequest bad2 = FragmentRequest(CoreQuery());
   bad2.iama.optimizer.fragment_publish = true;
-  EXPECT_EQ(service.Submit(CoreQuery(), bad2).status().code(),
+  EXPECT_EQ(service.Submit(std::move(bad2)).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "catalog/tpch.h"
@@ -371,13 +372,13 @@ TEST(NetServerTest, RemoteResultsBitIdenticalToInProcess) {
     ASSERT_TRUE(remote_result.ok());
     EXPECT_EQ(remote_result.value().state, QueryState::kDone);
 
-    StatusOr<QueryId> local_id = local.Submit(query, [] {
-      SubmitOptions options;
-      options.max_iterations = 5;
-      return options;
-    }());
-    ASSERT_TRUE(local_id.ok());
-    const QueryResult local_result = local.Wait(local_id.value());
+    SubmitRequest local_request;
+    local_request.query = query;
+    local_request.max_iterations = 5;
+    StatusOr<SubmitResponse> local_submitted =
+        local.Submit(std::move(local_request));
+    ASSERT_TRUE(local_submitted.ok());
+    const QueryResult local_result = local.Wait(local_submitted.value().id);
     EXPECT_EQ(remote_result.value().iterations, local_result.iterations);
     EXPECT_EQ(FrontierSignature(remote_result.value().frontier.plans),
               FrontierSignature(local_result.frontier.plans))
@@ -493,11 +494,14 @@ TEST(NetServerTest, ConcurrentSessionsMatchInProcess) {
   local_options.num_shards = 2;
   OptimizerService local(catalog, local_options);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    SubmitOptions options;
-    options.max_iterations = 4;
-    StatusOr<QueryId> id = local.Submit(queries[qi], options);
-    ASSERT_TRUE(id.ok());
-    const auto expected = FrontierSignature(local.Wait(id.value()).frontier.plans);
+    SubmitRequest local_request;
+    local_request.query = queries[qi];
+    local_request.max_iterations = 4;
+    StatusOr<SubmitResponse> local_submitted =
+        local.Submit(std::move(local_request));
+    ASSERT_TRUE(local_submitted.ok());
+    const auto expected =
+        FrontierSignature(local.Wait(local_submitted.value().id).frontier.plans);
     for (int s = 0; s < kSessions; ++s) {
       EXPECT_EQ(remote_sigs[static_cast<size_t>(s)][qi], expected)
           << "session " << s << " query " << queries[qi].name;

@@ -12,6 +12,12 @@
 # and the warm pass must reproduce the cold pass's frontier digests
 # bit for bit.
 #
+# Third leg: overload. Eight sessions against two run slots make the
+# server load-shed with a retry-after hint; loadgen must back off and
+# resubmit until every query lands (ok = 16, no transport errors, and a
+# nonzero shed count proves the retry loop ran), and SIGTERM must still
+# drain to exit 0.
+#
 # Usage: optimizerd_smoke.sh <build-dir> [store-dir]
 # store-dir defaults to a fresh mktemp -d; CI's Release leg passes a
 # tmpfs path (/dev/shm) to keep the crash leg off spinning disks.
@@ -146,4 +152,37 @@ SERVER_PID=""
 [ "$STATUS" -eq 0 ] || { cat "$LOG2"; echo "FAIL: exit status $STATUS after recovery"; exit 1; }
 grep -q "optimizerd: store publishes" "$LOG2" || { cat "$LOG2"; echo "FAIL: no store summary"; exit 1; }
 echo "PASS: optimizerd smoke (crash-recovery leg)"
+
+# --- Leg 3: load shedding and retry-after under overload --------------------
+
+: > "$LOG"
+"$BUILD_DIR/optimizerd" --port 0 --threads 2 --shards 2 \
+  --max-inflight 2 --fragment-cache-mb 0 > "$LOG" &
+SERVER_PID=$!
+wait_for_port "$LOG"
+
+SUMMARY="$("$BUILD_DIR/loadgen" --port "$PORT" --sessions 8 --queries 2 \
+  --max-iterations 6 --retries 1000000 --json)" || {
+  echo "$SUMMARY"; echo "FAIL: overload loadgen reported transport errors"; exit 1;
+}
+echo "$SUMMARY"
+# Prints the integer value of "$1" in loadgen's one-line JSON summary.
+json_field() {
+  echo "$SUMMARY" | sed -n "s/.*\"$1\":\([0-9][0-9]*\).*/\1/p"
+}
+[ "$(json_field ok)" = 16 ] || { echo "FAIL: expected ok 16"; exit 1; }
+[ "$(json_field transport_errors)" = 0 ] || {
+  echo "FAIL: expected transport_errors 0"; exit 1;
+}
+[ "$(json_field shed)" -gt 0 ] || {
+  echo "FAIL: two run slots and eight sessions shed nothing"; exit 1;
+}
+
+kill -TERM "$SERVER_PID"
+STATUS=0
+wait "$SERVER_PID" || STATUS=$?
+SERVER_PID=""
+[ "$STATUS" -eq 0 ] || { cat "$LOG"; echo "FAIL: exit status $STATUS after overload"; exit 1; }
+grep -q "optimizerd: drained\." "$LOG" || { cat "$LOG"; echo "FAIL: no drain summary after overload"; exit 1; }
+echo "PASS: optimizerd smoke (overload leg)"
 echo "PASS: optimizerd smoke"

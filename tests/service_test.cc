@@ -1,24 +1,27 @@
 // OptimizerService tests: concurrent sessions across scheduler shards
 // must produce frontiers bit-identical to per-query sequential runs for
 // every shard count; the LRU frontier cache must serve repeated queries
-// without re-optimization; duplicate in-flight submissions must coalesce
-// onto the running leader (no second optimization — asserted on step
-// counters) with correct follower cancel/expiry/handoff semantics;
-// ApplyBounds must re-bound live runs and keep diverged results out of
-// the cache; RefreshCatalog must make resubmitted queries re-optimize
-// on the new statistics (cache miss by key version) while runs admitted
-// earlier finish bit-identical to a cold run on their pinned snapshot;
-// cancellation, deadlines, admission validation, and teardown
-// must all behave under concurrent submitters (this test also runs under
-// TSan).
+// without re-optimization; an observer and a subscription on one
+// submission must carry the same stream; duplicate in-flight submissions
+// must coalesce onto the running leader (no second optimization —
+// asserted on step counters) with correct follower cancel/expiry/handoff
+// semantics; ApplyBounds must re-bound live runs and keep diverged
+// results out of the cache; RefreshCatalog must make resubmitted queries
+// re-optimize on the new statistics (cache miss by key version) while
+// runs admitted earlier finish bit-identical to a cold run on their
+// pinned snapshot; cancellation, deadlines, admission validation, and
+// teardown must all behave under concurrent submitters (this test also
+// runs under TSan).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,10 +62,11 @@ ServiceOptions SmallServiceOptions(int threads) {
   return options;
 }
 
-SubmitOptions SmallSubmitOptions(int levels = 4) {
-  SubmitOptions options;
-  options.iama.schedule = ResolutionSchedule(levels, 1.02, 0.3);
-  return options;
+SubmitRequest SmallRequest(const Query& query, int levels = 4) {
+  SubmitRequest request;
+  request.query = query;
+  request.iama.schedule = ResolutionSchedule(levels, 1.02, 0.3);
+  return request;
 }
 
 // A mixed workload: every small TPC-H block plus random topologies. The
@@ -99,8 +103,8 @@ void ExpectShardedServiceMatchesSequential(int shards) {
   const Workload w = MakeWorkload(/*num_random=*/4);
   ServiceOptions service_opts = SmallServiceOptions(/*threads=*/4);
   service_opts.num_shards = shards;
-  const SubmitOptions submit = SmallSubmitOptions();
-  const int iterations = submit.iama.schedule.NumLevels();
+  const int iterations =
+      SmallRequest(w.queries.front()).iama.schedule.NumLevels();
 
   OptimizerService service(w.catalog, service_opts);
   ASSERT_EQ(service.shards(), shards);
@@ -118,11 +122,14 @@ void ExpectShardedServiceMatchesSequential(int shards) {
       for (size_t i = static_cast<size_t>(thread); i < w.queries.size();
            i += kSubmitters) {
         std::atomic<int>* count = snapshot_counts[i].get();
-        StatusOr<QueryId> id = service.Submit(
-            w.queries[i], submit,
-            [count](QueryId, const FrontierSnapshot&) { ++*count; });
-        ASSERT_TRUE(id.ok()) << id.status().ToString();
-        ids[i] = id.value();
+        SubmitRequest request = SmallRequest(w.queries[i]);
+        request.observer = [count](QueryId, const FrontierSnapshot&) {
+          ++*count;
+        };
+        StatusOr<SubmitResponse> submitted =
+            service.Submit(std::move(request));
+        ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+        ids[i] = submitted.value().id;
       }
     });
   }
@@ -137,7 +144,8 @@ void ExpectShardedServiceMatchesSequential(int shards) {
     EXPECT_EQ(snapshot_counts[i]->load(), iterations);
     // Bit-identical to running the query alone, single-threaded.
     const FrontierSnapshot reference = SequentialFinalSnapshot(
-        w.queries[i], w.catalog, service_opts, submit.iama, iterations);
+        w.queries[i], w.catalog, service_opts,
+        SmallRequest(w.queries[i]).iama, iterations);
     ASSERT_EQ(FrontierSignature(result.frontier.plans),
               FrontierSignature(reference.plans))
         << w.queries[i].name;
@@ -166,12 +174,11 @@ TEST(OptimizerServiceTest, ConcurrentSessionsMatchSequentialFourShards) {
 TEST(OptimizerServiceTest, CacheServesRepeatedQueryBitIdentically) {
   const Workload w = MakeWorkload(/*num_random=*/0);
   OptimizerService service(w.catalog, SmallServiceOptions(2));
-  const SubmitOptions submit = SmallSubmitOptions();
   const Query& query = w.queries.front();
 
-  StatusOr<QueryId> first = service.Submit(query, submit);
+  StatusOr<SubmitResponse> first = service.Submit(SmallRequest(query));
   ASSERT_TRUE(first.ok());
-  const QueryResult r1 = service.Wait(first.value());
+  const QueryResult r1 = service.Wait(first.value().id);
   ASSERT_EQ(r1.state, QueryState::kDone);
   EXPECT_FALSE(r1.from_cache);
   const uint64_t steps_after_first = service.stats().steps_executed;
@@ -182,11 +189,14 @@ TEST(OptimizerServiceTest, CacheServesRepeatedQueryBitIdentically) {
   respelled.name = "respelled";
   for (TableRef& t : respelled.tables) t.alias = "x" + t.alias;
   std::atomic<int> snapshots{0};
-  StatusOr<QueryId> second = service.Submit(
-      respelled, submit,
-      [&snapshots](QueryId, const FrontierSnapshot&) { ++snapshots; });
+  SubmitRequest respelled_request = SmallRequest(respelled);
+  respelled_request.observer = [&snapshots](QueryId, const FrontierSnapshot&) {
+    ++snapshots;
+  };
+  StatusOr<SubmitResponse> second =
+      service.Submit(std::move(respelled_request));
   ASSERT_TRUE(second.ok());
-  const QueryResult r2 = service.Wait(second.value());
+  const QueryResult r2 = service.Wait(second.value().id);
   EXPECT_EQ(r2.state, QueryState::kDone);
   EXPECT_TRUE(r2.from_cache);
   EXPECT_EQ(snapshots.load(), 1);
@@ -198,20 +208,88 @@ TEST(OptimizerServiceTest, CacheServesRepeatedQueryBitIdentically) {
   EXPECT_EQ(stats.steps_executed, steps_after_first);
 }
 
+// SubmitRequest::observer may be combined with `subscribe`. On a fresh
+// run the observer sees every step, and the subscription delivers the
+// same (iteration, frontier) pairs in order, then one final event equal
+// to Wait()'s frontier. On a cache hit each gets the final frontier once.
+TEST(OptimizerServiceTest, ObserverAndSubscriptionCarryTheSameStream) {
+  const Workload w = MakeWorkload(/*num_random=*/0);
+  const Query& query = w.queries.front();
+  using Step = std::pair<int, std::vector<std::vector<double>>>;
+  std::mutex mu;
+  std::vector<Step> observed;
+  const SnapshotObserver record = [&](QueryId, const FrontierSnapshot& s) {
+    std::lock_guard<std::mutex> lock(mu);
+    observed.emplace_back(s.iteration, FrontierSignature(s.plans));
+  };
+  OptimizerService service(w.catalog, SmallServiceOptions(2));
+
+  SubmitRequest fresh = SmallRequest(query);
+  const int iterations = fresh.iama.schedule.NumLevels();
+  fresh.observer = record;
+  fresh.subscribe = true;
+  fresh.subscription_capacity = static_cast<size_t>(iterations) + 1;
+  StatusOr<SubmitResponse> submitted = service.Submit(std::move(fresh));
+  ASSERT_TRUE(submitted.ok());
+  const QueryResult result = service.Wait(submitted.value().id);
+  ASSERT_EQ(result.state, QueryState::kDone);
+  ASSERT_FALSE(result.from_cache);
+  SnapshotSubscription* stream = submitted.value().subscription.get();
+  ASSERT_NE(stream, nullptr);
+  std::vector<Step> streamed;
+  std::optional<SnapshotEvent> last;
+  while ((last = stream->Poll()).has_value() && !last->is_final) {
+    EXPECT_EQ(last->dropped, 0u);
+    streamed.emplace_back(last->snapshot->iteration,
+                          FrontierSignature(last->snapshot->plans));
+  }
+  ASSERT_TRUE(last.has_value());
+  EXPECT_TRUE(last->is_final);
+  EXPECT_EQ(FrontierSignature(last->snapshot->plans),
+            FrontierSignature(result.frontier.plans));
+  EXPECT_FALSE(stream->Poll().has_value());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(observed.size(), static_cast<size_t>(iterations));
+    EXPECT_EQ(streamed, observed);
+    observed.clear();
+  }
+
+  SubmitRequest repeat = SmallRequest(query);
+  repeat.observer = record;
+  repeat.subscribe = true;
+  StatusOr<SubmitResponse> hit = service.Submit(std::move(repeat));
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit.value().from_cache);
+  EXPECT_TRUE(service.Wait(hit.value().id).from_cache);
+  stream = hit.value().subscription.get();
+  ASSERT_NE(stream, nullptr);
+  const std::optional<SnapshotEvent> only = stream->Poll();
+  ASSERT_TRUE(only.has_value());
+  EXPECT_TRUE(only->is_final);
+  EXPECT_EQ(FrontierSignature(only->snapshot->plans),
+            FrontierSignature(result.frontier.plans));
+  EXPECT_FALSE(stream->Poll().has_value());
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(observed.size(), 1u);
+  EXPECT_EQ(observed.front().second, FrontierSignature(result.frontier.plans));
+}
+
 TEST(OptimizerServiceTest, CacheEvictsLeastRecentlyUsed) {
   const Workload w = MakeWorkload(/*num_random=*/2);
   ServiceOptions options = SmallServiceOptions(1);
   options.frontier_cache_capacity = 1;
   OptimizerService service(w.catalog, options);
-  const SubmitOptions submit = SmallSubmitOptions();
   const Query& a = w.queries[w.queries.size() - 2];
   const Query& b = w.queries[w.queries.size() - 1];
 
-  service.Wait(service.Submit(a, submit).value());
-  service.Wait(service.Submit(b, submit).value());  // Evicts a.
-  const QueryResult again = service.Wait(service.Submit(a, submit).value());
+  service.Wait(service.Submit(SmallRequest(a)).value().id);
+  service.Wait(service.Submit(SmallRequest(b)).value().id);  // Evicts a.
+  const QueryResult again =
+      service.Wait(service.Submit(SmallRequest(a)).value().id);
   EXPECT_FALSE(again.from_cache);
-  const QueryResult b_hit = service.Wait(service.Submit(b, submit).value());
+  const QueryResult b_hit =
+      service.Wait(service.Submit(SmallRequest(b)).value().id);
   EXPECT_FALSE(b_hit.from_cache);  // b was evicted by re-running a.
   EXPECT_EQ(service.stats().cache_hits, 0u);
 }
@@ -222,12 +300,11 @@ TEST(OptimizerServiceTest, ResultRetentionDropsOldestResults) {
   ServiceOptions options = SmallServiceOptions(1);
   options.result_retention = 2;
   OptimizerService service(w.catalog, options);
-  const SubmitOptions submit = SmallSubmitOptions();
 
-  const QueryId first = service.Submit(w.queries[0], submit).value();
+  const QueryId first = service.Submit(SmallRequest(w.queries[0])).value().id;
   EXPECT_EQ(service.Wait(first).id, first);  // Still retained.
-  const QueryId a = service.Submit(w.queries[1], submit).value();
-  const QueryId b = service.Submit(w.queries[2], submit).value();
+  const QueryId a = service.Submit(SmallRequest(w.queries[1])).value().id;
+  const QueryId b = service.Submit(SmallRequest(w.queries[2])).value().id;
   service.Wait(a);
   service.Wait(b);
   // Two newer results pushed `first` out of the retention window.
@@ -238,29 +315,30 @@ TEST(OptimizerServiceTest, ResultRetentionDropsOldestResults) {
 TEST(OptimizerServiceTest, CancelStopsASession) {
   const Workload w = MakeWorkload(/*num_random=*/1, /*random_tables=*/5);
   OptimizerService service(w.catalog, SmallServiceOptions(1));
-  SubmitOptions submit = SmallSubmitOptions();
+  SubmitRequest submit = SmallRequest(w.queries.back());
   submit.max_iterations = 1000000;  // Unreachable: steps clamp at rM.
 
-  StatusOr<QueryId> id = service.Submit(w.queries.back(), submit);
-  ASSERT_TRUE(id.ok());
-  EXPECT_TRUE(service.Cancel(id.value()));
-  const QueryResult result = service.Wait(id.value());
+  StatusOr<SubmitResponse> submitted = service.Submit(submit);
+  ASSERT_TRUE(submitted.ok());
+  const QueryId id = submitted.value().id;
+  EXPECT_TRUE(service.Cancel(id));
+  const QueryResult result = service.Wait(id);
   EXPECT_EQ(result.state, QueryState::kCancelled);
   EXPECT_LT(result.iterations, submit.max_iterations);
   EXPECT_EQ(service.stats().cancelled, 1u);
   // Cancelling a finished (or unknown) query reports false.
-  EXPECT_FALSE(service.Cancel(id.value()));
+  EXPECT_FALSE(service.Cancel(id));
   EXPECT_FALSE(service.Cancel(12345));
 }
 
 TEST(OptimizerServiceTest, DeadlineExpiresSlowQuery) {
   const Workload w = MakeWorkload(/*num_random=*/1, /*random_tables=*/5);
   OptimizerService service(w.catalog, SmallServiceOptions(1));
-  SubmitOptions submit = SmallSubmitOptions();
+  SubmitRequest submit = SmallRequest(w.queries.back());
   submit.deadline_ms = 1e-6;  // Expires before the first step.
 
   const QueryResult result =
-      service.Wait(service.Submit(w.queries.back(), submit).value());
+      service.Wait(service.Submit(std::move(submit)).value().id);
   EXPECT_EQ(result.state, QueryState::kExpired);
   EXPECT_EQ(service.stats().expired, 1u);
 }
@@ -270,30 +348,31 @@ TEST(OptimizerServiceTest, RejectsInvalidSubmissions) {
   OptimizerService service(w.catalog, SmallServiceOptions(1));
   const Query& good = w.queries.front();
 
-  Query bad_table = good;
-  bad_table.tables[0].table = 100000;
-  EXPECT_FALSE(service.Submit(bad_table).ok());
+  SubmitRequest bad_table;
+  bad_table.query = good;
+  bad_table.query.tables[0].table = 100000;
+  EXPECT_FALSE(service.Submit(std::move(bad_table)).ok());
 
-  SubmitOptions bad_priority = SmallSubmitOptions();
+  SubmitRequest bad_priority = SmallRequest(good);
   bad_priority.priority = 0;
-  EXPECT_FALSE(service.Submit(good, bad_priority).ok());
+  EXPECT_FALSE(service.Submit(std::move(bad_priority)).ok());
 
-  SubmitOptions bad_deadline = SmallSubmitOptions();
+  SubmitRequest bad_deadline = SmallRequest(good);
   bad_deadline.deadline_ms = -1.0;
-  EXPECT_FALSE(service.Submit(good, bad_deadline).ok());
+  EXPECT_FALSE(service.Submit(std::move(bad_deadline)).ok());
 
-  SubmitOptions bad_bounds = SmallSubmitOptions();
+  SubmitRequest bad_bounds = SmallRequest(good);
   bad_bounds.iama.initial_bounds = CostVector::Infinite(2);  // Schema is 3.
-  EXPECT_FALSE(service.Submit(good, bad_bounds).ok());
+  EXPECT_FALSE(service.Submit(std::move(bad_bounds)).ok());
 
   ThreadPool pool(1);
-  SubmitOptions injected_pool = SmallSubmitOptions();
+  SubmitRequest injected_pool = SmallRequest(good);
   injected_pool.iama.optimizer.pool = &pool;
-  EXPECT_FALSE(service.Submit(good, injected_pool).ok());
+  EXPECT_FALSE(service.Submit(std::move(injected_pool)).ok());
 
-  SubmitOptions own_threads = SmallSubmitOptions();
+  SubmitRequest own_threads = SmallRequest(good);
   own_threads.iama.optimizer.num_threads = 4;
-  EXPECT_FALSE(service.Submit(good, own_threads).ok());
+  EXPECT_FALSE(service.Submit(std::move(own_threads)).ok());
 
   EXPECT_EQ(service.stats().submitted, 0u);
 }
@@ -333,17 +412,17 @@ TEST(OptimizerServiceTest, WaitOnUnknownIdReturnsInvalidResult) {
 TEST(OptimizerServiceTest, PriorityAndBoundsOptionsComplete) {
   const Workload w = MakeWorkload(/*num_random=*/2);
   OptimizerService service(w.catalog, SmallServiceOptions(2));
-  SubmitOptions high = SmallSubmitOptions();
-  high.priority = 3;
   CostVector bounds = CostVector::Infinite(3);
   bounds[1] = 4.0;
-  high.iama.initial_bounds = bounds;
 
   std::vector<QueryId> ids;
   for (const Query& q : w.queries) {
-    StatusOr<QueryId> id = service.Submit(q, high);
-    ASSERT_TRUE(id.ok());
-    ids.push_back(id.value());
+    SubmitRequest high = SmallRequest(q);
+    high.priority = 3;
+    high.iama.initial_bounds = bounds;
+    StatusOr<SubmitResponse> submitted = service.Submit(std::move(high));
+    ASSERT_TRUE(submitted.ok());
+    ids.push_back(submitted.value().id);
   }
   for (size_t i = 0; i < ids.size(); ++i) {
     const QueryResult result = service.Wait(ids[i]);
@@ -356,12 +435,12 @@ TEST(OptimizerServiceTest, PriorityAndBoundsOptionsComplete) {
 
 TEST(OptimizerServiceTest, DestructionCancelsPendingSessions) {
   const Workload w = MakeWorkload(/*num_random=*/2, /*random_tables=*/5);
-  SubmitOptions submit = SmallSubmitOptions();
-  submit.max_iterations = 1000000;
   // Destroying a service with queued work must neither hang nor crash.
   OptimizerService service(w.catalog, SmallServiceOptions(2));
   for (const Query& q : w.queries) {
-    ASSERT_TRUE(service.Submit(q, submit).ok());
+    SubmitRequest submit = SmallRequest(q);
+    submit.max_iterations = 1000000;
+    ASSERT_TRUE(service.Submit(std::move(submit)).ok());
   }
 }
 
@@ -369,13 +448,13 @@ TEST(OptimizerServiceTest, DestructionUnblocksInFlightWaiters) {
   // A thread blocked in Wait() while the service is destroyed must be
   // drained (observing kCancelled), not left touching freed members.
   const Workload w = MakeWorkload(/*num_random=*/1, /*random_tables=*/5);
-  SubmitOptions submit = SmallSubmitOptions();
+  SubmitRequest submit = SmallRequest(w.queries.back());
   submit.max_iterations = 1000000;
   QueryResult observed;
   std::thread waiter;
   {
     OptimizerService service(w.catalog, SmallServiceOptions(1));
-    const QueryId id = service.Submit(w.queries.back(), submit).value();
+    const QueryId id = service.Submit(std::move(submit)).value().id;
     waiter = std::thread([&] { observed = service.Wait(id); });
     // Race-free: the waiter registers under the service mutex before
     // blocking, so once observed it is pinned through destruction.
@@ -391,7 +470,6 @@ TEST(OptimizerServiceTest, StressManyConcurrentClients) {
   // (cache hits race with fresh runs) while the scheduler steps.
   const Workload w = MakeWorkload(/*num_random=*/2);
   OptimizerService service(w.catalog, SmallServiceOptions(4));
-  const SubmitOptions submit = SmallSubmitOptions(3);
   std::atomic<int> done{0};
   const int kClients = 4;
   const int kPerClient = 6;
@@ -401,11 +479,11 @@ TEST(OptimizerServiceTest, StressManyConcurrentClients) {
       for (int i = 0; i < kPerClient; ++i) {
         // i >= 3 resubmits a query this client already completed, so at
         // least kPerClient - 3 submissions per client must hit the cache.
-        const Query& q = w.queries[i % 3];
-        StatusOr<QueryId> id =
-            service.Submit(q, submit, [](QueryId, const FrontierSnapshot&) {});
-        ASSERT_TRUE(id.ok());
-        const QueryResult r = service.Wait(id.value());
+        SubmitRequest submit = SmallRequest(w.queries[i % 3], 3);
+        submit.observer = [](QueryId, const FrontierSnapshot&) {};
+        StatusOr<SubmitResponse> submitted = service.Submit(std::move(submit));
+        ASSERT_TRUE(submitted.ok());
+        const QueryResult r = service.Wait(submitted.value().id);
         EXPECT_EQ(r.state, QueryState::kDone);
         EXPECT_FALSE(r.frontier.plans.empty());
         ++done;
@@ -429,7 +507,7 @@ TEST(OptimizerServiceTest, StressManyConcurrentClients) {
 // blocker steps normally (tests cancel it to finish).
 class SchedulerGate {
  public:
-  OptimizerService::SnapshotObserver Observer() {
+  SnapshotObserver Observer() {
     return [this](QueryId, const FrontierSnapshot&) {
       std::unique_lock<std::mutex> lock(mu_);
       if (blocked_once_) return;
@@ -458,19 +536,19 @@ class SchedulerGate {
   bool released_ = false;
 };
 
-// Holds a gated service with one shard plus the ids/options shared by the
+// Holds a gated service with one shard plus the ids/request shared by the
 // coalescing tests: a parked blocker, a leader, and (on demand) coalesced
-// duplicates of the leader's query.
+// duplicates of the leader's query. `submit` is the request template for
+// the workload's first query, which every coalescing test submits.
 struct CoalescingRig {
   explicit CoalescingRig(const Workload& w)
-      : submit(SmallSubmitOptions()),
+      : submit(SmallRequest(w.queries.front())),
         iterations(submit.iama.schedule.NumLevels()),
         service(w.catalog, SmallServiceOptions(/*threads=*/1)) {
-    SubmitOptions blocker_submit = SmallSubmitOptions();
+    SubmitRequest blocker_submit = SmallRequest(w.queries.back());
     blocker_submit.max_iterations = 1000000;  // Runs until cancelled.
-    blocker = service.Submit(w.queries.back(), blocker_submit,
-                             gate.Observer())
-                  .value();
+    blocker_submit.observer = gate.Observer();
+    blocker = service.Submit(std::move(blocker_submit)).value().id;
     gate.AwaitEntered();
   }
 
@@ -483,7 +561,7 @@ struct CoalescingRig {
   }
 
   SchedulerGate gate;
-  const SubmitOptions submit;
+  const SubmitRequest submit;
   const int iterations;
   OptimizerService service;
   QueryId blocker = kInvalidQueryId;
@@ -497,16 +575,17 @@ TEST(OptimizerServiceCoalescingTest, DuplicateInFlightSubmitCoalesces) {
 
   std::atomic<int> leader_snaps{0};
   std::atomic<int> dup_snaps{0};
+  SubmitRequest leader_submit = rig.submit;
+  leader_submit.observer = [&](QueryId, const FrontierSnapshot&) {
+    ++leader_snaps;
+  };
   const QueryId leader =
-      rig.service
-          .Submit(q, rig.submit,
-                  [&](QueryId, const FrontierSnapshot&) { ++leader_snaps; })
-          .value();
-  const QueryId dup =
-      rig.service
-          .Submit(q, rig.submit,
-                  [&](QueryId, const FrontierSnapshot&) { ++dup_snaps; })
-          .value();
+      rig.service.Submit(std::move(leader_submit)).value().id;
+  SubmitRequest dup_submit = rig.submit;
+  dup_submit.observer = [&](QueryId, const FrontierSnapshot&) {
+    ++dup_snaps;
+  };
+  const QueryId dup = rig.service.Submit(std::move(dup_submit)).value().id;
   // The duplicate attached to the in-flight leader instead of queueing a
   // second run.
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
@@ -545,8 +624,8 @@ TEST(OptimizerServiceCoalescingTest, FollowerCancelLeavesLeaderUnaffected) {
   CoalescingRig rig(w);
   const Query& q = w.queries.front();
 
-  const QueryId leader = rig.service.Submit(q, rig.submit).value();
-  const QueryId dup = rig.service.Submit(q, rig.submit).value();
+  const QueryId leader = rig.service.Submit(rig.submit).value().id;
+  const QueryId dup = rig.service.Submit(rig.submit).value().id;
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
   // Cancelling the follower detaches it immediately — no turn needed.
   EXPECT_TRUE(rig.service.Cancel(dup));
@@ -573,8 +652,8 @@ TEST(OptimizerServiceCoalescingTest, LeaderCancelHandsOffToFollower) {
   CoalescingRig rig(w);
   const Query& q = w.queries.front();
 
-  const QueryId leader = rig.service.Submit(q, rig.submit).value();
-  const QueryId dup = rig.service.Submit(q, rig.submit).value();
+  const QueryId leader = rig.service.Submit(rig.submit).value().id;
+  const QueryId dup = rig.service.Submit(rig.submit).value().id;
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
   // Cancelling the leader while a follower rides along hands leadership
   // off instead of killing the run.
@@ -609,9 +688,8 @@ TEST(OptimizerServiceCoalescingTest, DuplicateSubmitsRacingCompletion) {
   ServiceOptions opts = SmallServiceOptions(/*threads=*/2);
   opts.num_shards = 2;
   OptimizerService service(w.catalog, opts);
-  const SubmitOptions submit = SmallSubmitOptions(3);
+  const SubmitRequest submit = SmallRequest(w.queries.front(), 3);
   const int iterations = submit.iama.schedule.NumLevels();
-  const Query& q = w.queries.front();
 
   const int kClients = 4;
   const int kPerClient = 8;
@@ -619,9 +697,9 @@ TEST(OptimizerServiceCoalescingTest, DuplicateSubmitsRacingCompletion) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&] {
       for (int i = 0; i < kPerClient; ++i) {
-        StatusOr<QueryId> id = service.Submit(q, submit);
-        ASSERT_TRUE(id.ok());
-        const QueryResult r = service.Wait(id.value());
+        StatusOr<SubmitResponse> submitted = service.Submit(submit);
+        ASSERT_TRUE(submitted.ok());
+        const QueryResult r = service.Wait(submitted.value().id);
         EXPECT_EQ(r.state, QueryState::kDone);
         EXPECT_EQ(r.iterations, iterations);
         EXPECT_FALSE(r.frontier.plans.empty());
@@ -643,12 +721,11 @@ TEST(OptimizerServiceCoalescingTest, DuplicateSubmitsRacingCompletion) {
 TEST(OptimizerServiceCoalescingTest, ExpiredFollowerKeepsRunAlive) {
   const Workload w = MakeWorkload(/*num_random=*/1, /*random_tables=*/4);
   CoalescingRig rig(w);
-  const Query& q = w.queries.front();
 
-  const QueryId leader = rig.service.Submit(q, rig.submit).value();
-  SubmitOptions hurried = rig.submit;
+  const QueryId leader = rig.service.Submit(rig.submit).value().id;
+  SubmitRequest hurried = rig.submit;
   hurried.deadline_ms = 1e-6;  // Expires before the run's first turn.
-  const QueryId dup = rig.service.Submit(q, hurried).value();
+  const QueryId dup = rig.service.Submit(std::move(hurried)).value().id;
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
 
   const int blocker_steps = rig.ReleaseAndFinishBlocker();
@@ -669,25 +746,25 @@ TEST(OptimizerServiceCoalescingTest, MidTurnExpiredFollowerDoesNotRideToDone) {
   // completes the run — not be finalized kDone alongside the leader.
   const Workload w = MakeWorkload(/*num_random=*/0);
   OptimizerService service(w.catalog, SmallServiceOptions(1));
-  SubmitOptions submit = SmallSubmitOptions();
+  const Query& q = w.queries.front();
+  SubmitRequest submit = SmallRequest(q);
   const int iterations = submit.iama.schedule.NumLevels();
   submit.priority = iterations;  // The whole run is one scheduler turn.
-  const Query& q = w.queries.front();
 
-  SubmitOptions hurried = SmallSubmitOptions();
+  SubmitRequest hurried = SmallRequest(q);
   hurried.deadline_ms = 1e-6;  // Expired by the first boundary.
   std::atomic<QueryId> follower{kInvalidQueryId};
-  StatusOr<QueryId> leader = service.Submit(
-      q, submit, [&](QueryId, const FrontierSnapshot& s) {
-        if (s.iteration == 1) {  // Mid-turn: the run is being stepped.
-          StatusOr<QueryId> dup = service.Submit(q, hurried);
-          ASSERT_TRUE(dup.ok());
-          follower.store(dup.value());
-        }
-      });
+  submit.observer = [&](QueryId, const FrontierSnapshot& s) {
+    if (s.iteration == 1) {  // Mid-turn: the run is being stepped.
+      StatusOr<SubmitResponse> dup = service.Submit(hurried);
+      ASSERT_TRUE(dup.ok());
+      follower.store(dup.value().id);
+    }
+  };
+  StatusOr<SubmitResponse> leader = service.Submit(std::move(submit));
   ASSERT_TRUE(leader.ok());
 
-  const QueryResult rl = service.Wait(leader.value());
+  const QueryResult rl = service.Wait(leader.value().id);
   EXPECT_EQ(rl.state, QueryState::kDone);
   EXPECT_EQ(rl.iterations, iterations);
   ASSERT_NE(follower.load(), kInvalidQueryId);
@@ -708,7 +785,7 @@ TEST(OptimizerServiceApplyBoundsTest, RejectsUnknownIdsAndBadDimensions) {
             StatusCode::kNotFound);
   // Finished id (cache hits finish inside Submit).
   const QueryId done =
-      service.Submit(w.queries.front(), SmallSubmitOptions()).value();
+      service.Submit(SmallRequest(w.queries.front())).value().id;
   service.Wait(done);
   EXPECT_EQ(service.ApplyBounds(done, CostVector::Infinite(3)).code(),
             StatusCode::kNotFound);
@@ -719,7 +796,7 @@ TEST(OptimizerServiceApplyBoundsTest, TightensInFlightRunAndSkipsCache) {
   CoalescingRig rig(w);
   const Query& q = w.queries.front();
 
-  const QueryId id = rig.service.Submit(q, rig.submit).value();
+  const QueryId id = rig.service.Submit(rig.submit).value().id;
   // Dimension mismatch is rejected while the query is live.
   EXPECT_EQ(rig.service.ApplyBounds(id, CostVector::Infinite(2)).code(),
             StatusCode::kInvalidArgument);
@@ -736,7 +813,7 @@ TEST(OptimizerServiceApplyBoundsTest, TightensInFlightRunAndSkipsCache) {
   // identical submission re-optimizes and gets the canonical, unbounded
   // frontier.
   const QueryResult again =
-      rig.service.Wait(rig.service.Submit(q, rig.submit).value());
+      rig.service.Wait(rig.service.Submit(rig.submit).value().id);
   EXPECT_FALSE(again.from_cache);
   EXPECT_FALSE(again.coalesced);
   const FrontierSnapshot reference =
@@ -753,24 +830,23 @@ TEST(OptimizerServiceApplyBoundsTest, BoundsOnFinalStepAreNotDropped) {
   // and steps at least once under them before finishing.
   const Workload w = MakeWorkload(/*num_random=*/0);
   OptimizerService service(w.catalog, SmallServiceOptions(1));
-  const SubmitOptions submit = SmallSubmitOptions();
+  SubmitRequest submit = SmallRequest(w.queries.front());
   const int iterations = submit.iama.schedule.NumLevels();
-  const Query& q = w.queries.front();
 
   CostVector bounds = CostVector::Infinite(3);
   bounds[1] = 4.0;
   std::atomic<int> snaps{0};
   std::atomic<bool> fired{false};
   Status applied = Status::OK();  // Ordered by Wait()'s mutex round trip.
-  StatusOr<QueryId> id = service.Submit(
-      q, submit, [&](QueryId qid, const FrontierSnapshot& s) {
-        ++snaps;
-        if (s.iteration == iterations && !fired.exchange(true)) {
-          applied = service.ApplyBounds(qid, bounds);
-        }
-      });
-  ASSERT_TRUE(id.ok());
-  const QueryResult r = service.Wait(id.value());
+  submit.observer = [&](QueryId qid, const FrontierSnapshot& s) {
+    ++snaps;
+    if (s.iteration == iterations && !fired.exchange(true)) {
+      applied = service.ApplyBounds(qid, bounds);
+    }
+  };
+  StatusOr<SubmitResponse> submitted = service.Submit(std::move(submit));
+  ASSERT_TRUE(submitted.ok());
+  const QueryResult r = service.Wait(submitted.value().id);
   ASSERT_TRUE(fired.load());
   EXPECT_TRUE(applied.ok()) << applied.ToString();
   EXPECT_EQ(r.state, QueryState::kDone);
@@ -785,8 +861,8 @@ TEST(OptimizerServiceApplyBoundsTest, FollowerBoundsApplyToSharedRun) {
   CoalescingRig rig(w);
   const Query& q = w.queries.front();
 
-  const QueryId leader = rig.service.Submit(q, rig.submit).value();
-  const QueryId dup = rig.service.Submit(q, rig.submit).value();
+  const QueryId leader = rig.service.Submit(rig.submit).value().id;
+  const QueryId dup = rig.service.Submit(rig.submit).value().id;
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
   // A coalesced run is one shared interactive session: a follower's
   // bounds drag re-bounds it for every rider and diverges it.
@@ -795,7 +871,7 @@ TEST(OptimizerServiceApplyBoundsTest, FollowerBoundsApplyToSharedRun) {
   ASSERT_TRUE(rig.service.ApplyBounds(dup, bounds).ok());
   // The diverged run stops accepting new followers: a third duplicate
   // starts a fresh run of its own.
-  const QueryId fresh = rig.service.Submit(q, rig.submit).value();
+  const QueryId fresh = rig.service.Submit(rig.submit).value().id;
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
 
   rig.ReleaseAndFinishBlocker();
@@ -833,14 +909,14 @@ TEST(OptimizerServiceShardingTest, IdleShardsStealQueuedRuns) {
   opts.coalesce_in_flight = false;
   opts.frontier_cache_capacity = 0;  // Every submission optimizes.
   OptimizerService service(w.catalog, opts);
-  const SubmitOptions submit = SmallSubmitOptions();
-  const int iterations = submit.iama.schedule.NumLevels();
   const Query& q = w.queries.front();
+  const SubmitRequest submit = SmallRequest(q);
+  const int iterations = submit.iama.schedule.NumLevels();
 
   const int kRuns = 16;
   std::vector<QueryId> ids;
   for (int i = 0; i < kRuns; ++i) {
-    ids.push_back(service.Submit(q, submit).value());
+    ids.push_back(service.Submit(submit).value().id);
   }
   const FrontierSnapshot reference = SequentialFinalSnapshot(
       q, w.catalog, SmallServiceOptions(1), submit.iama, iterations);
@@ -870,19 +946,19 @@ void ExpectRefreshReoptimizesOnNewCatalog(int shards) {
   Workload w = MakeWorkload(/*num_random=*/0);
   ServiceOptions service_opts = SmallServiceOptions(/*threads=*/2);
   service_opts.num_shards = shards;
-  const SubmitOptions submit = SmallSubmitOptions();
-  const int iterations = submit.iama.schedule.NumLevels();
   const Query& q = w.queries.front();
+  const SubmitRequest submit = SmallRequest(q);
+  const int iterations = submit.iama.schedule.NumLevels();
   const Catalog old_catalog = w.catalog;  // Pre-drift statistics.
 
   OptimizerService service(w.catalog, service_opts);
   const uint64_t v0 = service.catalog_version();
   EXPECT_EQ(v0, old_catalog.version());
 
-  const QueryResult r1 = service.Wait(service.Submit(q, submit).value());
+  const QueryResult r1 = service.Wait(service.Submit(submit).value().id);
   ASSERT_EQ(r1.state, QueryState::kDone);
   EXPECT_EQ(r1.catalog_version, v0);
-  const QueryResult r2 = service.Wait(service.Submit(q, submit).value());
+  const QueryResult r2 = service.Wait(service.Submit(submit).value().id);
   EXPECT_TRUE(r2.from_cache);
   EXPECT_EQ(r2.catalog_version, v0);
 
@@ -895,7 +971,7 @@ void ExpectRefreshReoptimizesOnNewCatalog(int shards) {
                                w.catalog.Get(drifted).cardinality * 64.0)
                   .ok());
   const QueryResult still_old =
-      service.Wait(service.Submit(q, submit).value());
+      service.Wait(service.Submit(submit).value().id);
   EXPECT_TRUE(still_old.from_cache);
   EXPECT_EQ(still_old.catalog_version, v0);
 
@@ -906,7 +982,7 @@ void ExpectRefreshReoptimizesOnNewCatalog(int shards) {
 
   // Resubmission re-optimizes on the new statistics.
   const uint64_t steps_before = service.stats().steps_executed;
-  const QueryResult r3 = service.Wait(service.Submit(q, submit).value());
+  const QueryResult r3 = service.Wait(service.Submit(submit).value().id);
   ASSERT_EQ(r3.state, QueryState::kDone);
   EXPECT_FALSE(r3.from_cache);
   EXPECT_FALSE(r3.coalesced);
@@ -927,7 +1003,7 @@ void ExpectRefreshReoptimizesOnNewCatalog(int shards) {
             FrontierSignature(new_reference.plans));
 
   // The new-generation frontier is cacheable as usual.
-  const QueryResult r4 = service.Wait(service.Submit(q, submit).value());
+  const QueryResult r4 = service.Wait(service.Submit(submit).value().id);
   EXPECT_TRUE(r4.from_cache);
   EXPECT_EQ(r4.catalog_version, v1);
   ASSERT_EQ(FrontierSignature(r4.frontier.plans),
@@ -958,7 +1034,7 @@ TEST(OptimizerServiceRefreshTest, LiveRunFinishesOnPinnedSnapshot) {
   const uint64_t v0 = rig.service.catalog_version();
 
   // Admitted (and pinned) pre-refresh; queued behind the blocker.
-  const QueryId pinned = rig.service.Submit(q, rig.submit).value();
+  const QueryId pinned = rig.service.Submit(rig.submit).value().id;
 
   const TableId drifted = q.tables.front().table;
   ASSERT_TRUE(w.catalog
@@ -970,7 +1046,7 @@ TEST(OptimizerServiceRefreshTest, LiveRunFinishesOnPinnedSnapshot) {
 
   // A post-refresh duplicate must NOT coalesce onto the stale run: it
   // would get old-catalog results under a new-catalog admission.
-  const QueryId fresh = rig.service.Submit(q, rig.submit).value();
+  const QueryId fresh = rig.service.Submit(rig.submit).value().id;
   EXPECT_EQ(rig.service.stats().coalesced, 0u);
 
   rig.ReleaseAndFinishBlocker();
@@ -1002,7 +1078,7 @@ TEST(OptimizerServiceRefreshTest, LiveRunFinishesOnPinnedSnapshot) {
   // The stale run never filled the cache: only the fresh run's entry is
   // servable, and it carries the new version.
   const QueryResult again =
-      rig.service.Wait(rig.service.Submit(q, rig.submit).value());
+      rig.service.Wait(rig.service.Submit(rig.submit).value().id);
   EXPECT_TRUE(again.from_cache);
   EXPECT_EQ(again.catalog_version, v1);
   ASSERT_EQ(FrontierSignature(again.frontier.plans),
@@ -1012,16 +1088,15 @@ TEST(OptimizerServiceRefreshTest, LiveRunFinishesOnPinnedSnapshot) {
 TEST(OptimizerServiceRefreshTest, RefreshWithoutMutationIsANoOp) {
   Workload w = MakeWorkload(/*num_random=*/0);
   OptimizerService service(w.catalog, SmallServiceOptions(1));
-  const SubmitOptions submit = SmallSubmitOptions();
-  const Query& q = w.queries.front();
+  const SubmitRequest submit = SmallRequest(w.queries.front());
   const uint64_t v0 = service.catalog_version();
-  const QueryResult r1 = service.Wait(service.Submit(q, submit).value());
+  const QueryResult r1 = service.Wait(service.Submit(submit).value().id);
   ASSERT_EQ(r1.state, QueryState::kDone);
   // No catalog mutation happened: the refresh keeps version, cache, and
   // counters untouched.
   EXPECT_EQ(service.RefreshCatalog(), v0);
   EXPECT_EQ(service.stats().catalog_refreshes, 0u);
-  const QueryResult r2 = service.Wait(service.Submit(q, submit).value());
+  const QueryResult r2 = service.Wait(service.Submit(submit).value().id);
   EXPECT_TRUE(r2.from_cache);
   EXPECT_EQ(r2.catalog_version, v0);
 }
@@ -1029,7 +1104,7 @@ TEST(OptimizerServiceRefreshTest, RefreshWithoutMutationIsANoOp) {
 TEST(CanonicalQueryKeyTest, IgnoresNamesAliasesAndJoinOrientation) {
   const Catalog catalog = MakeTpchCatalog();
   const Query q = TpchQueryBlocks(catalog).front();
-  const SubmitOptions submit = SmallSubmitOptions();
+  const SubmitRequest submit = SmallRequest(q);
   const MetricSchema schema = MetricSchema::Standard3();
   const uint64_t version = catalog.version();
   const std::string base = CanonicalQueryKey(q, schema, submit, version);
@@ -1048,7 +1123,7 @@ TEST(CanonicalQueryKeyTest, DistinguishesResultAffectingChanges) {
   const Catalog catalog = MakeTpchCatalog();
   const std::vector<Query> blocks = TpchQueryBlocks(catalog);
   const Query q = blocks.front();
-  const SubmitOptions submit = SmallSubmitOptions();
+  const SubmitRequest submit = SmallRequest(q);
   const MetricSchema schema = MetricSchema::Standard3();
   const uint64_t version = catalog.version();
   const std::string base = CanonicalQueryKey(q, schema, submit, version);
@@ -1057,15 +1132,15 @@ TEST(CanonicalQueryKeyTest, DistinguishesResultAffectingChanges) {
   different_sel.tables[0].predicate_selectivity *= 0.5;
   EXPECT_NE(CanonicalQueryKey(different_sel, schema, submit, version), base);
 
-  SubmitOptions finer = submit;
+  SubmitRequest finer = submit;
   finer.iama.schedule = ResolutionSchedule(7, 1.02, 0.3);
   EXPECT_NE(CanonicalQueryKey(q, schema, finer, version), base);
 
-  SubmitOptions bounded = submit;
+  SubmitRequest bounded = submit;
   bounded.iama.initial_bounds = CostVector::Infinite(3);
   EXPECT_NE(CanonicalQueryKey(q, schema, bounded, version), base);
 
-  SubmitOptions more_iters = submit;
+  SubmitRequest more_iters = submit;
   more_iters.max_iterations = 11;
   EXPECT_NE(CanonicalQueryKey(q, schema, more_iters, version), base);
 
