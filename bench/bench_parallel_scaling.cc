@@ -9,7 +9,7 @@
 // For each (workload, threads) cell the full refinement series r = 0..rM
 // is run and the total wall time reported, plus the speedup against the
 // 1-thread run of the same workload. Frontier equivalence between the
-// runs is guaranteed by design (see OptimizerOptions::num_threads) and
+// runs is guaranteed by design (see OptimizerOptions::pool) and
 // asserted in parallel_optimizer_test; this binary only measures time.
 //
 // Usage: bench_parallel_scaling [max_threads] [--full]   (default: 8)

@@ -28,6 +28,7 @@
 #include "core/iama.h"
 #include "plan/plan_printer.h"
 #include "query/tpch_queries.h"
+#include "util/thread_pool.h"
 #include "viz/frontier_view.h"
 
 using namespace moqo;
@@ -89,9 +90,10 @@ int main(int argc, char** argv) {
 
   const MetricSchema schema = MetricSchema::Standard3();
   const PlanFactory factory(query, catalog, schema);
+  ThreadPool pool(num_threads);
   IamaOptions options;
   options.schedule = ResolutionSchedule(12, 1.01, 0.2);
-  options.optimizer.num_threads = num_threads;
+  options.optimizer.pool = &pool;
   IamaSession session(factory, options);
 
   std::printf(

@@ -37,10 +37,10 @@
 //                      live bytes exceed it, the oldest fragments are
 //                      dropped (demotion-to-drop) so a long-running
 //                      daemon's disk footprint stays bounded (0 = off)
-//   --fsync MODE       fragment-log durability: none (default; mmap'd
-//                      pages survive process death regardless), interval
-//                      (msync on a periodic tick of the write-behind
-//                      thread), always (msync every append)
+//   --fsync MODE       fragment-log durability: none (default; written
+//                      bytes survive process death regardless), interval
+//                      (fdatasync on a periodic tick of the write-behind
+//                      thread), always (fdatasync every append)
 //
 
 // Prints exactly one line "optimizerd: listening on HOST:PORT" once
@@ -202,14 +202,21 @@ int main(int argc, char** argv) {
 
   const ServiceStats stats = service.stats();
   if (!service_options.fragment_store_path.empty()) {
+    // Same DEGRADED suffix as the replay line: a cold tier that failed
+    // mid-run (a full disk, say) is visible outside the process.
+    const Status cold = service.fragment_store() != nullptr
+                            ? service.fragment_store()->cold_status()
+                            : Status::OK();
     std::printf(
         "optimizerd: store publishes %llu, cold hits %llu, promotions %llu, "
-        "demotions %llu, compactions %llu\n",
+        "demotions %llu, compactions %llu%s%s\n",
         static_cast<unsigned long long>(stats.fragment_publishes),
         static_cast<unsigned long long>(stats.fragment_cold_hits),
         static_cast<unsigned long long>(stats.fragment_promotions),
         static_cast<unsigned long long>(stats.fragment_demotions),
-        static_cast<unsigned long long>(stats.fragment_compactions));
+        static_cast<unsigned long long>(stats.fragment_compactions),
+        cold.ok() ? "" : ", DEGRADED: ",
+        cold.ok() ? "" : cold.ToString().c_str());
   }
   std::printf(
       "optimizerd: drained. submitted %llu, completed %llu, cancelled %llu, "

@@ -89,18 +89,7 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
       cand_(factory.NumTables(), factory.cost_model().schema().dims(),
             options.cell_gamma) {
   counters_.track_per_plan = options_.track_per_plan_counters;
-  // Option validation: a non-positive thread count is a caller bug, and
-  // when both an external pool and num_threads > 1 are given the pool
-  // wins — many optimizers may share one injected pool (the service
-  // layer does exactly that), and spawning a second, owned pool per
-  // optimizer behind the caller's back must be impossible.
-  MOQO_CHECK(options_.num_threads >= 1);
-  if (options_.pool != nullptr) {
-    pool_ = options_.pool;
-  } else if (options_.num_threads > 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    pool_ = owned_pool_.get();
-  }
+  pool_ = options_.pool;
 
   const int n = factory_.NumTables();
   // Precompute the connected table subsets, grouped by size; the DP in
@@ -298,7 +287,7 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
   Phase2(bounds, resolution);
 }
 
-// Phase 2 (see OptimizerOptions::num_threads). Per level k:
+// Phase 2 (see OptimizerOptions::pool). Per level k:
 //   1. the main thread Collects every connected subset of size k-1 into a
 //      cache (sizes < k-1 are already cached: plans inserted at level j go
 //      only into size-j sets, so earlier collections stay valid for the

@@ -57,9 +57,11 @@ struct OptimizerOptions {
   // guarantees are order-independent, so this is purely a performance
   // lever (ablated in bench_prune_design).
   bool sorted_pruning = true;
-  // Number of threads used by phase 2 (fresh plan generation). Must be
-  // >= 1 (CHECKed by the optimizer constructor); 1 (the default) runs
-  // phase 2's per-cell work inline on the calling thread.
+  // Externally owned pool for phase 2 (fresh plan generation); null
+  // (the default) runs phase 2's per-cell work inline on the calling
+  // thread. Callers can share one pool across optimizers (or keep thread
+  // spawning out of timed regions). Must outlive the optimizer; only the
+  // optimizer's thread may Optimize.
   //
   // Phase 2 shards the connected table subsets (cells) of each
   // cardinality level k across a fixed pool of workers and joins them at
@@ -72,18 +74,9 @@ struct OptimizerOptions {
   // cell. After the barrier the main thread walks the cells in canonical
   // order, marks the fresh pairs, appends only the survivors to the plan
   // arena in judge order and patches their ids. Arenas are therefore
-  // identical at every thread count, and the result frontiers are
-  // bit-identical to the num_threads=1 run (Theorems 1-2 are untouched;
+  // identical at every pool size, and the result frontiers are
+  // bit-identical to the inline run (Theorems 1-2 are untouched;
   // parallel_optimizer_test asserts the equivalence).
-  int num_threads = 1;
-  // Optional externally owned pool. When set it is used instead of
-  // spawning num_threads workers — callers can share one pool across
-  // optimizers (or keep thread spawning out of timed regions). Must
-  // outlive the optimizer; only the optimizer's thread may Optimize.
-  // If both `pool` and `num_threads > 1` are set, the pool wins: the
-  // optimizer never spawns its own workers next to an injected pool
-  // (num_threads is ignored; observable via IncrementalOptimizer::pool()
-  // / owns_pool(), pinned by edge_cases_test).
   ThreadPool* pool = nullptr;
   // Cross-query plan-fragment sharing (docs/FRAGMENT_SHARING.md). When
   // set, the constructor offers every connected table subset with >= 2
@@ -131,11 +124,6 @@ class IncrementalOptimizer {
                                                int resolution) const;
 
   const PlanFactory& factory() const { return factory_; }
-  // The pool phase 2 runs on: the injected options.pool if given, else
-  // the owned pool spawned for num_threads > 1, else null (inline).
-  // Lets callers and tests pin the pool-wins contract.
-  const ThreadPool* pool() const { return pool_; }
-  bool owns_pool() const { return owned_pool_ != nullptr; }
   // Swaps the injected pool phase 2 runs on; `pool` may be null (phase 2
   // then runs inline). For serving layers whose schedulers step one
   // optimizer from different threads over its lifetime (work stealing):
@@ -143,13 +131,9 @@ class IncrementalOptimizer {
   // before Optimize, so no pool ever sees two concurrent ParallelFor
   // callers.
   // Only legal between invocations, from the thread driving the
-  // optimizer, and only on optimizers that do not own their pool.
-  // Thread counts never affect results, so rebinding never changes
-  // frontiers.
-  void RebindPool(ThreadPool* pool) {
-    MOQO_CHECK(owned_pool_ == nullptr);
-    pool_ = pool;
-  }
+  // optimizer. Thread counts never affect results, so rebinding never
+  // changes frontiers.
+  void RebindPool(ThreadPool* pool) { pool_ = pool; }
   const PlanArena& arena() const { return arena_; }
   const ResolutionSchedule& schedule() const { return schedule_; }
   const Counters& counters() const { return counters_; }
@@ -259,9 +243,8 @@ class IncrementalOptimizer {
   bool first_optimize_done_ = false;
   // All connected table subsets, grouped by cardinality (precomputed).
   std::vector<std::vector<TableSet>> connected_by_size_;
-  // Worker pool for the parallel phase 2: the external options_.pool if
-  // given, else owned_pool_; null when running single-threaded.
-  std::unique_ptr<ThreadPool> owned_pool_;
+  // Worker pool for the parallel phase 2 (options_.pool until rebound);
+  // null when running single-threaded.
   ThreadPool* pool_ = nullptr;
   // Per-invocation cache of Collect() results by table-set mask, reused
   // across Phase2 calls to avoid re-allocating 2^n vectors.

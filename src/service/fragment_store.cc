@@ -1,7 +1,6 @@
 #include "service/fragment_store.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -34,54 +33,63 @@ constexpr int kExternalOrderBase = 128;
 // block) on top of the key string and the fragment payload.
 constexpr size_t kEntryOverheadBytes = 128;
 
-// Log-record framing overhead (u32 length + u32 crc) plus the type byte;
-// a cold Entry's payload starts this far into its framed record.
-constexpr size_t kLogHeaderBytes = 9;
-
-// Initial/minimum mmap'd capacity of the persistence log. The file is
-// grown by doubling (ftruncate + remap) and trimmed back to its used
-// length on clean shutdown.
-constexpr size_t kMinLogCapacityBytes = 64 * 1024;
+// Log-record framing (u32 length + u32 crc), then the type byte; a cold
+// Entry's payload starts kLogHeaderBytes into its framed record.
+constexpr size_t kLogFrameBytes = 8;
+constexpr size_t kLogHeaderBytes = kLogFrameBytes + 1;
 
 Status ErrnoStatus(const char* op, const std::string& path) {
   return Status::Internal(std::string(op) + " " + path + ": " +
                           std::strerror(errno));
 }
 
-// write() the whole buffer, retrying on EINTR and short writes.
-bool WriteAll(int fd, const char* data, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
+// Runs `io` (::pread or ::pwrite) over the whole range, retrying on
+// EINTR and short transfers. A transfer that makes no progress (a read
+// at end of file) fails with EIO.
+template <typename Io, typename Ptr>
+bool TransferAll(Io io, int fd, Ptr data, size_t size, size_t offset) {
+  while (size > 0) {
+    const ssize_t n = io(fd, data, size, static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      if (n == 0) errno = EIO;
       return false;
     }
-    done += static_cast<size_t>(n);
+    data += n;
+    size -= static_cast<size_t>(n);
+    offset += static_cast<size_t>(n);
   }
   return true;
+}
+
+// Reads the framed record at `offset` (with `avail` bytes left in the
+// file) into `*framed`: the frame header, then as much of the body as
+// the header claims and the file holds. ParseLogRecord judges the
+// result, so a torn or corrupt header simply reads no body.
+bool ReadRecordAt(int fd, size_t offset, size_t avail, std::string* framed) {
+  framed->resize(std::min(kLogFrameBytes, avail));
+  if (!TransferAll(::pread, fd, &(*framed)[0], framed->size(), offset)) {
+    return false;
+  }
+  uint32_t len = 0;
+  if (framed->size() == kLogFrameBytes) std::memcpy(&len, framed->data(), 4);
+  if (len == 0 || len > kMaxFragmentRecordBytes) return true;
+  framed->resize(std::min(kLogFrameBytes + len, avail));
+  return TransferAll(::pread, fd, &(*framed)[kLogFrameBytes],
+                     framed->size() - kLogFrameBytes,
+                     offset + kLogFrameBytes);
 }
 
 }  // namespace
 
 // --- FragmentStore ----------------------------------------------------------
 
-struct FragmentStore::Shard {
-  using LruList =
-      std::list<std::pair<std::string, std::shared_ptr<const StoredFragment>>>;
-
-  std::mutex mu;
-  LruList lru;  // Front = most recently used.
-  std::unordered_map<std::string, LruList::iterator> index;
-  size_t bytes = 0;
-};
-
-// The cold tier: an append-only log of framed codec records, mmap'd
-// MAP_SHARED so appended bytes survive SIGKILL without an explicit
-// flush, plus an in-memory index over the live fragment records. All
-// fields are guarded by `mu` after construction (OpenAndReplay runs
-// single-threaded in the ctor). The background worker is the only
-// appender; Lookup only reads record bytes and drops stale entries.
+// The cold tier: one plain append-only file of framed codec records,
+// written with pwrite at its end and read with pread, plus an in-memory
+// index over the live fragment records. All fields are guarded by `mu`
+// after construction (OpenAndReplay runs single-threaded in the ctor).
+// The background worker is the only appender; Lookup only reads record
+// bytes and drops stale entries.
 struct FragmentStore::Cold {
   struct Entry {
     size_t offset = 0;   // Framed record start within the log.
@@ -93,9 +101,8 @@ struct FragmentStore::Cold {
   mutable std::mutex mu;
   Status status;  // Sticky first I/O error; cold tier is dead when !ok().
   int fd = -1;
-  char* map = nullptr;
-  size_t map_len = 0;  // mmap'd capacity == file size (until final trim).
-  size_t used = 0;     // Append offset; bytes beyond are zeroed capacity.
+  size_t used = 0;     // Log length == append offset.
+  bool dirty = false;  // Bytes appended since the last fdatasync.
   std::unordered_map<std::string, Entry> index;
   size_t dead_bytes = 0;  // Superseded/stale/skipped framed bytes.
   size_t last_epoch_record_bytes = 0;  // Latest epoch record (live bytes).
@@ -107,18 +114,10 @@ struct FragmentStore::Cold {
   uint64_t replayed = 0;
   size_t torn_bytes = 0;
   uint64_t budget_dropped = 0;  // Live entries dropped by the byte budget.
-  uint64_t syncs = 0;           // msync calls (fsync policy).
-  size_t synced_used = 0;       // Log bytes already pushed to stable storage.
+  uint64_t syncs = 0;           // fdatasync calls (fsync policy).
 };
 
 FragmentStore::FragmentStore(Options options) : options_(std::move(options)) {
-  MOQO_CHECK(options_.num_shards >= 1);
-  shard_capacity_ =
-      options_.capacity_bytes / static_cast<size_t>(options_.num_shards);
-  shards_.reserve(static_cast<size_t>(options_.num_shards));
-  for (int i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   options_.compact_dead_fraction =
       std::min(1.0, std::max(0.05, options_.compact_dead_fraction));
   options_.fsync_interval_ms = std::max(1, options_.fsync_interval_ms);
@@ -141,42 +140,26 @@ FragmentStore::~FragmentStore() {
     queue_cv_.notify_all();
     worker_.join();  // The worker drains the queue before exiting.
   }
-  if (cold_ != nullptr) {
-    std::lock_guard<std::mutex> lock(cold_->mu);
-    if (cold_->map != nullptr) ::munmap(cold_->map, cold_->map_len);
-    if (cold_->fd >= 0) {
-      // Trim growth capacity (and any zeroed torn tail) so a clean
-      // shutdown leaves a log that is exactly its records.
-      if (::ftruncate(cold_->fd, static_cast<off_t>(cold_->used)) != 0) {
-        // Best-effort: an untrimmed tail replays as zero bytes.
-      }
-      ::close(cold_->fd);
-    }
-  }
-}
-
-FragmentStore::Shard& FragmentStore::ShardFor(const std::string& key) {
-  return *shards_[Fnv1a64(key) % shards_.size()];
+  if (cold_ != nullptr && cold_->fd >= 0) ::close(cold_->fd);
 }
 
 bool FragmentStore::HotInsert(const std::string& key,
                               std::shared_ptr<const StoredFragment> fragment,
                               bool count_publish) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard_capacity_ == 0) {
+  std::lock_guard<std::mutex> lock(hot_mu_);
+  if (options_.capacity_bytes == 0) {
     if (count_publish) publish_ignored_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   const size_t entry_bytes =
       key.size() + fragment->ApproxBytes() + kEntryOverheadBytes;
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+  auto it = hot_index_.find(key);
+  if (it != hot_index_.end()) {
     // Replace only with a strictly finer run; a coarser or equal
     // publication carries no new information (prefix property).
     if (it->second->second->resolution_complete >=
         fragment->resolution_complete) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      lru_.splice(lru_.begin(), lru_, it->second);
       if (count_publish) {
         publish_ignored_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -184,27 +167,27 @@ bool FragmentStore::HotInsert(const std::string& key,
     }
     // Release the replaced entry's bytes before charging the new ones —
     // replacement must never inflate the gauge past the budget.
-    shard.bytes -= key.size() + it->second->second->ApproxBytes() +
-                   kEntryOverheadBytes;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+    hot_bytes_ -= key.size() + it->second->second->ApproxBytes() +
+                  kEntryOverheadBytes;
+    lru_.erase(it->second);
+    hot_index_.erase(it);
   }
-  shard.lru.emplace_front(key, std::move(fragment));
-  shard.index.emplace(key, shard.lru.begin());
-  shard.bytes += entry_bytes;
+  lru_.emplace_front(key, std::move(fragment));
+  hot_index_.emplace(key, lru_.begin());
+  hot_bytes_ += entry_bytes;
   if (count_publish) publishes_.fetch_add(1, std::memory_order_relaxed);
   // Enforce the byte budget from the LRU tail. A fragment larger than
-  // the whole shard budget evicts everything including itself — the
-  // store never over-retains. With a healthy cold tier every eviction is
-  // a demotion: publish is write-behind, so the victim is already in the
+  // the whole budget evicts everything including itself — the store
+  // never over-retains. With a healthy cold tier every eviction is a
+  // demotion: publish is write-behind, so the victim is already in the
   // log (or in the queue ahead of any future reader's miss).
   const bool demote = cold_active_.load(std::memory_order_relaxed);
-  while (shard.bytes > shard_capacity_ && !shard.lru.empty()) {
-    const auto& victim = shard.lru.back();
-    shard.bytes -= victim.first.size() + victim.second->ApproxBytes() +
-                   kEntryOverheadBytes;
-    shard.index.erase(victim.first);
-    shard.lru.pop_back();
+  while (hot_bytes_ > options_.capacity_bytes && !lru_.empty()) {
+    const auto& victim = lru_.back();
+    hot_bytes_ -= victim.first.size() + victim.second->ApproxBytes() +
+                  kEntryOverheadBytes;
+    hot_index_.erase(victim.first);
+    lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
     if (demote) demotions_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -214,18 +197,17 @@ bool FragmentStore::HotInsert(const std::string& key,
 std::shared_ptr<const StoredFragment> FragmentStore::Lookup(
     const std::string& key, int min_resolution) {
   {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end() &&
+    std::lock_guard<std::mutex> lock(hot_mu_);
+    auto it = hot_index_.find(key);
+    if (it != hot_index_.end() &&
         it->second->second->resolution_complete >= min_resolution) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      lru_.splice(lru_.begin(), lru_, it->second);
       hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second->second;
     }
   }
-  // Hot miss: consult the cold tier. Record bytes are copied out under
-  // the cold mutex (compaction may move the log underneath) and decoded
+  // Hot miss: consult the cold tier. Record bytes are read under the
+  // cold mutex (compaction may swap the file underneath) and decoded
   // outside it.
   const uint64_t current_epoch = epoch_.load(std::memory_order_relaxed);
   std::string payload;
@@ -242,10 +224,11 @@ std::shared_ptr<const StoredFragment> FragmentStore::Lookup(
         cold_->stale_dropped += 1;
         cold_->index.erase(it);
       } else if (e.resolution >= min_resolution) {
-        payload.assign(cold_->map + e.offset + kLogHeaderBytes,
-                       e.bytes - kLogHeaderBytes);
+        payload.resize(e.bytes - kLogHeaderBytes);
         entry_offset = e.offset;
-        have_record = true;
+        have_record = TransferAll(::pread, cold_->fd, &payload[0],
+                                  payload.size(), e.offset + kLogHeaderBytes);
+        if (!have_record) FailColdLocked("pread", options_.store_path);
       }
     }
   }
@@ -288,7 +271,7 @@ void FragmentStore::Publish(const std::string& key,
   // configuration, where the zero hot budget rejects everything) heads
   // to the log. The worker re-checks the cold index, so a fragment the
   // log already holds at equal-or-finer resolution appends nothing.
-  if ((inserted || shard_capacity_ == 0) &&
+  if ((inserted || options_.capacity_bytes == 0) &&
       cold_active_.load(std::memory_order_acquire)) {
     WriteTask task;
     task.epoch = epoch_.load(std::memory_order_relaxed);
@@ -342,7 +325,7 @@ void FragmentStore::WorkerLoop() {
       std::unique_lock<std::mutex> lock(queue_mu_);
       if (interval_sync) {
         // The sync tick rides the queue wait: wake on work, stop, or the
-        // interval elapsing with dirty bytes still unsynced.
+        // interval elapsing with appended bytes still unsynced.
         queue_cv_.wait_for(
             lock, std::chrono::milliseconds(options_.fsync_interval_ms),
             [this] { return stop_ || !queue_.empty(); });
@@ -354,7 +337,7 @@ void FragmentStore::WorkerLoop() {
         // Interval tick with no queued work: sync outside queue_mu_.
         lock.unlock();
         std::lock_guard<std::mutex> cold_lock(cold_->mu);
-        if (cold_->status.ok()) SyncColdLocked();
+        SyncColdLocked();
         continue;
       }
       task = std::move(queue_.front());
@@ -386,7 +369,7 @@ void FragmentStore::WorkerLoop() {
     // Shutdown: whatever the last tick missed goes out now, so the
     // durability window never outlives the process.
     std::lock_guard<std::mutex> lock(cold_->mu);
-    if (cold_->status.ok()) SyncColdLocked();
+    SyncColdLocked();
   }
 }
 
@@ -402,13 +385,12 @@ void FragmentStore::AppendFragmentLocked(const WriteTask& task,
   }
   std::string framed;
   AppendLogRecord(&framed, LogRecordType::kFragment, payload);
-  if (!EnsureLogCapacityLocked(framed.size())) return;
   Cold::Entry entry;
   entry.offset = cold_->used;
   entry.bytes = framed.size();
   entry.resolution = task.fragment->resolution_complete;
   entry.epoch = task.epoch;
-  AppendRawLocked(framed);
+  if (!AppendRawLocked(framed)) return;
   if (it != cold_->index.end()) {
     cold_->dead_bytes += it->second.bytes;
     it->second = entry;
@@ -425,11 +407,10 @@ void FragmentStore::AppendEpochLocked(uint64_t new_epoch) {
   std::string framed;
   AppendLogRecord(&framed, LogRecordType::kEpoch,
                   EncodeEpochRecord(new_epoch));
-  if (!EnsureLogCapacityLocked(framed.size())) return;
+  if (!AppendRawLocked(framed)) return;
   // The previous epoch record is now history; the new one is live.
   cold_->dead_bytes += cold_->last_epoch_record_bytes;
   cold_->last_epoch_record_bytes = framed.size();
-  AppendRawLocked(framed);
   cold_->appends += 1;
   // Sweep entries invalidated by the bump into dead bytes. A concurrent
   // publish under the new epoch is not yet in the index (this worker
@@ -447,35 +428,27 @@ void FragmentStore::AppendEpochLocked(uint64_t new_epoch) {
   if (options_.fsync_mode == FragmentFsyncMode::kAlways) SyncColdLocked();
 }
 
-bool FragmentStore::EnsureLogCapacityLocked(size_t additional) {
-  if (cold_->used + additional <= cold_->map_len) return true;
-  size_t new_len = std::max(cold_->map_len * 2, kMinLogCapacityBytes);
-  while (new_len < cold_->used + additional) new_len *= 2;
-  if (::ftruncate(cold_->fd, static_cast<off_t>(new_len)) != 0) {
-    cold_->status = ErrnoStatus("ftruncate", options_.store_path);
-    cold_active_.store(false, std::memory_order_release);
+// Writes one framed record at the log's end. Once pwrite returns the
+// bytes sit in the page cache, so SIGKILL loses at most the append in
+// flight, and a crash during it leaves a torn tail that the next boot's
+// replay cuts. A full disk is an ordinary ENOSPC here.
+bool FragmentStore::AppendRawLocked(const std::string& framed) {
+  if (!TransferAll(::pwrite, cold_->fd, framed.data(), framed.size(),
+                   cold_->used)) {
+    FailColdLocked("pwrite", options_.store_path);
     return false;
   }
-  void* remapped = ::mmap(nullptr, new_len, PROT_READ | PROT_WRITE,
-                          MAP_SHARED, cold_->fd, 0);
-  if (remapped == MAP_FAILED) {
-    cold_->status = ErrnoStatus("mmap", options_.store_path);
-    cold_active_.store(false, std::memory_order_release);
-    return false;
-  }
-  if (cold_->map != nullptr) ::munmap(cold_->map, cold_->map_len);
-  cold_->map = static_cast<char*>(remapped);
-  cold_->map_len = new_len;
+  cold_->used += framed.size();
+  cold_->dirty = true;
   return true;
 }
 
-void FragmentStore::AppendRawLocked(const std::string& framed) {
-  // MAP_SHARED dirty pages belong to the file, not the process: a
-  // SIGKILL after this memcpy loses nothing (the kernel writes the
-  // pages back), and a crash *during* it leaves a torn tail that the
-  // next boot's CRC scan discards.
-  std::memcpy(cold_->map + cold_->used, framed.data(), framed.size());
-  cold_->used += framed.size();
+// The cold tier's one failure path: the first I/O error (errno of the
+// failed `op`) sticks in `status` and the store degrades to DRAM-only
+// for good.
+void FragmentStore::FailColdLocked(const char* op, const std::string& path) {
+  cold_->status = ErrnoStatus(op, path);
+  cold_active_.store(false, std::memory_order_release);
 }
 
 // The cold live-byte budget: while live bytes (used minus dead) exceed
@@ -504,20 +477,16 @@ void FragmentStore::EnforceColdBudgetLocked() {
   }
 }
 
-// Pushes appended-but-unsynced log bytes to stable storage, page-aligned
-// (msync requires it). An msync failure is an I/O failure like any
-// other: sticky status, cold tier degrades to DRAM-only.
+// Pushes appended-but-unsynced log bytes to stable storage. An
+// fdatasync failure is an I/O failure like any other.
 void FragmentStore::SyncColdLocked() {
-  if (cold_->map == nullptr || cold_->used <= cold_->synced_used) return;
-  static const size_t kPage = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-  const size_t start = cold_->synced_used & ~(kPage - 1);
-  if (::msync(cold_->map + start, cold_->used - start, MS_SYNC) != 0) {
-    cold_->status = ErrnoStatus("msync", options_.store_path);
-    cold_active_.store(false, std::memory_order_release);
+  if (!cold_->dirty || !cold_->status.ok()) return;
+  if (::fdatasync(cold_->fd) != 0) {
+    FailColdLocked("fdatasync", options_.store_path);
     return;
   }
   cold_->syncs += 1;
-  cold_->synced_used = cold_->used;
+  cold_->dirty = false;
 }
 
 void FragmentStore::MaybeCompactLocked() {
@@ -527,9 +496,9 @@ void FragmentStore::MaybeCompactLocked() {
     return;
   }
   // Rewrite the live records (offset order preserves replay chronology)
-  // plus one fresh epoch record into a sibling file, then swap it in by
-  // rename. A crash anywhere in between leaves either the old or the
-  // new log — both complete.
+  // plus one fresh epoch record into a sibling file, sync it under any
+  // fsync policy, then swap it in by rename. A crash anywhere in between
+  // leaves either the old or the new log — both complete.
   std::vector<std::pair<const std::string*, Cold::Entry*>> live;
   live.reserve(cold_->index.size());
   for (auto& kv : cold_->index) live.emplace_back(&kv.first, &kv.second);
@@ -538,105 +507,87 @@ void FragmentStore::MaybeCompactLocked() {
               return a.second->offset < b.second->offset;
             });
   std::string out;
-  std::string epoch_framed;
-  AppendLogRecord(&epoch_framed, LogRecordType::kEpoch,
+  AppendLogRecord(&out, LogRecordType::kEpoch,
                   EncodeEpochRecord(epoch_.load(std::memory_order_relaxed)));
-  out.append(epoch_framed);
+  const size_t epoch_record_bytes = out.size();
   std::vector<size_t> new_offsets(live.size());
   for (size_t i = 0; i < live.size(); ++i) {
     new_offsets[i] = out.size();
-    out.append(cold_->map + live[i].second->offset, live[i].second->bytes);
+    out.resize(out.size() + live[i].second->bytes);
+    if (!TransferAll(::pread, cold_->fd, &out[new_offsets[i]],
+                     live[i].second->bytes, live[i].second->offset)) {
+      FailColdLocked("pread", options_.store_path);
+      return;
+    }
   }
   const std::string tmp_path = options_.store_path + ".compact";
   const int tmp_fd =
       ::open(tmp_path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (tmp_fd < 0) {
-    cold_->status = ErrnoStatus("open", tmp_path);
-    cold_active_.store(false, std::memory_order_release);
+    FailColdLocked("open", tmp_path);
     return;
   }
-  size_t new_len = kMinLogCapacityBytes;
-  while (new_len < out.size()) new_len *= 2;
-  if (!WriteAll(tmp_fd, out.data(), out.size()) ||
-      ::ftruncate(tmp_fd, static_cast<off_t>(new_len)) != 0) {
-    cold_->status = ErrnoStatus("write", tmp_path);
-    cold_active_.store(false, std::memory_order_release);
+  const bool sync = options_.fsync_mode != FragmentFsyncMode::kNone;
+  const char* failed = nullptr;
+  if (!TransferAll(::pwrite, tmp_fd, out.data(), out.size(), 0)) {
+    failed = "pwrite";
+  } else if (sync && ::fdatasync(tmp_fd) != 0) {
+    failed = "fdatasync";
+  } else if (::rename(tmp_path.c_str(), options_.store_path.c_str()) != 0) {
+    failed = "rename";
+  }
+  if (failed != nullptr) {
+    FailColdLocked(failed, tmp_path);
     ::close(tmp_fd);
     return;
   }
-  void* new_map = ::mmap(nullptr, new_len, PROT_READ | PROT_WRITE,
-                         MAP_SHARED, tmp_fd, 0);
-  if (new_map == MAP_FAILED) {
-    cold_->status = ErrnoStatus("mmap", tmp_path);
-    cold_active_.store(false, std::memory_order_release);
-    ::close(tmp_fd);
-    return;
-  }
-  if (::rename(tmp_path.c_str(), options_.store_path.c_str()) != 0) {
-    cold_->status = ErrnoStatus("rename", tmp_path);
-    cold_active_.store(false, std::memory_order_release);
-    ::munmap(new_map, new_len);
-    ::close(tmp_fd);
-    return;
-  }
-  ::munmap(cold_->map, cold_->map_len);
   ::close(cold_->fd);
   cold_->fd = tmp_fd;
-  cold_->map = static_cast<char*>(new_map);
-  cold_->map_len = new_len;
   cold_->used = out.size();
   cold_->dead_bytes = 0;
-  cold_->last_epoch_record_bytes = epoch_framed.size();
+  cold_->last_epoch_record_bytes = epoch_record_bytes;
   for (size_t i = 0; i < live.size(); ++i) {
     live[i].second->offset = new_offsets[i];
   }
   cold_->compactions += 1;
-  // The rewrite went through write(), not the old mapping: nothing of
-  // the new file is known-synced yet.
-  cold_->synced_used = 0;
+  // The rewrite's sync stands in for the compacting append's own.
+  if (sync) cold_->syncs += 1;
+  cold_->dirty = !sync;
 }
 
 void FragmentStore::OpenAndReplay() {
   cold_->fd = ::open(options_.store_path.c_str(),
                      O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (cold_->fd < 0) {
-    cold_->status = ErrnoStatus("open", options_.store_path);
+    FailColdLocked("open", options_.store_path);
     return;
   }
   struct stat st;
   if (::fstat(cold_->fd, &st) != 0) {
-    cold_->status = ErrnoStatus("fstat", options_.store_path);
+    FailColdLocked("fstat", options_.store_path);
     return;
   }
-  size_t size = static_cast<size_t>(st.st_size);
-  size_t map_len = std::max(size, kMinLogCapacityBytes);
-  if (map_len > size &&
-      ::ftruncate(cold_->fd, static_cast<off_t>(map_len)) != 0) {
-    cold_->status = ErrnoStatus("ftruncate", options_.store_path);
-    return;
-  }
-  void* map = ::mmap(nullptr, map_len, PROT_READ | PROT_WRITE, MAP_SHARED,
-                     cold_->fd, 0);
-  if (map == MAP_FAILED) {
-    cold_->status = ErrnoStatus("mmap", options_.store_path);
-    return;
-  }
-  cold_->map = static_cast<char*>(map);
-  cold_->map_len = map_len;
+  const size_t size = static_cast<size_t>(st.st_size);
 
-  // Scan the log front to back. Every complete, CRC-valid record is
-  // applied; the scan stops at the first torn or corrupt one — that is
-  // the tail of the append that was in flight when the previous process
-  // died. Records that are valid frames but fail payload decode (a
-  // future codec version, isolated corruption under a valid CRC) are
-  // skipped individually: framing makes them safely skippable.
+  // Scan the log front to back, one record in memory at a time. Every
+  // complete, CRC-valid record is applied; the scan stops at the first
+  // torn or corrupt one — that is the tail of the append that was in
+  // flight when the previous process died. Records that are valid
+  // frames but fail payload decode (a future codec version, isolated
+  // corruption under a valid CRC) are skipped individually: framing
+  // makes them safely skippable.
   uint64_t max_epoch = 0;
   size_t offset = 0;
+  std::string framed;
   while (offset < size) {
+    if (!ReadRecordAt(cold_->fd, offset, size - offset, &framed)) {
+      FailColdLocked("pread", options_.store_path);
+      return;
+    }
     uint8_t type = 0;
     std::string payload;
     size_t record_bytes = 0;
-    const LogParse parse = ParseLogRecord(cold_->map + offset, size - offset,
+    const LogParse parse = ParseLogRecord(framed.data(), framed.size(),
                                           &type, &payload, &record_bytes);
     if (parse != LogParse::kRecord) break;
     if (type == static_cast<uint8_t>(LogRecordType::kFragment)) {
@@ -678,16 +629,17 @@ void FragmentStore::OpenAndReplay() {
     }
     offset += record_bytes;
   }
+  // Whatever follows the last valid record is the torn tail (including
+  // the zeroed, preallocated capacity older builds left at the end of a
+  // crashed log): count it and cut it, so appends resume right after
+  // the last record.
   cold_->used = offset;
-  // Whatever follows the last valid record is the torn tail — unless it
-  // is all zeros (growth capacity that was never written). Either way,
-  // zero it so future appends start from a clean slate.
-  size_t tail = 0;
-  for (size_t i = offset; i < size; ++i) {
-    if (cold_->map[i] != 0) tail = size - offset;
+  cold_->torn_bytes = size - offset;
+  if (size > offset &&
+      ::ftruncate(cold_->fd, static_cast<off_t>(offset)) != 0) {
+    FailColdLocked("ftruncate", options_.store_path);
+    return;
   }
-  cold_->torn_bytes = tail;
-  if (size > offset) std::memset(cold_->map + offset, 0, size - offset);
 
   // Drop entries superseded by the final epoch; without this, a crash
   // after a bump's sweep but before compaction would resurrect them.
@@ -702,10 +654,8 @@ void FragmentStore::OpenAndReplay() {
     }
   }
   cold_->replayed = cold_->index.size();
-  // Replayed bytes came off stable storage; only future appends are
-  // dirty. A budget tighter than the recovered live set applies
-  // immediately — a restart never resurrects more than the budget.
-  cold_->synced_used = cold_->used;
+  // A budget tighter than the recovered live set applies immediately —
+  // a restart never resurrects more than the budget.
   EnforceColdBudgetLocked();
 }
 
@@ -719,10 +669,10 @@ FragmentStoreStats FragmentStore::Stats() const {
   out.cold_hits = cold_hits_.load(std::memory_order_relaxed);
   out.promotions = promotions_.load(std::memory_order_relaxed);
   out.demotions = demotions_.load(std::memory_order_relaxed);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    out.entries += shard->index.size();
-    out.bytes += shard->bytes;
+  {
+    std::lock_guard<std::mutex> lock(hot_mu_);
+    out.entries = hot_index_.size();
+    out.bytes = hot_bytes_;
   }
   if (cold_ != nullptr) {
     std::lock_guard<std::mutex> lock(cold_->mu);
@@ -743,6 +693,40 @@ FragmentStoreStats FragmentStore::Stats() const {
 
 // --- FragmentQueryBinding ---------------------------------------------------
 
+void AppendFrontierOptions(std::string* key, const MetricSchema& schema,
+                           const IamaOptions& iama) {
+  *key += ";m=";
+  for (MetricId m : schema.metrics()) {
+    *key += std::to_string(static_cast<int>(m));
+    *key += ',';
+  }
+  const ResolutionSchedule& sched = iama.schedule;
+  *key += ";s=";
+  *key += std::to_string(sched.NumLevels());
+  *key += ':';
+  AppendHexDouble(key, sched.alpha_target());
+  *key += ':';
+  AppendHexDouble(key, sched.alpha_step());
+  *key += ':';
+  *key += std::to_string(static_cast<int>(sched.kind()));
+  *key += ";b=";
+  if (iama.initial_bounds.has_value()) {
+    const CostVector& b = *iama.initial_bounds;
+    for (int i = 0; i < b.dims(); ++i) {
+      AppendHexDouble(key, b[i]);
+      *key += ',';
+    }
+  } else {
+    *key += "inf";
+  }
+  const OptimizerOptions& opt = iama.optimizer;
+  *key += ";o=";
+  AppendHexDouble(key, opt.cell_gamma);
+  *key += opt.prune_against_all_resolutions ? ":1" : ":0";
+  *key += opt.park_next_level_only ? ":1" : ":0";
+  *key += opt.sorted_pruning ? ":1" : ":0";
+}
+
 FragmentQueryBinding::FragmentQueryBinding(const Query& query,
                                            const MetricSchema& schema,
                                            const IamaOptions& iama,
@@ -760,36 +744,7 @@ FragmentQueryBinding::FragmentQueryBinding(const Query& query,
   // the per-cell frontier depends on beyond the sub-join-graph itself.
   context_ = "f1;e=";
   context_ += std::to_string(epoch);
-  context_ += ";m=";
-  for (MetricId m : schema.metrics()) {
-    context_ += std::to_string(static_cast<int>(m));
-    context_ += ',';
-  }
-  const ResolutionSchedule& sched = iama.schedule;
-  context_ += ";s=";
-  context_ += std::to_string(sched.NumLevels());
-  context_ += ':';
-  AppendHexDouble(&context_, sched.alpha_target());
-  context_ += ':';
-  AppendHexDouble(&context_, sched.alpha_step());
-  context_ += ':';
-  context_ += std::to_string(static_cast<int>(sched.kind()));
-  context_ += ";b=";
-  if (iama.initial_bounds.has_value()) {
-    const CostVector& b = *iama.initial_bounds;
-    for (int i = 0; i < b.dims(); ++i) {
-      AppendHexDouble(&context_, b[i]);
-      context_ += ',';
-    }
-  } else {
-    context_ += "inf";
-  }
-  const OptimizerOptions& opt = iama.optimizer;
-  context_ += ";o=";
-  AppendHexDouble(&context_, opt.cell_gamma);
-  context_ += opt.prune_against_all_resolutions ? ":1" : ":0";
-  context_ += opt.park_next_level_only ? ":1" : ":0";
-  context_ += opt.sorted_pruning ? ":1" : ":0";
+  AppendFrontierOptions(&context_, schema, iama);
   context_ += orders_enabled_ ? ":1" : ":0";
 }
 

@@ -29,30 +29,31 @@
 /// or predicates differently still share (order-preserving renumberings
 /// collide onto one key; others conservatively miss).
 ///
-/// **Concurrency & memory.** The store is sharded (FNV-1a of the key);
-/// each shard holds an LRU list bounded by its slice of the byte budget.
-/// Values are immutable, refcounted frontier snapshots
-/// (std::shared_ptr<const StoredFragment>): eviction drops the shard's
-/// reference while in-flight readers keep theirs, so lookups never block
-/// on publishers beyond the shard mutex and no snapshot is ever mutated
-/// after insertion.
+/// **Concurrency & memory.** The store is one LRU list bounded by a
+/// byte budget, behind one mutex. Values are immutable, refcounted
+/// frontier snapshots (std::shared_ptr<const StoredFragment>): eviction
+/// drops the store's reference while in-flight readers keep theirs, so
+/// lookups never block on publishers beyond the LRU mutex and no
+/// snapshot is ever mutated after insertion.
 ///
 /// **Tiering & persistence.** With Options::store_path set, the byte-
 /// bounded LRU above becomes the *hot* tier of a two-tier store. Every
 /// publish is additionally appended — write-behind, by one background
-/// thread — to an append-only mmap'd log of serialized fragments
-/// (service/fragment_codec.h): the *cold* tier. Hot eviction is then a
-/// demotion (the entry stays servable from the log), a hot miss falls
-/// through to the cold index and a cold hit decodes + promotes the
-/// fragment back into the hot tier, and superseded or epoch-stale
-/// records accumulate as dead bytes until compaction rewrites the log.
-/// On construction the store replays the log — tolerating a torn tail
-/// from a crash mid-append — so a restarted service warm-starts with
+/// thread — to a plain append-only log file of serialized fragments
+/// (service/fragment_codec.h), written with pwrite and read back with
+/// pread: the *cold* tier. Hot eviction is then a demotion (the entry
+/// stays servable from the log), a hot miss falls through to the cold
+/// index and a cold hit decodes + promotes the fragment back into the
+/// hot tier, and superseded or epoch-stale records accumulate as dead
+/// bytes until compaction rewrites the log.
+/// On construction the store replays the log — cutting the torn tail of
+/// a crash mid-append — so a restarted service warm-starts with
 /// frontiers bit-identical to the previous process's (the codec round
 /// trips IEEE-754 doubles exactly and replay preserves chronological
 /// insertion order). Epoch bumps are made durable through the same log.
-/// I/O failure is never fatal: the cold tier records a sticky Status
-/// (cold_status()) and disables itself, leaving the hot tier serving.
+/// I/O failure, a full disk included, is never fatal: the cold tier
+/// records a sticky Status (cold_status()) and disables itself, leaving
+/// the hot tier serving.
 /// See docs/FRAGMENT_PERSISTENCE.md.
 #ifndef MOQO_SERVICE_FRAGMENT_STORE_H_
 #define MOQO_SERVICE_FRAGMENT_STORE_H_
@@ -95,15 +96,15 @@ struct StoredFragment {
   }
 };
 
-/// Durability policy for the cold tier's append-only log. The log is
-/// mmap'd MAP_SHARED, so appended bytes always survive process death
-/// (SIGKILL included) — fsync only matters for machine/kernel crashes.
+/// Durability policy for the cold tier's append-only log. A completed
+/// pwrite sits in the page cache, so appended bytes always survive
+/// process death (SIGKILL included) — fsync only matters for
+/// machine/kernel crashes.
 enum class FragmentFsyncMode {
-  kNone = 0,      ///< Never msync; the kernel writes pages back lazily.
-  kInterval = 1,  ///< The write-behind thread msyncs dirty bytes on a
-                  ///< periodic tick (Options::fsync_interval_ms).
-  kAlways = 2,    ///< msync after every append, before it is indexed as
-                  ///< durable. Strongest, slowest.
+  kNone = 0,      ///< Never fdatasync; the kernel writes pages back lazily.
+  kInterval = 1,  ///< The write-behind thread fdatasyncs appended bytes on
+                  ///< a periodic tick (Options::fsync_interval_ms).
+  kAlways = 2,    ///< fdatasync after every append. Strongest, slowest.
 };
 
 /// Monotonic store counters (Stats()); "hits" and "misses" count Lookup
@@ -138,29 +139,28 @@ struct FragmentStoreStats {
                                     ///< decode time).
   uint64_t replayed_fragments = 0;  ///< Live fragments recovered by the
                                     ///< boot replay.
-  uint64_t replay_torn_bytes = 0;   ///< Bytes discarded at boot as the
-                                    ///< torn tail of a crashed append.
+  uint64_t replay_torn_bytes = 0;   ///< Bytes cut at boot after the last
+                                    ///< valid record (a crashed append's
+                                    ///< torn tail).
   uint64_t cold_budget_dropped = 0;  ///< Live cold entries dropped (to
                                      ///< dead bytes) by the cold live-
                                      ///< byte budget, oldest first.
-  uint64_t cold_syncs = 0;  ///< msync calls issued by the fsync policy.
+  uint64_t cold_syncs = 0;  ///< fdatasync calls issued by the fsync
+                            ///< policy (compaction's included).
 };
 
-/// The concurrent, sharded, LRU-byte-bounded fragment store. One store
-/// serves all scheduler shards of an OptimizerService; it can also be
-/// used standalone (tests, custom serving layers). Thread-safe.
+/// The concurrent, LRU-byte-bounded fragment store. One store serves
+/// all scheduler shards of an OptimizerService; it can also be used
+/// standalone (tests, custom serving layers). Thread-safe.
 class FragmentStore {
  public:
   /// Store-wide configuration, fixed at construction.
   struct Options {
-    /// Total hot-tier byte budget across all shards; 0 stores nothing in
-    /// the hot tier (with a store_path the store still persists and
-    /// serves from the cold tier; without one every Lookup misses and
-    /// every Publish is dropped immediately).
+    /// Hot-tier byte budget; 0 stores nothing in the hot tier (with a
+    /// store_path the store still persists and serves from the cold
+    /// tier; without one every Lookup misses and every Publish is
+    /// dropped immediately).
     size_t capacity_bytes = 0;
-    /// Internal lock shards; >= 1. More shards reduce contention when
-    /// many scheduler threads publish and look up concurrently.
-    int num_shards = 8;
     /// Path of the cold tier's append-only persistence log. Empty keeps
     /// the store DRAM-only (the pre-tiering behavior). The file is
     /// created if absent and replayed if present.
@@ -185,22 +185,21 @@ class FragmentStore {
     int fsync_interval_ms = 100;
   };
 
-  /// Creates the store with `options.capacity_bytes` split evenly across
-  /// `options.num_shards` LRU shards. With a store_path, opens (creating
-  /// if absent) and replays the persistence log before returning — on
-  /// return epoch() and the cold index reflect the recovered state — and
-  /// starts the write-behind thread. Replay tolerates a torn tail (a
-  /// crash mid-append): scanning stops at the first incomplete or
-  /// CRC-invalid record, the tail is discarded, and the bytes show up in
+  /// Creates the store with a hot budget of `options.capacity_bytes`.
+  /// With a store_path, opens (creating if absent) and replays the
+  /// persistence log before returning — on return epoch() and the cold
+  /// index reflect the recovered state — and starts the write-behind
+  /// thread. Replay tolerates a torn tail (a crash mid-append): scanning
+  /// stops at the first incomplete or CRC-invalid record, the tail is
+  /// cut from the file, and its bytes show up in
   /// Stats().replay_torn_bytes.
   explicit FragmentStore(Options options);
-  /// Drains the write-behind queue, trims the log file to its used
-  /// length, and releases the shards (out-of-line: Shard and Cold are
-  /// private and incomplete for users of this header). Fragments
-  /// published before destruction are durable afterwards.
+  /// Drains the write-behind queue and closes the log (out-of-line: Cold
+  /// is private and incomplete for users of this header). Fragments
+  /// published before destruction are in the log afterwards.
   ~FragmentStore();
 
-  /// Not copyable: shards own mutexes and shared entries.
+  /// Not copyable: the store owns mutexes and shared entries.
   FragmentStore(const FragmentStore&) = delete;
   /// Not copy-assignable (same ownership reasons).
   FragmentStore& operator=(const FragmentStore&) = delete;
@@ -220,7 +219,7 @@ class FragmentStore {
   /// by a strictly finer run (larger resolution_complete); otherwise the
   /// publish is dropped and the resident entry's LRU position refreshed.
   /// Inserting may evict least-recently-used entries — including, when a
-  /// single fragment exceeds the shard budget, the new entry itself.
+  /// single fragment exceeds the hot budget, the new entry itself.
   /// With the cold tier enabled, an accepted publish is also enqueued
   /// for a write-behind log append (durable after Flush() or
   /// destruction; the appender skips records the log already holds at
@@ -256,8 +255,9 @@ class FragmentStore {
   void Flush();
 
   /// OK while the cold tier is healthy (or absent). The first I/O
-  /// failure — open, mmap, grow, compact — sticks here and permanently
-  /// degrades the store to DRAM-only; it never crashes the service.
+  /// failure — open, replay, append (a full disk included), read, sync,
+  /// compact — sticks here and permanently degrades the store to
+  /// DRAM-only; it never crashes the service.
   Status cold_status() const;
 
   /// True when Options::store_path was set and the cold tier is still
@@ -268,7 +268,6 @@ class FragmentStore {
   FragmentStoreStats Stats() const;
 
  private:
-  struct Shard;
   struct Cold;
   // One write-behind work item: either a fragment append or an epoch
   // record (exactly one of the two shapes; FIFO order is what makes a
@@ -279,8 +278,9 @@ class FragmentStore {
     std::string key;
     std::shared_ptr<const StoredFragment> fragment;
   };
+  using LruList =
+      std::list<std::pair<std::string, std::shared_ptr<const StoredFragment>>>;
 
-  Shard& ShardFor(const std::string& key);
   // Hot-tier insert shared by Publish and promotion; returns true when
   // the fragment was installed (or upgraded), false when dropped for an
   // existing finer-or-equal entry or a zero budget. Publish/ignore
@@ -292,20 +292,24 @@ class FragmentStore {
   void WorkerLoop();
   void AppendFragmentLocked(const WriteTask& task, const std::string& payload);
   void AppendEpochLocked(uint64_t new_epoch);
-  bool EnsureLogCapacityLocked(size_t additional);
-  void AppendRawLocked(const std::string& framed);
+  bool AppendRawLocked(const std::string& framed);
+  void FailColdLocked(const char* op, const std::string& path);
   void EnforceColdBudgetLocked();
   void SyncColdLocked();
   void MaybeCompactLocked();
   void OpenAndReplay();
 
   Options options_;
-  size_t shard_capacity_ = 0;
   std::atomic<uint64_t> epoch_{0};
   std::atomic<uint64_t> catalog_version_{0};
-  std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Store-level monotonic counters (shards/cold hold only gauges).
+  // Hot tier: one LRU (front = most recently used), guarded by hot_mu_.
+  mutable std::mutex hot_mu_;
+  LruList lru_;
+  std::unordered_map<std::string, LruList::iterator> hot_index_;
+  size_t hot_bytes_ = 0;
+
+  // Store-level monotonic counters (the hot and cold tiers hold gauges).
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> publishes_{0};
@@ -321,7 +325,7 @@ class FragmentStore {
   std::atomic<bool> cold_active_{false};
 
   // Write-behind machinery. queue_mu_ is a leaf lock (never held while
-  // taking a shard mutex or Cold::mu).
+  // taking hot_mu_ or Cold::mu).
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;   // Signals the worker: work/stop.
   std::condition_variable drain_cv_;   // Signals Flush(): queue drained.
@@ -330,6 +334,17 @@ class FragmentStore {
   bool stop_ = false;
   std::thread worker_;
 };
+
+/// Appends the session options every frontier depends on — the metric
+/// set, the resolution schedule, the initial bounds, the cell gamma and
+/// the pruning flags — to `key` as ";m=…;s=…;b=…;o=…" (doubles in exact
+/// hexfloat). Both the whole-query cache key (CanonicalQueryKey) and the
+/// fragment keys (FragmentQueryBinding) embed this string, so an option
+/// added here reaches both and neither can serve a frontier computed
+/// under other options. Thread counts and pools are excluded: the
+/// parallel engine is frontier-equivalent.
+void AppendFrontierOptions(std::string* key, const MetricSchema& schema,
+                           const IamaOptions& iama);
 
 /// Canonicalizes one query's sub-join-graphs against a fragment store
 /// epoch: builds per-cell keys and translates interesting-order tags

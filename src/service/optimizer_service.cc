@@ -12,10 +12,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Exact textual rendering (hexfloat) so that cache keys distinguish any
-// two selectivities / bounds that could produce different cost vectors.
-void AppendDouble(std::string* out, double v) { AppendHexDouble(out, v); }
-
 int ResolvedMaxIterations(const SubmitRequest& request) {
   return request.max_iterations > 0 ? request.max_iterations
                                     : request.iama.schedule.NumLevels();
@@ -34,7 +30,9 @@ std::string CanonicalQueryKeySuffix(const Query& query,
   for (const TableRef& t : query.tables) {  // Aliases are display-only.
     key += std::to_string(t.table);
     key += ':';
-    AppendDouble(&key, t.predicate_selectivity);
+    // Exact hexfloat: keys distinguish any two selectivities that could
+    // produce different cost vectors.
+    AppendHexDouble(&key, t.predicate_selectivity);
     key += ',';
   }
   key += ";j=";
@@ -46,41 +44,10 @@ std::string CanonicalQueryKeySuffix(const Query& query,
     key += '+';
     key += std::to_string(std::max(j.left, j.right));
     key += ':';
-    AppendDouble(&key, j.selectivity);
+    AppendHexDouble(&key, j.selectivity);
     key += ',';
   }
-  key += ";m=";
-  for (MetricId m : schema.metrics()) {
-    key += std::to_string(static_cast<int>(m));
-    key += ',';
-  }
-  const ResolutionSchedule& sched = options.iama.schedule;
-  key += ";s=";
-  key += std::to_string(sched.NumLevels());
-  key += ':';
-  AppendDouble(&key, sched.alpha_target());
-  key += ':';
-  AppendDouble(&key, sched.alpha_step());
-  key += ':';
-  key += std::to_string(static_cast<int>(sched.kind()));
-  key += ";b=";
-  if (options.iama.initial_bounds.has_value()) {
-    const CostVector& b = *options.iama.initial_bounds;
-    for (int i = 0; i < b.dims(); ++i) {
-      AppendDouble(&key, b[i]);
-      key += ',';
-    }
-  } else {
-    key += "inf";
-  }
-  // Result-affecting optimizer knobs. Thread counts and pools are
-  // excluded: the parallel engine is frontier-equivalent by contract.
-  const OptimizerOptions& opt = options.iama.optimizer;
-  key += ";o=";
-  AppendDouble(&key, opt.cell_gamma);
-  key += opt.prune_against_all_resolutions ? ":1" : ":0";
-  key += opt.park_next_level_only ? ":1" : ":0";
-  key += opt.sorted_pruning ? ":1" : ":0";
+  AppendFrontierOptions(&key, schema, options.iama);
   key += ";i=";
   key += std::to_string(ResolvedMaxIterations(options));
   return key;
@@ -178,8 +145,8 @@ struct OptimizerService::RunState {
   // tenant_fragment_hits_ (done once, at the first turn boundary —
   // seeding happens entirely during session build).
   bool fragment_hits_credited = false;
-  // Shard-thread-only state (built lazily on the first turn, or at
-  // admission when the fragment store is enabled — see Submit):
+  // Shard-thread-only state (built at admission, before the run is
+  // first enqueued — see Submit):
   std::unique_ptr<PlanFactory> factory;
   std::unique_ptr<IamaSession> session;
   // Per-run adapter between the session's optimizer and the service's
@@ -279,11 +246,6 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
     return Status::InvalidArgument(
         "optimizer.pool is owned by the service; do not inject one");
   }
-  if (request.iama.optimizer.num_threads != 1) {
-    return Status::InvalidArgument(
-        "optimizer.num_threads is owned by the service (ServiceOptions"
-        "::num_threads); leave it at 1");
-  }
   if (request.iama.optimizer.fragment_store != nullptr ||
       request.iama.optimizer.fragment_publish) {
     return Status::InvalidArgument(
@@ -334,10 +296,8 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
   SubmitResponse response;
   // Set on a cache hit; streamed to the observer outside the lock.
   std::shared_ptr<const FrontierSnapshot> cached;
-  bool notify = false;
-  // Set when the new run's session must be built before it is enqueued
-  // (fragment services build at admission; see below).
-  RunState* build_at_admission = nullptr;
+  // Set for a fresh run, whose session is built before it is enqueued.
+  RunState* fresh_run = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_) {
@@ -473,19 +433,14 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
         run->leader = id;
         entry->run = run.get();
         if (options_.coalesce_in_flight) inflight_[key] = run->run_id;
-        if (fragment_store_ != nullptr) {
-          // Fragment services build the session (an O(plan-space) seed
-          // probe) at admission, outside the lock, and enqueue after:
-          // paired with the first-turn re-probe in SchedulerLoop, this
-          // brackets the window in which concurrent overlapping runs
-          // publish — instead of racing them with a single mid-window
-          // lookup. Until the run is enqueued below no shard can pop
-          // it, so the build needs no lock.
-          build_at_admission = run.get();
-        } else {
-          shard_queues_[run->home_shard].push_back(run->run_id);
-          notify = true;
-        }
+        // The session (with a fragment store, an O(plan-space) seed
+        // probe) is built at admission, outside the lock, and the run is
+        // enqueued after: paired with the first-turn re-probe in
+        // SchedulerLoop, this brackets the window in which concurrent
+        // overlapping runs publish — instead of racing them with a
+        // single mid-window lookup. Until the run is enqueued below no
+        // shard can pop it, so the build needs no lock.
+        fresh_run = run.get();
         runs_.emplace(run->run_id, std::move(run));
       }
       entries_.emplace(id, std::move(entry));
@@ -501,15 +456,12 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
     // Stream the cached final frontier as the one and only snapshot.
     // (Waiters were already notified inside the lock.)
     if (request.observer) request.observer(response.id, *cached);
-  } else if (notify) {
-    work_cv_.notify_one();
   }
-  if (build_at_admission != nullptr) {
-    BuildRun(build_at_admission);
+  if (fresh_run != nullptr) {
+    BuildRun(fresh_run);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      shard_queues_[build_at_admission->home_shard].push_back(
-          build_at_admission->run_id);
+      shard_queues_[fresh_run->home_shard].push_back(fresh_run->run_id);
     }
     work_cv_.notify_one();
   }
@@ -647,8 +599,8 @@ ServiceStats OptimizerService::stats() const {
     out = stats_;
   }
   if (fragment_store_ != nullptr) {
-    // The store keeps its own (internally sharded) counters; merging
-    // outside mu_ keeps the lock orders disjoint.
+    // The store keeps its own counters; merging outside mu_ keeps the
+    // lock orders disjoint.
     const FragmentStoreStats fs = fragment_store_->Stats();
     out.fragment_hits = fs.hits;
     out.fragment_misses = fs.misses;
@@ -722,15 +674,15 @@ uint64_t OptimizerService::PopRunLocked(size_t shard) {
 
 void OptimizerService::BuildRun(RunState* run) {
   // The factory pins the run's admission snapshot — not the live
-  // catalog — so a RefreshCatalog between admission and this first turn
-  // (or mid-run) never changes what the session optimizes on.
+  // catalog — so a RefreshCatalog between admission and this build (or
+  // mid-run) never changes what the session optimizes on.
   run->factory = std::make_unique<PlanFactory>(
       run->query, run->catalog, options_.schema, options_.cost_params,
       options_.operator_options);
   IamaOptions iama = run->iama;
-  iama.optimizer.pool = nullptr;   // Rebound to the stepping shard's pool
-  iama.optimizer.num_threads = 1;  // each turn; the service owns all
-                                   // parallelism.
+  iama.optimizer.pool = nullptr;  // Rebound to the stepping shard's pool
+                                 // each turn; the service owns all
+                                 // parallelism.
   if (fragment_store_ != nullptr) {
     run->fragment_provider = std::make_unique<FragmentStoreProvider>(
         fragment_store_.get(), run->query, options_.schema, run->iama,
@@ -915,8 +867,8 @@ void OptimizerService::SchedulerLoop(size_t shard) {
     const Clock::time_point now = Clock::now();
     SweepExpiredFollowersLocked(run, now);
     // Pre-step gate: a cancelled or expired leader is finalized before
-    // the (expensive) factory build; leadership hands off to the oldest
-    // follower, and the run dies only when no rider remains. Queued runs
+    // the turn steps; leadership hands off to the oldest follower, and
+    // the run dies only when no rider remains. Queued runs
     // always have steps left (completion happens at turn end), so a
     // promoted leader continues the run rather than re-enqueueing it
     // from scratch.
@@ -968,14 +920,13 @@ void OptimizerService::SchedulerLoop(size_t shard) {
     // Stepping happens outside the lock: this shard owns the run
     // exclusively (it is in no queue right now), so Submit/Cancel/Wait/
     // ApplyBounds stay responsive during long invocations.
-    if (run->session == nullptr) {
-      BuildRun(run);
-    } else if (run->steps_done == 0 && run->fragment_provider != nullptr) {
-      // Fragment services build the session at admission (see Submit),
-      // so frontiers published by concurrent overlapping runs between
-      // admission and this first turn were invisible to the build-time
-      // probe. Re-probe now — lookups no longer race publishes, and a
-      // late-admitted duplicate still seeds from the leader's cells.
+    if (run->steps_done == 0) {
+      // The session was built at admission (see Submit), so frontiers
+      // published by concurrent overlapping runs between admission and
+      // this first turn were invisible to the build-time probe. Re-probe
+      // now — lookups no longer race publishes, and a late-admitted
+      // duplicate still seeds from the leader's cells. A no-op without
+      // a fragment store.
       run->session->mutable_optimizer()->ReprobeFragments();
     }
     // Work stealing may move a run between shards across turns; the
@@ -1109,7 +1060,7 @@ void OptimizerService::SchedulerLoop(size_t shard) {
     std::unique_ptr<FragmentStoreProvider> publish_provider;
     std::vector<IncrementalOptimizer::PublishableFragment> publish_cells;
     if (will_complete_done && !run->diverged && !run->stale &&
-        run->fragment_provider != nullptr && run->session != nullptr) {
+        run->fragment_provider != nullptr) {
       publish_cells =
           run->session->mutable_optimizer()->TakePublishableFragments();
       if (!publish_cells.empty()) {

@@ -395,7 +395,8 @@ class OptimizerService {
   // from the back of the largest other queue. Requires mu_ held and
   // AnyQueuedLocked().
   uint64_t PopRunLocked(size_t shard);
-  // Builds the run's factory + IamaSession (first stepping turn).
+  // Builds the run's factory + IamaSession (at admission, before the run
+  // is first enqueued).
   void BuildRun(RunState* run);
   // Stores a terminal result, evicting the oldest beyond
   // result_retention, and wakes waiters. Requires mu_ held.
@@ -434,8 +435,8 @@ class OptimizerService {
   // stepping shard rebinds the run's session to its own pool, so each
   // pool has exactly one ParallelFor caller at any time.
   std::vector<std::unique_ptr<ThreadPool>> pools_;
-  // One cross-query fragment store for all shards (internally sharded;
-  // thread-safe); null when fragment_cache_bytes == 0.
+  // One cross-query fragment store for all shards (thread-safe); null
+  // when fragment_cache_bytes == 0.
   std::unique_ptr<FragmentStore> fragment_store_;
 
   mutable std::mutex mu_;

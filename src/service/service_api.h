@@ -100,10 +100,9 @@ struct SubmitRequest {
   /// sweep from resolution 0 to rM. Must be >= 0.
   int max_iterations = 0;
   /// Session configuration: resolution schedule, initial bounds, and
-  /// result-affecting optimizer knobs. `iama.optimizer.pool`,
-  /// `iama.optimizer.num_threads`, and the fragment-store fields are
-  /// owned by the service and must be left at their defaults (Submit
-  /// rejects anything else).
+  /// result-affecting optimizer knobs. `iama.optimizer.pool` and the
+  /// fragment-store fields are owned by the service and must be left at
+  /// their defaults (Submit rejects anything else).
   IamaOptions iama;
   /// Request a pull-based snapshot stream: SubmitResponse::subscription
   /// is populated with a bounded drop-oldest queue of this run's

@@ -13,7 +13,6 @@
 #include "pareto/coverage.h"
 #include "query/tpch_queries.h"
 #include "test_helpers.h"
-#include "util/thread_pool.h"
 
 namespace moqo {
 namespace {
@@ -177,43 +176,6 @@ TEST(EdgeCaseDeathTest, OptimizeRejectsWrongBoundsDimension) {
   IncrementalOptimizer opt(*world.factory, schedule,
                            CostVector::Infinite(3));
   EXPECT_DEATH(opt.Optimize(CostVector::Infinite(2), 0), "dims");
-}
-
-TEST(EdgeCaseDeathTest, OptimizerRejectsNonPositiveThreadCount) {
-  RandomWorld world = MakeRandomWorld(87, 2, /*sampling=*/false);
-  const ResolutionSchedule schedule(2, 1.05, 0.2);
-  const CostVector inf = CostVector::Infinite(3);
-  OptimizerOptions options;
-  options.num_threads = 0;
-  EXPECT_DEATH(
-      IncrementalOptimizer(*world.factory, schedule, inf, options),
-      "num_threads");
-}
-
-TEST(EdgeCaseTest, InjectedPoolWinsOverThreadCount) {
-  // With both a pool and num_threads set, the pool is used and no second
-  // pool is spawned; the frontier is the usual one.
-  RandomWorld world = MakeRandomWorld(88, 3, /*sampling=*/false);
-  const ResolutionSchedule schedule(2, 1.05, 0.2);
-  const CostVector inf = CostVector::Infinite(3);
-  ThreadPool pool(2);
-  OptimizerOptions both;
-  both.pool = &pool;
-  both.num_threads = 8;  // Ignored: the injected pool wins.
-  IncrementalOptimizer with_pool(*world.factory, schedule, inf, both);
-  IncrementalOptimizer reference(*world.factory, schedule, inf);
-  // The contract is observable: the injected pool is used as-is and no
-  // second, owned pool is spawned next to it.
-  EXPECT_EQ(with_pool.pool(), &pool);
-  EXPECT_FALSE(with_pool.owns_pool());
-  EXPECT_EQ(reference.pool(), nullptr);
-  for (int r = 0; r <= schedule.MaxResolution(); ++r) {
-    with_pool.Optimize(inf, r);
-    reference.Optimize(inf, r);
-  }
-  EXPECT_EQ(
-      FrontierSignature(with_pool.ResultPlans(inf, schedule.MaxResolution())),
-      FrontierSignature(reference.ResultPlans(inf, schedule.MaxResolution())));
 }
 
 TEST(EdgeCaseDeathTest, ScheduleRejectsInvalidParameters) {

@@ -4,7 +4,9 @@
 // included — through the whole service stack; a log torn mid-append
 // loses at most the final partial record; a record that no longer
 // decodes is skipped, not fatal; compaction reclaims superseded bytes
-// without changing what replays; epoch bumps outlive the process that
+// without changing what replays (and keeps one sync per append under
+// fsync always); a full disk degrades the cold tier to DRAM-only instead
+// of failing the store; epoch bumps outlive the process that
 // issued them; and the hot tier's byte accounting never drifts past its
 // budget under same-key republish (the regression the tiering rewrite
 // guards with an explicit release-before-charge).
@@ -75,7 +77,6 @@ FragmentStore::Options TieredOptions(const std::string& path,
                                      size_t capacity = 1 << 20) {
   FragmentStore::Options opts;
   opts.capacity_bytes = capacity;
-  opts.num_shards = 2;
   opts.store_path = path;
   return opts;
 }
@@ -145,7 +146,6 @@ TEST(FragmentPersistenceTest, HotEvictionIsDemotionAndColdStillServes) {
   // A hot budget of ~one entry: publishing more demotes, but every
   // fragment stays servable from the log.
   FragmentStore::Options opts = TieredOptions(dir.LogPath(), 2048);
-  opts.num_shards = 1;
   FragmentStore store(opts);
   for (int i = 0; i < 8; ++i) {
     store.Publish("k" + std::to_string(i), MakeFragment(2, 8));
@@ -302,6 +302,31 @@ TEST(FragmentPersistenceTest, IoFailureDegradesToDramOnly) {
   EXPECT_EQ(store.Stats().cold_appends, 0u);
 }
 
+TEST(FragmentPersistenceTest, AppendFailureDegradesToDramOnly) {
+  // Every write to /dev/full fails with ENOSPC: a full disk. Opening and
+  // replaying it succeed, so the failure surfaces at the first append —
+  // as a sticky status, never a crash.
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  FragmentStore store(TieredOptions("/dev/full"));
+  ASSERT_TRUE(store.cold_status().ok());
+  ASSERT_TRUE(store.cold_enabled());
+  store.Publish("a", MakeFragment(2, 3));
+  store.Publish("b", MakeFragment(2, 4));
+  store.Flush();
+  EXPECT_NE(store.cold_status().ToString().find("No space left on device"),
+            std::string::npos)
+      << store.cold_status().ToString();
+  EXPECT_FALSE(store.cold_enabled());
+  EXPECT_EQ(store.Stats().cold_appends, 0u);
+  // The hot tier keeps serving what was published.
+  EXPECT_NE(store.Lookup("a", 2), nullptr);
+  EXPECT_NE(store.Lookup("b", 2), nullptr);
+  // Later publishes stay DRAM-only and Flush still returns.
+  store.Publish("c", MakeFragment(2, 3));
+  store.Flush();
+  EXPECT_NE(store.Lookup("c", 2), nullptr);
+}
+
 // --- Hot-tier byte accounting under same-key republish (regression) --------
 
 TEST(FragmentPersistenceTest, SameKeyRepublishNeverExceedsByteBudget) {
@@ -313,7 +338,6 @@ TEST(FragmentPersistenceTest, SameKeyRepublishNeverExceedsByteBudget) {
   const size_t kBudget = 4096;
   FragmentStore::Options opts;
   opts.capacity_bytes = kBudget;
-  opts.num_shards = 1;
   FragmentStore store(opts);
   for (int i = 1; i <= 300; ++i) {
     store.Publish("hot-key", MakeFragment(i, 1 + (i * 7) % 20));
@@ -405,6 +429,36 @@ TEST(FragmentPersistenceTest, FsyncAlwaysSyncsEveryAppend) {
   EXPECT_TRUE(store.cold_status().ok());
   EXPECT_EQ(stats.cold_syncs, stats.cold_appends);
   EXPECT_GE(stats.cold_syncs, 9u);  // 8 fragments + 1 epoch record.
+}
+
+TEST(FragmentPersistenceTest, CompactionUnderFsyncAlways) {
+  // The log rewrite is synced before it replaces the log, and that sync
+  // stands in for the compacting append's own: one sync per append.
+  TempDir dir;
+  FragmentStore::Options opts = TieredOptions(dir.LogPath());
+  opts.fsync_mode = FragmentFsyncMode::kAlways;
+  opts.compact_min_bytes = 1024;
+  opts.compact_dead_fraction = 0.3;
+  {
+    FragmentStore store(opts);
+    for (int round = 1; round <= 40; ++round) {
+      for (int k = 0; k < 4; ++k) {
+        store.Publish("k" + std::to_string(k), MakeFragment(round, 16));
+      }
+    }
+    store.Flush();
+    const FragmentStoreStats stats = store.Stats();
+    EXPECT_TRUE(store.cold_status().ok());
+    EXPECT_GT(stats.compactions, 0u);
+    EXPECT_EQ(stats.cold_syncs, stats.cold_appends);
+  }
+  FragmentStore store(TieredOptions(dir.LogPath()));
+  EXPECT_EQ(store.Stats().replayed_fragments, 4u);
+  for (int k = 0; k < 4; ++k) {
+    const auto got = store.Lookup("k" + std::to_string(k), 40);
+    ASSERT_NE(got, nullptr) << k;
+    EXPECT_EQ(got->resolution_complete, 40);
+  }
 }
 
 TEST(FragmentPersistenceTest, FsyncIntervalSyncsOnTheTick) {

@@ -28,6 +28,7 @@
 #include "service/fragment_store.h"
 #include "service/optimizer_service.h"
 #include "test_helpers.h"
+#include "util/thread_pool.h"
 
 namespace moqo {
 namespace {
@@ -161,7 +162,7 @@ std::shared_ptr<StoredFragment> MakeFragment(int resolution_complete,
 }
 
 TEST(FragmentStoreTest, LookupHonorsResolutionAndLru) {
-  FragmentStore store({/*capacity_bytes=*/1 << 20, /*num_shards=*/4});
+  FragmentStore store({/*capacity_bytes=*/1 << 20});
   store.Publish("a", MakeFragment(/*resolution_complete=*/2, 3));
   EXPECT_EQ(store.Lookup("a", 3), nullptr);  // Too coarse: a miss.
   ASSERT_NE(store.Lookup("a", 2), nullptr);
@@ -182,9 +183,9 @@ TEST(FragmentStoreTest, LookupHonorsResolutionAndLru) {
 }
 
 TEST(FragmentStoreTest, EvictsUnderByteBudgetAndKeepsReaderSnapshots) {
-  // A budget fitting roughly one entry per shard: publishing more evicts,
+  // A budget fitting roughly one entry: publishing more evicts,
   // but snapshots already handed out stay valid (refcounted).
-  FragmentStore store({/*capacity_bytes=*/2048, /*num_shards=*/1});
+  FragmentStore store({/*capacity_bytes=*/2048});
   store.Publish("k0", MakeFragment(2, 8));
   std::shared_ptr<const StoredFragment> held = store.Lookup("k0", 0);
   ASSERT_NE(held, nullptr);
@@ -211,7 +212,7 @@ TEST(FragmentStoreTest, ZeroBudgetStoresNothing) {
 // tiny budget; readers dereference their snapshots after eviction. Run
 // under TSan in CI.
 TEST(FragmentStoreTest, ConcurrentPublishLookupEvictionRace) {
-  FragmentStore store({/*capacity_bytes=*/4096, /*num_shards=*/2});
+  FragmentStore store({/*capacity_bytes=*/4096});
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -307,9 +308,10 @@ TEST(FragmentSeedingTest, FullyWarmRunIsBitIdenticalWithZeroPairs) {
   for (const int threads : {1, 3}) {
     FragmentStoreProvider provider(&store, query, schema, iama,
                                    op_options.enable_interesting_orders, 2);
+    ThreadPool pool(threads);
     IamaOptions seeded_iama = iama;
     seeded_iama.optimizer.fragment_store = &provider;
-    seeded_iama.optimizer.num_threads = threads;
+    seeded_iama.optimizer.pool = &pool;
     IamaSession session(factory, seeded_iama);
     const auto warm = RunTrajectory(&session, iama.schedule.NumLevels());
     ASSERT_EQ(warm, reference) << "threads " << threads;

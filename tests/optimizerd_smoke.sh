@@ -18,6 +18,11 @@
 # nonzero shed count proves the retry loop ran), and SIGTERM must still
 # drain to exit 0.
 #
+# Fourth leg: a full disk. A server whose --store-path is /dev/full
+# (every write fails with ENOSPC) must serve every query from its hot
+# tier, drain to exit 0 on SIGTERM, and report the degraded cold tier
+# on its drain store line.
+#
 # Usage: optimizerd_smoke.sh <build-dir> [store-dir]
 # store-dir defaults to a fresh mktemp -d; CI's Release leg passes a
 # tmpfs path (/dev/shm) to keep the crash leg off spinning disks.
@@ -185,4 +190,38 @@ SERVER_PID=""
 [ "$STATUS" -eq 0 ] || { cat "$LOG"; echo "FAIL: exit status $STATUS after overload"; exit 1; }
 grep -q "optimizerd: drained\." "$LOG" || { cat "$LOG"; echo "FAIL: no drain summary after overload"; exit 1; }
 echo "PASS: optimizerd smoke (overload leg)"
+
+# --- Leg 4: a full disk degrades the cold tier, not the service -------------
+
+if [ -w /dev/full ]; then
+  : > "$LOG"
+  "$BUILD_DIR/optimizerd" --port 0 --threads 2 --shards 2 \
+    --max-inflight 16 --store-path /dev/full > "$LOG" &
+  SERVER_PID=$!
+  wait_for_port "$LOG"
+
+  SUMMARY="$("$BUILD_DIR/loadgen" --port "$PORT" --sessions 4 --queries 3 \
+    --max-iterations 8 --json)" || {
+    echo "$SUMMARY"; echo "FAIL: full-disk loadgen reported transport errors"; exit 1;
+  }
+  echo "$SUMMARY"
+  [ "$(json_field ok)" = 12 ] || { echo "FAIL: expected ok 12 on a full disk"; exit 1; }
+  [ "$(json_field transport_errors)" = 0 ] || {
+    echo "FAIL: expected transport_errors 0 on a full disk"; exit 1;
+  }
+
+  kill -TERM "$SERVER_PID"
+  STATUS=0
+  wait "$SERVER_PID" || STATUS=$?
+  SERVER_PID=""
+  [ "$STATUS" -eq 0 ] || { cat "$LOG"; echo "FAIL: exit status $STATUS on a full disk"; exit 1; }
+  STORE_LINE="$(grep "optimizerd: store publishes" "$LOG" || true)"
+  echo "$STORE_LINE"
+  echo "$STORE_LINE" | grep "DEGRADED" | grep -q "No space left on device" || {
+    cat "$LOG"; echo "FAIL: drain store line does not report the full disk"; exit 1;
+  }
+  echo "PASS: optimizerd smoke (full-disk leg)"
+else
+  echo "SKIP: optimizerd smoke (full-disk leg): no writable /dev/full"
+fi
 echo "PASS: optimizerd smoke"

@@ -71,8 +71,9 @@ TEST_P(ParallelEquivalence, RefinementSeriesMatchesSerial) {
   const ResolutionSchedule schedule(5, 1.02, 0.3);
   const CostVector inf = CostVector::Infinite(3);
 
+  ThreadPool pool(threads);
   OptimizerOptions parallel_options;
-  parallel_options.num_threads = threads;
+  parallel_options.pool = &pool;
   IncrementalOptimizer reference(*world.factory, schedule, inf);
   IncrementalOptimizer parallel(*world.factory, schedule, inf,
                                 parallel_options);
@@ -97,8 +98,9 @@ TEST_P(ParallelEquivalence, BoundsChangesMatchSerial) {
   const ResolutionSchedule schedule(4, 1.05, 0.4);
   const CostVector inf = CostVector::Infinite(3);
 
+  ThreadPool pool(threads);
   OptimizerOptions parallel_options;
-  parallel_options.num_threads = threads;
+  parallel_options.pool = &pool;
   IncrementalOptimizer reference(*world.factory, schedule, inf);
   IncrementalOptimizer parallel(*world.factory, schedule, inf,
                                 parallel_options);
@@ -153,12 +155,13 @@ TEST(ParallelTpch, AllBlocksMatchSerial) {
   op_options.max_workers = 4;
   op_options.max_sampling_rates_per_table = 2;
 
+  ThreadPool pool(4);
   for (const Query& query : TpchQueryBlocks(catalog)) {
     const PlanFactory factory(query, catalog, MetricSchema::Standard3(),
                               CostModelParams{}, op_options);
     const CostVector inf = CostVector::Infinite(3);
     OptimizerOptions parallel_options;
-    parallel_options.num_threads = 4;
+    parallel_options.pool = &pool;
     IncrementalOptimizer reference(factory, schedule, inf);
     IncrementalOptimizer parallel(factory, schedule, inf,
                                   parallel_options);
@@ -289,10 +292,12 @@ TEST_P(ArenaNumbering, RefinementSeriesArenasMatchAcrossThreadCounts) {
   RandomWorld world = MakeRandomWorld(GetParam(), 6, /*sampling=*/true);
   const ResolutionSchedule schedule(5, 1.02, 0.3);
   const CostVector inf = CostVector::Infinite(3);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
   std::unique_ptr<IncrementalOptimizer> reference;
   for (const int threads : {1, 2, 4, 8}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
     OptimizerOptions options;
-    options.num_threads = threads;
+    options.pool = pools.back().get();
     auto run = std::make_unique<IncrementalOptimizer>(*world.factory,
                                                       schedule, inf, options);
     for (int r = 0; r <= schedule.MaxResolution(); ++r) run->Optimize(inf, r);
@@ -339,10 +344,12 @@ TEST_P(ArenaNumbering, BoundsScriptArenasMatchAcrossThreadCounts) {
     int steps;
   } script[] = {{nullptr, 2}, {&tight, 3}, {&relaxed, 2}, {&inf, 4}};
 
+  std::vector<std::unique_ptr<ThreadPool>> pools;
   std::vector<std::unique_ptr<IamaSession>> sessions;
   for (const int threads : {1, 2, 4, 8}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
     IamaOptions o = options;
-    o.optimizer.num_threads = threads;
+    o.optimizer.pool = pools.back().get();
     sessions.push_back(std::make_unique<IamaSession>(*world.factory, o));
   }
   const IncrementalOptimizer& reference = sessions.front()->optimizer();

@@ -370,10 +370,6 @@ TEST(OptimizerServiceTest, RejectsInvalidSubmissions) {
   injected_pool.iama.optimizer.pool = &pool;
   EXPECT_FALSE(service.Submit(std::move(injected_pool)).ok());
 
-  SubmitRequest own_threads = SmallRequest(good);
-  own_threads.iama.optimizer.num_threads = 4;
-  EXPECT_FALSE(service.Submit(std::move(own_threads)).ok());
-
   EXPECT_EQ(service.stats().submitted, 0u);
 }
 
