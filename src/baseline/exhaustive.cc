@@ -35,35 +35,33 @@ ExactParetoResult RunExactPareto(const PlanFactory& factory,
       const TableSet q(mask);
       if (q.Count() != k || !graph.IsConnected(q)) continue;
       ParetoFrontier& frontier = result.frontier_by_mask[mask];
-      for (SubsetIter split(q); !split.Done(); split.Next()) {
-        const TableSet q1 = split.Subset();
-        const TableSet q2 = split.Complement();
-        if (!factory.CanCombine(q1, q2)) continue;
+      factory.ForEachSplit(q, [&](TableSet q1, TableSet q2) {
         // Iterate over copies of the sub-frontiers' entries: the arena may
         // reallocate during insertion.
         const std::vector<ParetoFrontier::Entry> p1 =
             result.frontier_by_mask[q1.mask()].entries();
         const std::vector<ParetoFrontier::Entry> p2 =
             result.frontier_by_mask[q2.mask()].entries();
-        for (const ParetoFrontier::Entry& a : p1) {
-          for (const ParetoFrontier::Entry& b : p2) {
-            const PlanNode left = result.arena.at(static_cast<PlanId>(a.payload));
-            const PlanNode right = result.arena.at(static_cast<PlanId>(b.payload));
+        for (const ParetoFrontier::Entry& ea : p1) {
+          for (const ParetoFrontier::Entry& eb : p2) {
+            const PlanId a = static_cast<PlanId>(ea.payload);
+            const PlanId b = static_cast<PlanId>(eb.payload);
+            const PlanNode node_a = result.arena.at(a);
+            const PlanNode node_b = result.arena.at(b);
             factory.ForEachJoin(
-                left, right,
-                [&](const OperatorDesc& op, const OpCost& oc) {
+                node_a, node_b,
+                [&](const OperatorDesc& op, const OpCost& oc, bool a_left) {
                   ++result.plans_generated;
                   if (!RespectsBounds(oc.cost, bounds)) return;
                   if (frontier.IsStrictlyDominated(oc.cost)) return;
                   const PlanId id = result.arena.AddJoin(
-                      q, static_cast<PlanId>(a.payload),
-                      static_cast<PlanId>(b.payload), op, oc.cost,
+                      q, a_left ? a : b, a_left ? b : a, op, oc.cost,
                       oc.output_rows);
                   frontier.Insert(oc.cost, id);
                 });
           }
         }
-      }
+      });
     }
   }
   return result;
@@ -96,16 +94,14 @@ const std::vector<PlanNode>& AllPlans(
     return out;
   }
 
-  for (SubsetIter split(q); !split.Done(); split.Next()) {
-    const TableSet q1 = split.Subset();
-    const TableSet q2 = split.Complement();
-    if (!factory.CanCombine(q1, q2)) continue;
+  factory.ForEachSplit(q, [&](TableSet q1, TableSet q2) {
     const std::vector<PlanNode>& p1 = AllPlans(factory, q1, memo, computed);
     const std::vector<PlanNode>& p2 = AllPlans(factory, q2, memo, computed);
-    for (const PlanNode& left : p1) {
-      for (const PlanNode& right : p2) {
-        factory.ForEachJoin(left, right,
-                            [&](const OperatorDesc& op, const OpCost& oc) {
+    for (const PlanNode& a : p1) {
+      for (const PlanNode& b : p2) {
+        factory.ForEachJoin(a, b,
+                            [&](const OperatorDesc& op, const OpCost& oc,
+                                bool /*a_left*/) {
                               PlanNode node;
                               node.tables = q;
                               node.left = 0;  // Structure not tracked here.
@@ -118,7 +114,7 @@ const std::vector<PlanNode>& AllPlans(
                             });
       }
     }
-  }
+  });
   return out;
 }
 

@@ -86,28 +86,22 @@ OneShotResult RunOneShot(const PlanFactory& factory, double alpha,
     // Enumerates table set q's join alternatives against the lower
     // levels' result lists (read-only during the level).
     const auto enumerate = [&](TableSet q, LevelBuffer* out) {
-      for (SubsetIter split(q); !split.Done(); split.Next()) {
-        const TableSet q1 = split.Subset();
-        const TableSet q2 = split.Complement();
-        if (!factory.CanCombine(q1, q2)) continue;
-        const std::vector<PlanId>& p1 = result.plans_by_mask[q1.mask()];
-        const std::vector<PlanId>& p2 = result.plans_by_mask[q2.mask()];
-        for (PlanId a : p1) {
-          for (PlanId b : p2) {
+      factory.ForEachSplit(q, [&](TableSet q1, TableSet q2) {
+        for (PlanId a : result.plans_by_mask[q1.mask()]) {
+          for (PlanId b : result.plans_by_mask[q2.mask()]) {
             // References are stable: the arena only grows at the merge,
             // after the level's enumeration finished.
-            const PlanNode& left = result.arena.at(a);
-            const PlanNode& right = result.arena.at(b);
             factory.ForEachJoin(
-                left, right,
-                [&](const OperatorDesc& op, const OpCost& oc) {
+                result.arena.at(a), result.arena.at(b),
+                [&](const OperatorDesc& op, const OpCost& oc, bool a_left) {
                   ++out->plans_generated;
                   if (!RespectsBounds(oc.cost, bounds)) return;
-                  out->joins.push_back({a, b, op, oc});
+                  out->joins.push_back(
+                      {a_left ? a : b, a_left ? b : a, op, oc});
                 });
           }
         }
-      }
+      });
     };
 
     std::vector<LevelBuffer> buffers(level.size());

@@ -52,30 +52,25 @@ SingleObjectiveResult RunSingleObjective(
     for (uint32_t mask = 1; mask <= full; ++mask) {
       const TableSet q(mask);
       if (q.Count() != k || !graph.IsConnected(q)) continue;
-      for (SubsetIter split(q); !split.Done(); split.Next()) {
-        const TableSet q1 = split.Subset();
-        const TableSet q2 = split.Complement();
-        if (!factory.CanCombine(q1, q2)) continue;
-        if (best[q1.mask()] == kInvalidPlan ||
-            best[q2.mask()] == kInvalidPlan) {
-          continue;
-        }
-        const PlanNode left = result.arena.at(best[q1.mask()]);
-        const PlanNode right = result.arena.at(best[q2.mask()]);
-        const PlanId left_id = best[q1.mask()];
-        const PlanId right_id = best[q2.mask()];
-        factory.ForEachJoin(left, right,
-                            [&](const OperatorDesc& op, const OpCost& oc) {
-                              ++result.plans_generated;
-                              const double v = Scalarize(oc.cost, weights);
-                              if (v < value[mask]) {
-                                best[mask] = result.arena.AddJoin(
-                                    q, left_id, right_id, op, oc.cost,
-                                    oc.output_rows);
-                                value[mask] = v;
-                              }
-                            });
-      }
+      factory.ForEachSplit(q, [&](TableSet q1, TableSet q2) {
+        const PlanId a = best[q1.mask()];
+        const PlanId b = best[q2.mask()];
+        if (a == kInvalidPlan || b == kInvalidPlan) return;
+        const PlanNode node_a = result.arena.at(a);
+        const PlanNode node_b = result.arena.at(b);
+        factory.ForEachJoin(
+            node_a, node_b,
+            [&](const OperatorDesc& op, const OpCost& oc, bool a_left) {
+              ++result.plans_generated;
+              const double v = Scalarize(oc.cost, weights);
+              if (v < value[mask]) {
+                best[mask] = result.arena.AddJoin(
+                    q, a_left ? a : b, a_left ? b : a, op, oc.cost,
+                    oc.output_rows);
+                value[mask] = v;
+              }
+            });
+      });
     }
   }
 

@@ -17,8 +17,9 @@ struct Counters {
   // Plans constructed (scan plans + join plans). Lemma 5 bounds this by
   // the number of distinct possible plans.
   uint64_t plans_generated = 0;
-  // Sub-plan pairs passed the IsFresh test (join plans may be several per
-  // pair, one per operator). Lemma 6: each pair at most once.
+  // Unordered sub-plan pairs that passed the IsFresh test; each yields
+  // all of its join plans, hash joins in both orientations
+  // (PlanFactory::ForEachJoin). Lemma 6: each pair at most once.
   uint64_t pairs_generated = 0;
   // Pairs rejected by IsFresh (should stay 0 in Δ-exact invocation series).
   uint64_t pairs_rejected_stale = 0;

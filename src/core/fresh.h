@@ -6,9 +6,15 @@
 //     new in the current invocation are enumerated (see
 //     CellIndex::Collect), which keeps enumeration cost proportional to
 //     the change between invocations; and
-//   * the IsFresh predicate: a hash set over ordered (left, right) plan-id
-//     pairs, which guarantees at-most-once generation even when the Δ-sets
-//     degenerate to the full sets (e.g. after the user relaxes bounds).
+//   * the IsFresh predicate: a hash set of plan-id pairs, which
+//     guarantees at-most-once generation even when the Δ-sets degenerate
+//     to the full sets (e.g. after the user relaxes bounds).
+//
+// The registry keys ordered (first, second) pairs; the optimizer holds one
+// key per unordered sub-plan pair, in the canonical orientation of
+// PlanFactory::ForEachSplit (first from the split half with the smaller
+// mask). One key covers every join alternative of the pair, both hash-join
+// orientations included.
 #ifndef MOQO_CORE_FRESH_H_
 #define MOQO_CORE_FRESH_H_
 
@@ -19,21 +25,21 @@ namespace moqo {
 
 class FreshPairRegistry {
  public:
-  // True if the ordered pair (left, right) has not been combined yet.
-  bool IsFresh(uint32_t left, uint32_t right) const {
-    return seen_.find(PairKey(left, right)) == seen_.end();
+  // True if the ordered pair (first, second) has not been combined yet.
+  bool IsFresh(uint32_t first, uint32_t second) const {
+    return seen_.find(PairKey(first, second)) == seen_.end();
   }
 
   // Records the pair as combined; returns false if it already was.
-  bool Mark(uint32_t left, uint32_t right) {
-    return seen_.insert(PairKey(left, right)).second;
+  bool Mark(uint32_t first, uint32_t second) {
+    return seen_.insert(PairKey(first, second)).second;
   }
 
   size_t size() const { return seen_.size(); }
 
  private:
-  static uint64_t PairKey(uint32_t left, uint32_t right) {
-    return (static_cast<uint64_t>(left) << 32) | right;
+  static uint64_t PairKey(uint32_t first, uint32_t second) {
+    return (static_cast<uint64_t>(first) << 32) | second;
   }
 
   std::unordered_set<uint64_t> seen_;

@@ -33,6 +33,8 @@ struct BatchEntry {
 // dominates b then score(a) <= score(b), so dominating plans enter the
 // result set before the plans they suppress. This keeps the append-only
 // result sets close to minimal (see OptimizerOptions::sorted_pruning).
+// Score ties go to the smaller id, so the judge order is total and never
+// rests on std::sort's unspecified order among equal keys.
 void SortBatch(std::vector<BatchEntry>& batch) {
   if (batch.size() < 2) return;
   const int dims = batch[0].cost.dims();
@@ -50,7 +52,7 @@ void SortBatch(std::vector<BatchEntry>& batch) {
   }
   std::sort(batch.begin(), batch.end(),
             [](const BatchEntry& a, const BatchEntry& b) {
-              return a.score < b.score;
+              return a.score < b.score || (a.score == b.score && a.id < b.id);
             });
 }
 
@@ -70,6 +72,7 @@ struct IncrementalOptimizer::CellWork {
 
   CellIndex* res = nullptr;
   CellIndex* cand = nullptr;
+  // One canonical (q1-side, q2-side) key per fresh unordered pair.
   std::vector<std::pair<uint32_t, uint32_t>> fresh_pairs;
   std::vector<CellJoin> joins;
   std::vector<BatchEntry> batch;       // One entry per join; judge order.
@@ -282,8 +285,10 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
 
   // --- Phase 2: generate fresh plans (Algorithm 2 lines 13-22). ---
   // Bottom-up over connected table sets of increasing cardinality; for
-  // each split into two combinable subsets, enumerate only sub-plan pairs
-  // with at least one Δ member and an unseen (left, right) combination.
+  // each unordered split into two combinable subsets, enumerate only
+  // sub-plan pairs with at least one Δ member that were never combined,
+  // and join each pair once per join alternative (both orientations for
+  // hash joins, one for symmetric joins).
   Phase2(bounds, resolution);
 }
 
@@ -350,10 +355,10 @@ void IncrementalOptimizer::Phase2(const CostVector& bounds, int resolution) {
       const TableSet q = (*level)[j];
       const CellWork& w = work[j];
       counters_.AddCounts(w.counters);
-      for (const auto& [left, right] : w.fresh_pairs) {
+      for (const auto& [first, second] : w.fresh_pairs) {
         // A pair's table sets union to q, so no other cell can have
         // buffered it; marking must succeed.
-        const bool was_fresh = fresh_.Mark(left, right);
+        const bool was_fresh = fresh_.Mark(first, second);
         MOQO_CHECK(was_fresh);
       }
       for (const CellWork::Survivor& s : w.survivors) {
@@ -371,16 +376,14 @@ void IncrementalOptimizer::EnumerateFreshPairs(
     TableSet q,
     const std::vector<std::vector<CellIndex::Collected>>& collected,
     CellWork* work) const {
-  for (SubsetIter split(q); !split.Done(); split.Next()) {
-    const TableSet q1 = split.Subset();
-    const TableSet q2 = split.Complement();
-    if (!factory_.CanCombine(q1, q2)) continue;
-
+  factory_.ForEachSplit(q, [&](TableSet q1, TableSet q2) {
     const std::vector<CellIndex::Collected>& p1 = collected[q1.mask()];
-    if (p1.empty()) continue;
+    if (p1.empty()) return;
     const std::vector<CellIndex::Collected>& p2 = collected[q2.mask()];
-    if (p2.empty()) continue;
+    if (p2.empty()) return;
 
+    // `a` comes from q1 and `b` from q2, so (a.id, b.id) is the pair's
+    // one canonical key in the fresh registry.
     auto combine = [&](const CellIndex::Collected& a,
                        const CellIndex::Collected& b) {
       if (!fresh_.IsFresh(a.id, b.id)) {
@@ -391,12 +394,12 @@ void IncrementalOptimizer::EnumerateFreshPairs(
       ++work->counters.pairs_generated;
       // References are stable: the arena is not appended to while the
       // level's workers run.
-      const PlanNode& left = arena_.at(a.id);
-      const PlanNode& right = arena_.at(b.id);
       factory_.ForEachJoin(
-          left, right, [&](const OperatorDesc& op, const OpCost& oc) {
+          arena_.at(a.id), arena_.at(b.id),
+          [&](const OperatorDesc& op, const OpCost& oc, bool a_left) {
             const uint32_t index = static_cast<uint32_t>(work->joins.size());
-            work->joins.push_back({a.id, b.id, op, oc.output_rows});
+            work->joins.push_back({a_left ? a.id : b.id, a_left ? b.id : a.id,
+                                   op, oc.output_rows});
             work->batch.push_back({index, oc.cost, 0.0, oc.order});
             ++work->counters.plans_generated;
           });
@@ -415,7 +418,7 @@ void IncrementalOptimizer::EnumerateFreshPairs(
         combine(a, b);
       }
     }
-  }
+  });
 }
 
 void IncrementalOptimizer::JudgeCell(TableSet q, const CostVector& bounds,

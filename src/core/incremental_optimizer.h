@@ -11,9 +11,13 @@
 // Each call to Optimize(bounds, resolution) performs one invocation of
 // procedure Optimize: phase 1 re-considers candidate plans that match the
 // current bounds/resolution; phase 2 generates fresh join plans bottom-up
-// over table subsets, combining only sub-plan pairs that were not combined
-// before. After the call, Res^q[0..b, 0..r] is an α_r^|q|-approximate
-// b-bounded Pareto plan set for every table subset q (Theorems 1 and 2).
+// over table subsets, visiting each unordered split of a subset once
+// (PlanFactory::ForEachSplit) and combining only sub-plan pairs that were
+// not combined before, each into every join alternative once
+// (PlanFactory::ForEachJoin: hash joins in both orientations, symmetric
+// joins in one). After the call, Res^q[0..b, 0..r] is an
+// α_r^|q|-approximate b-bounded Pareto plan set for every table subset q
+// (Theorems 1 and 2).
 #ifndef MOQO_CORE_INCREMENTAL_OPTIMIZER_H_
 #define MOQO_CORE_INCREMENTAL_OPTIMIZER_H_
 
@@ -217,8 +221,9 @@ class IncrementalOptimizer {
   // One cell's phase-2 work at one level (defined in the .cc).
   struct CellWork;
   // Enumerates the fresh sub-plan pairs of cell q against the
-  // pre-collected sub-plan sets and buffers their join alternatives.
-  // Reads shared state only.
+  // pre-collected sub-plan sets, one unordered split and one canonical
+  // (q1-side, q2-side) orientation per pair, and buffers their join
+  // alternatives. Reads shared state only.
   void EnumerateFreshPairs(
       TableSet q,
       const std::vector<std::vector<CellIndex::Collected>>& collected,

@@ -116,16 +116,17 @@ OpCost CostModel::JoinCost(const PlanNode& left, const PlanNode& right,
       break;
     case JoinAlg::kSortMergeJoin: {
       // An input already sorted on the merge key skips its sort phase;
-      // the output inherits the merge key's order (paper §4.3).
+      // the output inherits the merge key's order (paper §4.3). The two
+      // sort terms enter as one commutative sum, so swapping the inputs
+      // gives a bitwise-equal cost (IsSymmetricJoin).
       const bool left_sorted = merge_order > 0 && left.order == merge_order;
       const bool right_sorted =
           merge_order > 0 && right.order == merge_order;
-      if (!left_sorted) {
-        work_ms += lrows * std::log2(lrows + 2.0) * p.sort_ms;
-      }
-      if (!right_sorted) {
-        work_ms += rrows * std::log2(rrows + 2.0) * p.sort_ms;
-      }
+      const double lsort =
+          left_sorted ? 0.0 : lrows * std::log2(lrows + 2.0) * p.sort_ms;
+      const double rsort =
+          right_sorted ? 0.0 : rrows * std::log2(rrows + 2.0) * p.sort_ms;
+      work_ms += lsort + rsort;
       work_ms += (lrows + rrows) * p.merge_ms;
       if (merge_order > 0) {
         produced_order = static_cast<uint8_t>(merge_order);

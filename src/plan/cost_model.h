@@ -96,8 +96,9 @@ class CostModel {
 
 // PlanFactory defines the physical plan search space of one query:
 // which scan / join alternatives exist and what they cost. All optimizers
-// (IAMA and the baselines) enumerate through this single class, so they
-// search exactly the same space.
+// (IAMA and the baselines) enumerate through this single class — its
+// ForEachScan, ForEachSplit and ForEachJoin — so they search exactly the
+// same space.
 //
 // The factory pins an immutable CatalogSnapshot at construction: later
 // catalog mutations (statistics refresh) never change the costs this
@@ -148,28 +149,50 @@ class PlanFactory {
     }
   }
 
-  // Invokes fn(op, op_cost) for every join alternative combining the two
-  // sub-plans (which must satisfy CanCombine on their table sets).
+  // Invokes fn(q1, q2) once per unordered split {q1, q2} of `q` that
+  // CanCombine accepts, oriented so that q1.mask() < q2.mask() (q2 holds
+  // q's highest table), in descending order of q1's mask. Both the rule
+  // and the order survive any order-preserving renumbering of the
+  // tables, which the fragment store's key canonicalization relies on
+  // (docs/FRAGMENT_SHARING.md).
   template <typename F>
-  void ForEachJoin(const PlanNode& left, const PlanNode& right,
-                   F&& fn) const {
+  void ForEachSplit(TableSet q, F&& fn) const {
+    for (SubsetIter split(q); !split.Done(); split.Next()) {
+      const TableSet q1 = split.Subset();
+      const TableSet q2 = split.Complement();
+      if (q1.mask() > q2.mask() || !CanCombine(q1, q2)) continue;
+      fn(q1, q2);
+    }
+  }
+
+  // Invokes fn(op, op_cost, a_left) once per join alternative of the
+  // unordered sub-plan pair {a, b} (their table sets must satisfy
+  // CanCombine): every hash join in both orientations (build on a, then
+  // on b), and every symmetric join (IsSymmetricJoin) once, with a on the
+  // left. `a_left` says whether the alternative takes a as its left
+  // input.
+  template <typename F>
+  void ForEachJoin(const PlanNode& a, const PlanNode& b, F&& fn) const {
     const double selectivity =
-        graph_.SelectivityBetween(left.tables, right.tables);
+        graph_.SelectivityBetween(a.tables, b.tables);
     int merge_order = 0;
     if (orders_enabled()) {
-      merge_order =
-          1 + graph_.FirstPredicateBetween(left.tables, right.tables);
+      merge_order = 1 + graph_.FirstPredicateBetween(a.tables, b.tables);
       if (merge_order > 255) merge_order = 0;  // Tag domain exhausted.
     }
     // JoinAlternatives adds the nested-loop variant when either input is
     // small enough; both possible lists are built once.
     const double small = op_options_.nested_loop_max_inner_rows;
-    const bool small_input = left.output_cardinality <= small ||
-                             right.output_cardinality <= small;
+    const bool small_input =
+        a.output_cardinality <= small || b.output_cardinality <= small;
     for (const OperatorDesc& op :
          small_input ? joins_small_input_ : joins_large_inputs_) {
-      fn(op, cost_model_.JoinCost(left, right, selectivity, op,
-                                  merge_order));
+      fn(op, cost_model_.JoinCost(a, b, selectivity, op, merge_order),
+         true);
+      if (!IsSymmetricJoin(op.join_alg())) {
+        fn(op, cost_model_.JoinCost(b, a, selectivity, op, merge_order),
+           false);
+      }
     }
   }
 

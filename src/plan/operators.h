@@ -26,6 +26,15 @@ enum class JoinAlg : uint8_t {
   kBlockNestedLoop = 2,
 };
 
+// True when a join's cost, output rows and produced order do not depend
+// on which input is left: sort-merge sorts and merges both inputs alike,
+// and block-nested-loop pays per tuple pair. Hash join is not symmetric:
+// it builds on its left input and probes with its right. The plan
+// factory enumerates symmetric joins in one orientation only.
+constexpr bool IsSymmetricJoin(JoinAlg alg) {
+  return alg != JoinAlg::kHashJoin;
+}
+
 // One physical operator alternative. For scans, `sampling_permille` encodes
 // the sampling rate (1000 = full scan); joins always use 1000.
 struct OperatorDesc {

@@ -742,7 +742,11 @@ FragmentQueryBinding::FragmentQueryBinding(const Query& query,
 
   // The shared key prefix: everything per-service or per-submission that
   // the per-cell frontier depends on beyond the sub-join-graph itself.
-  context_ = "f1;e=";
+  // The leading version names the enumeration that produced the stored
+  // frontiers; bump it whenever a cell's frontier for the same inputs
+  // changes, so a log written by an older build seeds nothing. f2: each
+  // unordered split and sub-plan pair is enumerated once.
+  context_ = "f2;e=";
   context_ += std::to_string(epoch);
   AppendFrontierOptions(&context_, schema, iama);
   context_ += orders_enabled_ ? ":1" : ":0";

@@ -1,4 +1,8 @@
 #include <cmath>
+#include <cstring>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -287,7 +291,10 @@ TEST(PlanFactoryTest, ForEachScanYieldsAllAlternatives) {
 
 // ForEachJoin walks join-alternative lists the factory built once; they
 // must match JoinAlternatives for the inputs at hand on both sides of
-// the nested-loop threshold, for either input being the small one.
+// the nested-loop threshold, for either input being the small one. The
+// pair is unordered: each hash join comes twice, building on a and then
+// on b, and each symmetric alternative once with a on the left, each
+// costed for the orientation it reports.
 TEST(PlanFactoryTest, ForEachJoinYieldsJoinAlternatives) {
   const Catalog catalog = MakeTpchCatalog();
   const auto blocks = TpchBlocksWithTables(catalog, 2);
@@ -299,29 +306,167 @@ TEST(PlanFactoryTest, ForEachJoinYieldsJoinAlternatives) {
                               CostModelParams{}, op_options);
     const double limit = op_options.nested_loop_max_inner_rows;
     for (const double small : {1.0, limit, std::nextafter(limit, 1e300)}) {
-      for (const bool small_left : {true, false}) {
-        PlanNode left;
-        left.tables = TableSet::Singleton(0);
-        left.cost = CostVector(3, 1.0);
-        left.output_cardinality = small_left ? small : 1e8;
-        PlanNode right = left;
-        right.tables = TableSet::Singleton(1);
-        right.output_cardinality = small_left ? 1e8 : small;
-        std::vector<OperatorDesc> got;
-        factory.ForEachJoin(left, right,
-                            [&](const OperatorDesc& op, const OpCost&) {
-                              got.push_back(op);
-                            });
-        const std::vector<OperatorDesc> want =
-            JoinAlternatives(left.output_cardinality,
-                             right.output_cardinality, op_options);
+      for (const bool small_a : {true, false}) {
+        PlanNode a;
+        a.tables = TableSet::Singleton(0);
+        a.cost = CostVector(3, 1.0);
+        a.output_cardinality = small_a ? small : 1e8;
+        PlanNode b = a;
+        b.tables = TableSet::Singleton(1);
+        b.output_cardinality = small_a ? 1e8 : small;
+        struct Yield {
+          OperatorDesc op;
+          OpCost oc;
+          bool a_left;
+        };
+        std::vector<Yield> got;
+        factory.ForEachJoin(
+            a, b, [&](const OperatorDesc& op, const OpCost& oc, bool a_left) {
+              got.push_back({op, oc, a_left});
+            });
+        std::vector<std::pair<OperatorDesc, bool>> want;
+        for (const OperatorDesc& op : JoinAlternatives(
+                 a.output_cardinality, b.output_cardinality, op_options)) {
+          want.emplace_back(op, true);
+          if (op.join_alg() == JoinAlg::kHashJoin) want.emplace_back(op, false);
+        }
         ASSERT_EQ(got.size(), want.size()) << "rows=" << small;
+        const double selectivity =
+            factory.graph().SelectivityBetween(a.tables, b.tables);
         for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].alg, want[i].alg) << "rows=" << small;
-          EXPECT_EQ(got[i].workers, want[i].workers) << "rows=" << small;
+          EXPECT_EQ(got[i].op.alg, want[i].first.alg) << "rows=" << small;
+          EXPECT_EQ(got[i].op.workers, want[i].first.workers)
+              << "rows=" << small;
+          EXPECT_EQ(got[i].a_left, want[i].second) << "rows=" << small;
+          const OpCost expect =
+              got[i].a_left
+                  ? factory.cost_model().JoinCost(a, b, selectivity,
+                                                  got[i].op)
+                  : factory.cost_model().JoinCost(b, a, selectivity,
+                                                  got[i].op);
+          EXPECT_TRUE(got[i].oc.cost.Equals(expect.cost)) << "i=" << i;
+          EXPECT_EQ(got[i].oc.output_rows, expect.output_rows) << "i=" << i;
         }
       }
     }
+  }
+}
+
+// ForEachSplit yields each unordered half of the ordered split set that
+// SubsetIter + CanCombine enumerate exactly once, oriented q1 < q2 by
+// mask and in descending order of q1, for every subset of 6-table chain,
+// star, cycle and clique graphs.
+TEST(PlanFactoryTest, ForEachSplitYieldsEachUnorderedSplitOnce) {
+  for (const Topology topology : {Topology::kChain, Topology::kStar,
+                                  Topology::kCycle, Topology::kClique}) {
+    Catalog catalog;
+    Rng rng(11);
+    GeneratorOptions gen;
+    gen.num_tables = 6;
+    gen.topology = topology;
+    const Query query = RandomQuery(rng, gen, &catalog);
+    const PlanFactory factory(query, catalog, MetricSchema::Standard3());
+    const uint32_t full = TableSet::Full(6).mask();
+    size_t total = 0;
+    for (uint32_t mask = 1; mask <= full; ++mask) {
+      const TableSet q(mask);
+      std::set<std::pair<uint32_t, uint32_t>> ordered;
+      for (SubsetIter split(q); !split.Done(); split.Next()) {
+        if (factory.CanCombine(split.Subset(), split.Complement())) {
+          ordered.emplace(split.Subset().mask(), split.Complement().mask());
+        }
+      }
+      std::vector<std::pair<uint32_t, uint32_t>> got;
+      factory.ForEachSplit(q, [&](TableSet q1, TableSet q2) {
+        got.emplace_back(q1.mask(), q2.mask());
+      });
+      ASSERT_EQ(got.size() * 2, ordered.size())
+          << "topology " << static_cast<int>(topology) << " q=" << mask;
+      for (size_t i = 0; i < got.size(); ++i) {
+        const auto [q1, q2] = got[i];
+        EXPECT_LT(q1, q2) << "q=" << mask;
+        EXPECT_EQ(ordered.count({q1, q2}), 1u) << "q=" << mask;
+        EXPECT_EQ(ordered.count({q2, q1}), 1u) << "q=" << mask;
+        if (i > 0) {
+          EXPECT_LT(q1, got[i - 1].first) << "q=" << mask;
+        }
+      }
+      total += got.size();
+    }
+    EXPECT_GT(total, 0u) << "topology " << static_cast<int>(topology);
+  }
+}
+
+// Bit pattern equality: the symmetry the enumeration relies on is exact,
+// not approximate.
+bool SameBits(double x, double y) {
+  uint64_t bx = 0;
+  uint64_t by = 0;
+  std::memcpy(&bx, &x, sizeof(x));
+  std::memcpy(&by, &y, sizeof(y));
+  return bx == by;
+}
+
+// A random sub-plan node: cardinality log-uniform over [1, 1e8] (either
+// side of the nested-loop threshold), random non-negative costs, and an
+// order tag that is unsorted, sorted on the merge key or sorted on
+// another key.
+PlanNode RandomNode(Rng& rng, int dims, int merge_order) {
+  PlanNode node;
+  node.output_cardinality = std::pow(10.0, rng.UniformDouble(0.0, 8.0));
+  node.cost = CostVector(dims);
+  for (int i = 0; i < dims; ++i) {
+    node.cost[i] =
+        rng.Bernoulli(0.1) ? 0.0 : std::pow(10.0, rng.UniformDouble(-3, 6));
+  }
+  const int orders[] = {0, merge_order, merge_order + 1};
+  node.order = static_cast<uint8_t>(orders[rng.Uniform(3)]);
+  return node;
+}
+
+// Swapping the inputs of a join marked symmetric (IsSymmetricJoin) leaves
+// its cost, output rows and order bit-identical, with interesting orders
+// on and off, for Standard3 and all six metrics. ForEachJoin yields such
+// joins in one orientation only, so this is the oracle that no cost
+// vector is lost by skipping the mirrors. Hash join must differ for some
+// pair, or the comparison would prove nothing.
+TEST(JoinCostTest, SymmetricJoinsIgnoreInputOrderBitForBit) {
+  Rng rng(2024);
+  for (const MetricSchema& schema :
+       {MetricSchema::Standard3(), MetricSchema::Full6()}) {
+    const CostModel model = MakeModel(schema);
+    int hash_asymmetric = 0;
+    int symmetric_checked = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+      const int merge_order =
+          rng.Bernoulli(0.2) ? 0 : 1 + static_cast<int>(rng.Uniform(10));
+      const PlanNode l = RandomNode(rng, schema.dims(), merge_order);
+      const PlanNode r = RandomNode(rng, schema.dims(), merge_order);
+      const double selectivity = std::pow(10.0, rng.UniformDouble(-8, 0));
+      const int workers = 1 << rng.Uniform(4);
+      for (const JoinAlg alg : {JoinAlg::kHashJoin, JoinAlg::kSortMergeJoin,
+                                JoinAlg::kBlockNestedLoop}) {
+        const OperatorDesc op = OperatorDesc::Join(alg, workers);
+        const OpCost lr = model.JoinCost(l, r, selectivity, op, merge_order);
+        const OpCost rl = model.JoinCost(r, l, selectivity, op, merge_order);
+        bool same = SameBits(lr.output_rows, rl.output_rows) &&
+                    lr.order == rl.order;
+        for (int i = 0; i < schema.dims(); ++i) {
+          same = same && SameBits(lr.cost[i], rl.cost[i]);
+        }
+        if (!IsSymmetricJoin(alg)) {
+          hash_asymmetric += same ? 0 : 1;
+          continue;
+        }
+        ++symmetric_checked;
+        ASSERT_TRUE(same) << "alg " << static_cast<int>(alg) << " trial "
+                          << trial << " l.order " << int{l.order}
+                          << " r.order " << int{r.order} << " merge_order "
+                          << merge_order;
+      }
+    }
+    EXPECT_GT(symmetric_checked, 0);
+    EXPECT_GT(hash_asymmetric, 0);
   }
 }
 

@@ -15,8 +15,9 @@ TEST(FreshPairRegistryTest, MarksPairsOnce) {
 }
 
 TEST(FreshPairRegistryTest, OrderedPairsAreDistinct) {
-  // (a, b) and (b, a) are different combinations: join operators are
-  // asymmetric (build vs probe side, outer vs inner).
+  // (a, b) and (b, a) are different keys: the registry keys ordered
+  // pairs, and the optimizer asks with each unordered sub-plan pair in
+  // its one canonical orientation (see fresh.h).
   FreshPairRegistry reg;
   EXPECT_TRUE(reg.Mark(1, 2));
   EXPECT_TRUE(reg.IsFresh(2, 1));
