@@ -11,8 +11,8 @@
 /// cell with at least two tables to the provider; on a hit the cell's
 /// result set is *seeded* with the stored frontier and *sealed* — phase-2
 /// enumeration never runs for it — and on completion the optimizer's
-/// per-cell insertion logs can be published back through the serving
-/// layer (`IncrementalOptimizer::TakePublishableFragments`).
+/// per-cell result sets can be published back through the serving layer
+/// (`IncrementalOptimizer::TakePublishableFragments`).
 ///
 /// This header is deliberately service-agnostic: the canonical cross-
 /// query keying, the concurrent LRU store, and the interesting-order tag
@@ -54,16 +54,18 @@ struct FragmentPlan {
 };
 
 /// A fragment-store hit, already translated into the consuming query's
-/// local order tags: the full result-set insertion history of one cell.
+/// local order tags: one cell's complete result set.
 struct FragmentSeed {
   /// Finest resolution level the donor run completed for this cell; a
   /// provider only returns seeds whose level covers the consumer's
   /// schedule (prefix property: entries stamped <= r are exactly the
   /// cell's state after a cold run through resolution r).
   int resolution_complete = 0;
-  /// The cell's result plans in the donor's chronological insertion
-  /// order. Replaying them in order reproduces the cold run's cell-index
-  /// layout bit for bit (hash-map iteration order included).
+  /// The cell's result plans in the donor index's order: cost cells in
+  /// creation order, each cost cell's entries in insertion order.
+  /// Inserting them in this order into an empty index reproduces the
+  /// cold run's cell-index layout bit for bit (result sets never lose an
+  /// entry, and the first insert per cost cell creates it).
   std::vector<FragmentPlan> plans;
 };
 

@@ -15,6 +15,11 @@
 // PlanFactory::ForEachSplit (first from the split half with the smaller
 // mask). One key covers every join alternative of the pair, both hash-join
 // orientations included.
+//
+// The optimizer keeps one registry per connected multi-table table set q:
+// a pair's halves union to exactly q, so only q's phase-2 worker ever
+// tests or marks it, and it marks the pair in the same Mark call that
+// tests it — no registry is shared between threads.
 #ifndef MOQO_CORE_FRESH_H_
 #define MOQO_CORE_FRESH_H_
 

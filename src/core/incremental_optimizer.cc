@@ -59,8 +59,8 @@ void SortBatch(std::vector<BatchEntry>& batch) {
 }  // namespace
 
 // One cell's phase-2 work at one level. The main thread creates the
-// cell's sets before dispatch; the worker that takes the cell fills the
-// rest; the main thread reads it after the level barrier.
+// cell's sets and registry before dispatch; the worker that takes the
+// cell fills the rest; the main thread reads it after the level barrier.
 struct IncrementalOptimizer::CellWork {
   // A judged plan that entered one of the cell's sets under a
   // placeholder id: batch[batch_pos] at `handle` in res or cand.
@@ -72,8 +72,7 @@ struct IncrementalOptimizer::CellWork {
 
   CellIndex* res = nullptr;
   CellIndex* cand = nullptr;
-  // One canonical (q1-side, q2-side) key per fresh unordered pair.
-  std::vector<std::pair<uint32_t, uint32_t>> fresh_pairs;
+  FreshPairRegistry* fresh = nullptr;
   std::vector<CellJoin> joins;
   std::vector<BatchEntry> batch;       // One entry per join; judge order.
   std::vector<Survivor> survivors;     // In judge order.
@@ -92,7 +91,6 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
       cand_(factory.NumTables(), factory.cost_model().schema().dims(),
             options.cell_gamma) {
   counters_.track_per_plan = options_.track_per_plan_counters;
-  pool_ = options_.pool;
 
   const int n = factory_.NumTables();
   // Precompute the connected table subsets, grouped by size; the DP in
@@ -120,23 +118,24 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
     });
     if (options_.sorted_pruning) SortBatch(batch);
     for (const BatchEntry& e : batch) {
-      PrunePlan(q, e.id, e.cost, e.order, initial_bounds, /*resolution=*/0);
+      Prune(res_.For(q), cand_.For(q), initial_bounds, /*resolution=*/0,
+            CompareResolution(0), schedule_, e.id, e.cost, e.order,
+            invocation_, options_.park_next_level_only, &counters_);
     }
   }
 
   current_bounds_ = initial_bounds;
-  if (options_.fragment_publish) {
-    publish_log_.resize(size_t{1} << n);
-  }
   ReprobeFragments();
 }
 
 // Seeds every unsealed connected multi-table cell the provider knows: the
-// stored plans become opaque arena leaves and are replayed into the
-// cell's result index in the donor's chronological insertion order, each
-// keeping its original resolution stamp. Replay order matters — the cell
-// index's hash-map layout (and hence Collect's iteration order) then
-// matches a cold run's bit for bit. Entries are inserted with
+// stored plans become opaque arena leaves and are inserted into the
+// cell's result index in the donor index's order (cost cells in creation
+// order, each cell's entries in insertion order; see
+// TakePublishableFragments), each keeping its original resolution stamp.
+// Replay order matters — the index's cells and entries (and hence
+// Collect's iteration order) then match a cold run's bit for bit, since
+// result sets never lose an entry. Entries are inserted with
 // kNeverVisible so their first Collect — which happens at the invocation
 // of their resolution stamp, exactly when the cold run would have
 // inserted them — classifies them as Δ. The cell itself is sealed: its
@@ -146,10 +145,10 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
 // were still in flight probe again before their first step, since the
 // admission-time probe raced those leaders' publishes. Before the first
 // Optimize call every unsealed multi-table cell is still empty — its
-// enumeration has not started — so either probe replays the donor log
+// enumeration has not started — so either probe replays the donor's plans
 // into a virgin cell and the bit-identity argument holds for both.
 void IncrementalOptimizer::ReprobeFragments() {
-  if (first_optimize_done_ || options_.fragment_store == nullptr) return;
+  if (last_resolution_ >= 0 || options_.fragment_store == nullptr) return;
   const int n = factory_.NumTables();
   const bool had_seals = !sealed_.empty();
   if (!had_seals) sealed_.assign(size_t{1} << n, 0);
@@ -162,13 +161,13 @@ void IncrementalOptimizer::ReprobeFragments() {
           options_.fragment_store->Lookup(q, needed);
       if (!seed.has_value()) continue;
       CellIndex& res = res_.For(q);
-      // Plain chronological replay: the first insert per cell creates it,
-      // so the cell index's creation order — and hence every downstream
+      // Plain in-order replay: the first insert per cost cell creates it,
+      // so the index's creation order — and hence every downstream
       // iteration order — matches the donor's without any pre-pass. The
       // banks grow geometrically through the arena; the abandoned blocks
-      // (a small multiple of the final lane bytes, reclaimed wholesale at
-      // the next epoch reset) are far cheaper than per-plan bookkeeping
-      // on this hot warm-start path.
+      // (a small multiple of the final lane bytes, reclaimed wholesale
+      // when the optimizer dies) are far cheaper than per-plan
+      // bookkeeping on this hot warm-start path.
       for (const FragmentPlan& p : seed->plans) {
         const PlanId id =
             arena_.AddFragment(q, p.op, p.cost, p.output_rows, p.order);
@@ -197,51 +196,45 @@ void IncrementalOptimizer::UnsealForBoundsChange() {
   }
 }
 
+// Reads each cell in its index's own order. Inserting the plans in that
+// order into an empty index rebuilds the same cost cells in the same
+// creation order with the same entries in the same order: result sets
+// never lose an entry, and the first insert per cost cell creates it.
+// Under the publishable invocation sequence a plan's resolution stamp is
+// the invocation it entered at, so the plans stamped <= r are the cell's
+// state after resolution r (docs/FRAGMENT_SHARING.md).
 std::vector<IncrementalOptimizer::PublishableFragment>
 IncrementalOptimizer::TakePublishableFragments() {
   std::vector<PublishableFragment> out;
   if (!options_.fragment_publish || !publish_valid_ || last_resolution_ < 0) {
     return out;
   }
+  const CostVector everything =
+      CostVector::Infinite(factory_.cost_model().schema().dims());
+  const PlanSetTable& res = res_;  // Never creates a set.
   const int n = factory_.NumTables();
   for (size_t k = 2; k <= static_cast<size_t>(n); ++k) {
     for (TableSet q : connected_by_size_[k]) {
-      if (IsSealed(q)) continue;  // Already in the store; logs are empty.
-      std::vector<FragmentPlan>& log = publish_log_[q.mask()];
-      if (log.empty()) continue;
-      out.push_back({q, last_resolution_, std::move(log)});
-      log.clear();
+      if (IsSealed(q)) continue;  // Already in the store.
+      PublishableFragment cell{q, last_resolution_, {}};
+      res.For(q).ForEachInRange(
+          everything, last_resolution_, [&](const CellIndex::Entry& e) {
+            const PlanNode& node = arena_.at(e.id);
+            cell.plans.push_back({e.cost, node.output_cardinality, node.op,
+                                  e.order, e.resolution});
+          });
+      if (!cell.plans.empty()) out.push_back(std::move(cell));
     }
   }
   return out;
-}
-
-void IncrementalOptimizer::PrunePlan(TableSet q, uint32_t plan_id,
-                                     const CostVector& cost, int order,
-                                     const CostVector& bounds,
-                                     int resolution) {
-  const PruneOutcome outcome =
-      Prune(res_.For(q), cand_.For(q), bounds, resolution,
-            CompareResolution(resolution), schedule_, plan_id, cost, order,
-            invocation_, options_.park_next_level_only, &counters_);
-  std::vector<FragmentPlan>* publish = PublishLog(q);
-  if (outcome == PruneOutcome::kInsertedResult && publish != nullptr) {
-    const PlanNode& node = arena_.at(plan_id);
-    publish->push_back({cost, node.output_cardinality, node.op,
-                        static_cast<uint8_t>(order),
-                        static_cast<uint8_t>(resolution)});
-  }
 }
 
 void IncrementalOptimizer::Optimize(const CostVector& bounds,
                                     int resolution) {
   MOQO_CHECK(resolution >= 0 && resolution <= schedule_.MaxResolution());
   MOQO_CHECK(bounds.dims() == factory_.cost_model().schema().dims());
-  if (first_optimize_done_) {
-    ++invocation_;
-  } else {
-    first_optimize_done_ = true;  // Share invocation 1 with the seeding.
-  }
+  // The first call shares invocation 1 with the seeding.
+  if (last_resolution_ >= 0) ++invocation_;
 
   // Fragment bookkeeping. A bounds change means the run no longer
   // replays a fixed-bounds schedule: publishing stops, and any sealed
@@ -267,8 +260,8 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
   // for a finer resolution, or discard them.
   for (size_t k = 1; k <= static_cast<size_t>(n); ++k) {
     for (TableSet q : connected_by_size_[k]) {
-      std::vector<CellIndex::Entry> drained =
-          cand_.For(q).Drain(bounds, resolution);
+      CellIndex& cand = cand_.For(q);
+      std::vector<CellIndex::Entry> drained = cand.Drain(bounds, resolution);
       if (drained.empty()) continue;
       std::vector<BatchEntry> batch;
       batch.reserve(drained.size());
@@ -278,7 +271,10 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
       }
       if (options_.sorted_pruning) SortBatch(batch);
       for (const BatchEntry& e : batch) {
-        PrunePlan(q, e.id, e.cost, e.order, bounds, resolution);
+        Prune(res_.For(q), cand, bounds, resolution,
+              CompareResolution(resolution), schedule_, e.id, e.cost,
+              e.order, invocation_, options_.park_next_level_only,
+              &counters_);
       }
     }
   }
@@ -300,21 +296,26 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
 //      forms the combinable split (s, {v}) of s ∪ {v} for some neighbor
 //      table v, so this stamps visibility exactly as Algorithm 2's
 //      per-split retrieval would. It also creates the live cells' result
-//      and candidate sets;
+//      and candidate sets and fresh-pair registries;
 //   2. the live cells are spread over the pool (or run inline without
 //      one). Each cell's worker enumerates its fresh pairs into a batch,
-//      sorts it, and judges it in order against the cell's own result
-//      set, inserting survivors under placeholder ids. A cell's Prune
-//      calls read and write only that cell's sets, so each cell sees the
-//      same sequence of Prune calls at every thread count;
+//      marking each in the cell's registry as it tests it, sorts the
+//      batch, and judges it in order against the cell's own result set,
+//      inserting survivors under placeholder ids. A pair's halves union
+//      to exactly one cell, and a cell's Prune calls read and write only
+//      that cell's sets, so each cell sees the same sequence of fresh
+//      checks and Prune calls at every thread count;
 //   3. after the barrier, the main thread walks the cells in canonical
-//      order: it merges their counters, marks their fresh pairs, appends
-//      their survivors to the arena in judge order and patches the ids.
-//      Discarded plans never get an arena node, and survivors are
-//      numbered identically at every thread count.
+//      order: it merges their counters, appends their survivors to the
+//      arena in judge order and patches the ids. Discarded plans never
+//      get an arena node, and survivors are numbered identically at
+//      every thread count.
 void IncrementalOptimizer::Phase2(const CostVector& bounds, int resolution) {
   const int n = factory_.NumTables();
-  if (collected_.empty()) collected_.resize(size_t{1} << n);
+  if (collected_.empty()) {
+    collected_.resize(size_t{1} << n);
+    fresh_.resize(size_t{1} << n);
+  }
   std::vector<CellWork> work;
   for (size_t k = 2; k <= static_cast<size_t>(n); ++k) {
     for (TableSet s : connected_by_size_[k - 1]) {
@@ -338,15 +339,19 @@ void IncrementalOptimizer::Phase2(const CostVector& bounds, int resolution) {
     work.clear();
     work.resize(level->size());
     for (size_t j = 0; j < level->size(); ++j) {
-      work[j].res = &res_.For((*level)[j]);
-      work[j].cand = &cand_.For((*level)[j]);
+      const TableSet q = (*level)[j];
+      work[j].res = &res_.For(q);
+      work[j].cand = &cand_.For(q);
+      std::unique_ptr<FreshPairRegistry>& fresh = fresh_[q.mask()];
+      if (fresh == nullptr) fresh = std::make_unique<FreshPairRegistry>();
+      work[j].fresh = fresh.get();
     }
     const auto run_cell = [&](size_t j) {
       EnumerateFreshPairs((*level)[j], collected_, &work[j]);
-      JudgeCell((*level)[j], bounds, resolution, &work[j]);
+      JudgeCell(bounds, resolution, &work[j]);
     };
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(level->size(), run_cell);
+    if (options_.pool != nullptr) {
+      options_.pool->ParallelFor(level->size(), run_cell);
     } else {
       for (size_t j = 0; j < level->size(); ++j) run_cell(j);
     }
@@ -355,12 +360,6 @@ void IncrementalOptimizer::Phase2(const CostVector& bounds, int resolution) {
       const TableSet q = (*level)[j];
       const CellWork& w = work[j];
       counters_.AddCounts(w.counters);
-      for (const auto& [first, second] : w.fresh_pairs) {
-        // A pair's table sets union to q, so no other cell can have
-        // buffered it; marking must succeed.
-        const bool was_fresh = fresh_.Mark(first, second);
-        MOQO_CHECK(was_fresh);
-      }
       for (const CellWork::Survivor& s : w.survivors) {
         const BatchEntry& e = w.batch[s.batch_pos];
         const CellJoin& join = w.joins[e.id];
@@ -383,14 +382,13 @@ void IncrementalOptimizer::EnumerateFreshPairs(
     if (p2.empty()) return;
 
     // `a` comes from q1 and `b` from q2, so (a.id, b.id) is the pair's
-    // one canonical key in the fresh registry.
+    // one canonical key in the cell's fresh registry.
     auto combine = [&](const CellIndex::Collected& a,
                        const CellIndex::Collected& b) {
-      if (!fresh_.IsFresh(a.id, b.id)) {
+      if (!work->fresh->Mark(a.id, b.id)) {
         ++work->counters.pairs_rejected_stale;
         return;
       }
-      work->fresh_pairs.emplace_back(a.id, b.id);
       ++work->counters.pairs_generated;
       // References are stable: the arena is not appended to while the
       // level's workers run.
@@ -421,12 +419,11 @@ void IncrementalOptimizer::EnumerateFreshPairs(
   });
 }
 
-void IncrementalOptimizer::JudgeCell(TableSet q, const CostVector& bounds,
+void IncrementalOptimizer::JudgeCell(const CostVector& bounds,
                                      int resolution, CellWork* work) {
-  // Cheapest first, before any superset of q consumes the cell.
+  // Cheapest first, before any superset consumes the cell.
   if (options_.sorted_pruning) SortBatch(work->batch);
   const int compare_resolution = CompareResolution(resolution);
-  std::vector<FragmentPlan>* publish = PublishLog(q);
   for (size_t pos = 0; pos < work->batch.size(); ++pos) {
     const BatchEntry& e = work->batch[pos];
     const PruneVerdict verdict =
@@ -443,11 +440,6 @@ void IncrementalOptimizer::JudgeCell(TableSet q, const CostVector& bounds,
     const bool in_result = verdict.outcome == PruneOutcome::kInsertedResult;
     work->survivors.push_back(
         {static_cast<uint32_t>(pos), in_result, handle});
-    if (in_result && publish != nullptr) {
-      const CellJoin& join = work->joins[e.id];
-      publish->push_back({e.cost, join.output_rows, join.op, e.order,
-                          static_cast<uint8_t>(resolution)});
-    }
   }
 }
 

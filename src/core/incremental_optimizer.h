@@ -6,7 +6,7 @@
 //     pruning discards on arrival); plans are never removed from it,
 //   * the result plan sets Res^q and candidate plan sets Cand^q, indexed
 //     by cost vector and resolution level (CellIndex),
-//   * the IsFresh pair registry.
+//   * one IsFresh pair registry per connected multi-table table set.
 //
 // Each call to Optimize(bounds, resolution) performs one invocation of
 // procedure Optimize: phase 1 re-considers candidate plans that match the
@@ -75,12 +75,13 @@ struct OptimizerOptions {
   // cell enumerates its fresh sub-plan pairs, sorts the cell's batch,
   // judges it, and inserts the survivors into the cell's own result and
   // candidate sets under placeholder ids; no two workers touch the same
-  // cell. After the barrier the main thread walks the cells in canonical
-  // order, marks the fresh pairs, appends only the survivors to the plan
-  // arena in judge order and patches their ids. Arenas are therefore
-  // identical at every pool size, and the result frontiers are
-  // bit-identical to the inline run (Theorems 1-2 are untouched;
-  // parallel_optimizer_test asserts the equivalence).
+  // cell. Each cell owns its fresh-pair registry, and its worker marks a
+  // pair in the same call that tests it. After the barrier the main
+  // thread walks the cells in canonical order, appends only the
+  // survivors to the plan arena in judge order and patches their ids.
+  // Arenas are therefore identical at every pool size, and the result
+  // frontiers are bit-identical to the inline run (Theorems 1-2 are
+  // untouched; parallel_optimizer_test asserts the equivalence).
   ThreadPool* pool = nullptr;
   // Cross-query plan-fragment sharing (docs/FRAGMENT_SHARING.md). When
   // set, the constructor offers every connected table subset with >= 2
@@ -93,10 +94,9 @@ struct OptimizerOptions {
   // correct α-approximations, but are no longer bit-identical to a cold
   // run that diverged at the same point). Must outlive the optimizer.
   FragmentProvider* fragment_store = nullptr;
-  // Record each cell's chronological result-set insertions so a completed
-  // run can publish them back through the serving layer
-  // (TakePublishableFragments). Costs one log append per result
-  // insertion plus one FragmentPlan of memory per result plan.
+  // Let a completed run export its cells' result sets for publication
+  // through the serving layer (TakePublishableFragments). Costs nothing
+  // while the run steps: the export reads the result indexes.
   bool fragment_publish = false;
 };
 
@@ -137,7 +137,7 @@ class IncrementalOptimizer {
   // Only legal between invocations, from the thread driving the
   // optimizer. Thread counts never affect results, so rebinding never
   // changes frontiers.
-  void RebindPool(ThreadPool* pool) { pool_ = pool; }
+  void RebindPool(ThreadPool* pool) { options_.pool = pool; }
   const PlanArena& arena() const { return arena_; }
   const ResolutionSchedule& schedule() const { return schedule_; }
   const Counters& counters() const { return counters_; }
@@ -150,18 +150,20 @@ class IncrementalOptimizer {
 
   // --- Cross-query fragment sharing (docs/FRAGMENT_SHARING.md) ---
 
-  // One publishable cell: its chronological result insertions, valid for
-  // consumers running the same bounds/schedule through resolutions
-  // 0..resolution_complete.
+  // One publishable cell: its result plans in the cell index's order
+  // (cost cells in creation order, each one's entries in insertion order),
+  // valid for consumers running the same bounds/schedule through
+  // resolutions 0..resolution_complete.
   struct PublishableFragment {
     TableSet cell;
     int resolution_complete = 0;
     std::vector<FragmentPlan> plans;
   };
 
-  // Moves out the per-cell insertion logs recorded under
-  // options.fragment_publish. Returns an empty vector unless the run so
-  // far was publishable: fixed bounds and resolutions stepped
+  // Copies every unsealed multi-table cell's result set out of its index
+  // (options.fragment_publish); the optimizer keeps its state, so a
+  // second call returns the same cells. Returns an empty vector unless
+  // the run so far was publishable: fixed bounds and resolutions stepped
   // 0,1,2,...,R (trailing repeats of R allowed) — exactly the invocation
   // sequence a no-interaction session produces. Sealed (seeded) cells
   // are never re-published; their content already lives in the store.
@@ -185,27 +187,12 @@ class IncrementalOptimizer {
   void ReprobeFragments();
 
  private:
-  // Runs Prune for a plan of table set q.
-  void PrunePlan(TableSet q, uint32_t plan_id, const CostVector& cost,
-                 int order, const CostVector& bounds, int resolution);
-
   // Bounds changed on an optimizer that consumed fragments: unseal every
   // cell and force-Δ all result entries, so the pairings the sealed
   // cells never enumerated are (re)tried. The fresh-pair registry keeps
   // already-combined pairs from generating twice; the re-enumeration is
   // a one-time cost of diverging a seeded run.
   void UnsealForBoundsChange();
-
-  // Cell q's chronological log of result insertions while the run is
-  // publishable (options.fragment_publish, multi-table cells), else null.
-  // Replaying the log reproduces the cell's index layout exactly (see
-  // ReprobeFragments); logging stops once the run diverged from the
-  // publishable fixed-bounds sequence.
-  std::vector<FragmentPlan>* PublishLog(TableSet q) {
-    return !publish_log_.empty() && publish_valid_ && q.Count() >= 2
-               ? &publish_log_[q.mask()]
-               : nullptr;
-  }
 
   // The resolution whose result plans Prune compares against.
   int CompareResolution(int resolution) const {
@@ -222,17 +209,17 @@ class IncrementalOptimizer {
   struct CellWork;
   // Enumerates the fresh sub-plan pairs of cell q against the
   // pre-collected sub-plan sets, one unordered split and one canonical
-  // (q1-side, q2-side) orientation per pair, and buffers their join
-  // alternatives. Reads shared state only.
+  // (q1-side, q2-side) orientation per pair, marks them in the cell's
+  // registry and buffers their join alternatives. Writes only `work` and
+  // the registry it points to.
   void EnumerateFreshPairs(
       TableSet q,
       const std::vector<std::vector<CellIndex::Collected>>& collected,
       CellWork* work) const;
   // Sorts the cell's batch and judges it in order, inserting survivors
   // into the cell's own result and candidate sets under placeholder ids.
-  // Writes only the cell's sets, publish log and `work`.
-  void JudgeCell(TableSet q, const CostVector& bounds, int resolution,
-                 CellWork* work);
+  // Writes only the cell's sets and `work`.
+  void JudgeCell(const CostVector& bounds, int resolution, CellWork* work);
 
   const PlanFactory& factory_;
   ResolutionSchedule schedule_;
@@ -240,17 +227,15 @@ class IncrementalOptimizer {
   PlanArena arena_;
   PlanSetTable res_;
   PlanSetTable cand_;
-  FreshPairRegistry fresh_;
+  // By mask: the cell's fresh-pair registry, created when phase 2 first
+  // reaches the cell (a pair's halves union to exactly one cell).
+  std::vector<std::unique_ptr<FreshPairRegistry>> fresh_;
   Counters counters_;
   // Invocation counter; the constructor's scan seeding belongs to
   // invocation 1, which is also used by the first Optimize call.
   uint32_t invocation_ = 1;
-  bool first_optimize_done_ = false;
   // All connected table subsets, grouped by cardinality (precomputed).
   std::vector<std::vector<TableSet>> connected_by_size_;
-  // Worker pool for the parallel phase 2 (options_.pool until rebound);
-  // null when running single-threaded.
-  ThreadPool* pool_ = nullptr;
   // Per-invocation cache of Collect() results by table-set mask, reused
   // across Phase2 calls to avoid re-allocating 2^n vectors.
   std::vector<std::vector<CellIndex::Collected>> collected_;
@@ -259,13 +244,12 @@ class IncrementalOptimizer {
   // By mask: 1 = cell seeded from the provider, phase 2 skips it. Empty
   // when no provider was given or after UnsealForBoundsChange.
   std::vector<uint8_t> sealed_;
-  // By mask: chronological result-set insertions (fragment_publish).
-  std::vector<std::vector<FragmentPlan>> publish_log_;
   // Bounds of the previous invocation; a mismatch marks the run diverged
   // (publishing stops, sealed cells unseal).
   CostVector current_bounds_;
-  // Resolution of the previous invocation (-1 before the first); the
-  // publishable sequence is 0,1,2,...,R with trailing repeats of R.
+  // Resolution of the previous invocation (-1 before the first Optimize
+  // call); the publishable sequence is 0,1,2,...,R with trailing repeats
+  // of R.
   int last_resolution_ = -1;
   // False once the invocation history stops matching a fixed-bounds
   // no-interaction run; TakePublishableFragments then returns nothing.

@@ -91,7 +91,7 @@ void CostBank::Grow(size_t min_capacity) {
   std::unique_ptr<double[]> fresh_owned;
   if (arena_ != nullptr) {
     // The old block is abandoned in place; the arena reclaims it with
-    // everything else at epoch reset (no per-block free).
+    // everything else when it dies (no per-block free).
     fresh = arena_->Allocate(static_cast<size_t>(dims_) * next);
   } else {
     fresh_owned =

@@ -15,9 +15,8 @@
 // kLanePad so lane loops can be unrolled/vectorized without scalar
 // tails. Entry i's cost vector is (lane_0[i], ..., lane_{dims-1}[i]).
 // Banks draw their storage from a BankArena when one is supplied — a
-// bump allocator with epoch reclamation (abandoned blocks are reclaimed
-// wholesale when the arena resets or dies, never entry-by-entry) — and
-// from the heap otherwise.
+// bump allocator (abandoned blocks are reclaimed wholesale when the
+// arena dies, never entry-by-entry) — and from the heap otherwise.
 //
 // Contract. All primitives use exact IEEE-754 comparisons — the same
 // `<=` / `>=` the scalar CostVector::Dominates path performs, in the
@@ -52,9 +51,9 @@ inline constexpr uint32_t kKernelNpos = 0xFFFFFFFFu;
 // Bump allocator for cost-bank lane storage, shared by all cells of one
 // PlanSetTable. Blocks are handed out and never individually freed —
 // when a bank grows it abandons its old block — and the whole arena is
-// reclaimed at once when the owning table dies (or Reset() starts a new
-// epoch). This replaces per-cell vector reallocation churn with pointer
-// bumps, and keeps one table's lanes closely packed in memory.
+// reclaimed at once when the owning table dies. This replaces per-cell
+// vector reallocation churn with pointer bumps, and keeps one table's
+// lanes closely packed in memory.
 //
 // Thread-safe: phase-2 workers grow the banks of different cells of one
 // table at the same time. Only bank growth allocates, so the mutex is
@@ -72,15 +71,6 @@ class BankArena {
     double* out = chunks_.back().get() + used_;
     used_ += n;
     return out;
-  }
-
-  // Epoch reset: every block ever handed out becomes invalid, the
-  // backing memory is released. Callers must drop their banks first.
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    chunks_.clear();
-    used_ = 0;
-    chunk_size_ = 0;
   }
 
  private:

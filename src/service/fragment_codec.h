@@ -2,8 +2,8 @@
 /// Versioned binary serialization of fragment-store snapshots.
 ///
 /// The codec turns one published fragment — canonical sub-join-graph key,
-/// store epoch, catalog version, and the cell's chronological plan
-/// insertion log — into a self-contained byte string, and frames such
+/// store epoch, catalog version, and the cell's result plans in the
+/// donor index's order — into a self-contained byte string, and frames such
 /// payloads into the FragmentStore's append-only persistence log. It is
 /// the byte layer under the cold tier of the tiered fragment store:
 /// fragments the DRAM budget cannot hold live on as compact serialized

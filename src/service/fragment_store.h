@@ -10,9 +10,10 @@
 /// queries merely *overlap* seed those cells from the store instead of
 /// enumerating them (IncrementalOptimizer seals seeded cells). With
 /// sharing enabled, final frontiers stay bit-identical to cold
-/// sequential runs — seeding replays the donor's chronological insertion
-/// log, which reproduces the cold cell state at every resolution (see
-/// docs/FRAGMENT_SHARING.md for the full argument and its limits).
+/// sequential runs — seeding inserts the donor's result plans in its
+/// cell index's order, which reproduces the cold cell state at every
+/// resolution (see docs/FRAGMENT_SHARING.md for the full argument and
+/// its limits).
 ///
 /// **Canonical keying.** A cell's key captures exactly what its frontier
 /// depends on: the fragment's table references (catalog id + local
@@ -49,8 +50,8 @@
 /// On construction the store replays the log — cutting the torn tail of
 /// a crash mid-append — so a restarted service warm-starts with
 /// frontiers bit-identical to the previous process's (the codec round
-/// trips IEEE-754 doubles exactly and replay preserves chronological
-/// insertion order). Epoch bumps are made durable through the same log.
+/// trips IEEE-754 doubles exactly and keeps each fragment's plan
+/// order). Epoch bumps are made durable through the same log.
 /// I/O failure, a full disk included, is never fatal: the cold tier
 /// records a sticky Status (cold_status()) and disables itself, leaving
 /// the hot tier serving.
@@ -80,14 +81,16 @@
 
 namespace moqo {
 
-/// An immutable published fragment: one cell's complete result-set
-/// insertion history, with order tags in canonical (fragment-relative)
-/// encoding. Shared by reference between the store and concurrent
-/// readers; never mutated after construction.
+/// An immutable published fragment: one cell's complete result set,
+/// with order tags in canonical (fragment-relative) encoding. Shared by
+/// reference between the store and concurrent readers; never mutated
+/// after construction.
 struct StoredFragment {
   /// Finest resolution level the donor run completed for the cell.
   int resolution_complete = 0;
-  /// Chronological result insertions (canonical order tags).
+  /// Result plans in the donor index's order (cost cells in creation
+  /// order, each cost cell's entries in insertion order; canonical order
+  /// tags). Seeding inserts them in this order (FragmentSeed::plans).
   std::vector<FragmentPlan> plans;
 
   /// Approximate heap footprint, used for the store's byte accounting.

@@ -104,10 +104,11 @@ struct OptimizerService::QueryEntry {
 
 // One physical optimization: the session plus the queries riding on it.
 // Queue membership, leadership, followers, pending bounds, and the
-// published snapshot are guarded by mu_; factory/session/steps_done/
-// last_snapshot belong to the shard thread whose turn it is (a run is
-// never in a queue while being stepped, and turn boundaries acquire mu_,
-// ordering successive turns even across different shard threads).
+// published snapshot are guarded by mu_; factory/session/steps_done
+// belong to the shard thread whose turn it is (a run is never in a queue
+// while being stepped, and turn boundaries acquire mu_, ordering
+// successive turns even across different shard threads). A run that
+// ends leaves runs_ under mu_ and is owned by the shard that ended it.
 struct OptimizerService::RunState {
   uint64_t run_id = 0;
   std::string key;
@@ -150,14 +151,12 @@ struct OptimizerService::RunState {
   std::unique_ptr<PlanFactory> factory;
   std::unique_ptr<IamaSession> session;
   // Per-run adapter between the session's optimizer and the service's
-  // fragment store (null when the store is disabled). Shard-thread-only
-  // except for the final PublishAll, which runs after the run is
-  // destroyed (the provider is moved out first) and outside mu_.
+  // fragment store (null when the store is disabled). Shard-thread-only;
+  // the final PublishAll runs after the run left runs_, outside mu_.
   std::unique_ptr<FragmentStoreProvider> fragment_provider;
   int steps_done = 0;
-  FrontierSnapshot last_snapshot;
-  // Published under mu_ at turn boundaries, for follower attach/cancel/
-  // expiry results between turns.
+  // The turn's last step snapshot, published under mu_ at turn
+  // boundaries for follower attach/cancel/expiry results between turns.
   std::shared_ptr<const FrontierSnapshot> last_published;
   int steps_published = 0;
   // Optimizer work counters mirrored at turn boundaries (under mu_), so
@@ -205,6 +204,8 @@ OptimizerService::~OptimizerService() {
   }
   work_cv_.notify_all();
   for (std::thread& t : schedulers_) t.join();
+  // Declared before the lock, so the runs are freed after it is released.
+  std::unordered_map<uint64_t, std::unique_ptr<RunState>> runs;
   std::unique_lock<std::mutex> lock(mu_);
   for (std::deque<uint64_t>& q : shard_queues_) q.clear();
   // Unblock any Wait() on queries the shards never finished.
@@ -215,7 +216,7 @@ OptimizerService::~OptimizerService() {
                         run->steps_published, run->plans_published,
                         run->pairs_published);
   }
-  runs_.clear();
+  runs.swap(runs_);
   inflight_.clear();
   // Drain threads already inside Wait(): they still touch mu_, done_cv_,
   // and results_, which must not be destroyed under them.
@@ -782,8 +783,9 @@ void OptimizerService::SweepExpiredFollowersLocked(RunState* run,
   }
 }
 
-void OptimizerService::CompleteRunLocked(RunState* run,
-                                         std::vector<LateDelivery>* deliveries) {
+std::unique_ptr<OptimizerService::RunState>
+OptimizerService::CompleteRunLocked(RunState* run,
+                                    std::vector<LateDelivery>* deliveries) {
   // Turn boundaries publish before completing, so the published
   // snapshot is the final frontier (the fallback covers zero-step runs).
   std::shared_ptr<const FrontierSnapshot> frontier =
@@ -828,29 +830,28 @@ void OptimizerService::CompleteRunLocked(RunState* run,
                         run->plans_published, run->pairs_published);
   }
   run->followers.clear();
-  DestroyRunLocked(run);
+  return ExtractRunLocked(run);
 }
 
-bool OptimizerService::RetireLeaderLocked(RunState* run, QueryState state) {
+std::unique_ptr<OptimizerService::RunState>
+OptimizerService::RetireLeaderLocked(RunState* run, QueryState state) {
   QueryEntry* leader = entries_.at(run->leader).get();
   FinalizeEntryLocked(leader, state, run->last_published,
                       run->steps_published, run->plans_published,
                       run->pairs_published);
-  if (run->followers.empty()) {
-    DestroyRunLocked(run);
-    return false;
-  }
+  if (run->followers.empty()) return ExtractRunLocked(run);
   run->leader = run->followers.front();
   run->followers.erase(run->followers.begin());
-  return true;
+  return nullptr;
 }
 
-void OptimizerService::DestroyRunLocked(RunState* run) {
+std::unique_ptr<OptimizerService::RunState>
+OptimizerService::ExtractRunLocked(RunState* run) {
   auto flight = inflight_.find(run->key);
   if (flight != inflight_.end() && flight->second == run->run_id) {
     inflight_.erase(flight);
   }
-  runs_.erase(run->run_id);  // Frees the arena and plan indexes.
+  return std::move(runs_.extract(run->run_id).mapped());
 }
 
 void OptimizerService::SchedulerLoop(size_t shard) {
@@ -872,8 +873,8 @@ void OptimizerService::SchedulerLoop(size_t shard) {
     // always have steps left (completion happens at turn end), so a
     // promoted leader continues the run rather than re-enqueueing it
     // from scratch.
-    bool run_destroyed = false;
-    for (;;) {
+    std::unique_ptr<RunState> ended;
+    while (ended == nullptr) {
       QueryEntry* gate_leader = entries_.at(run->leader).get();
       QueryState gate = QueryState::kQueued;  // Sentinel: no event.
       if (gate_leader->cancel_requested.load(std::memory_order_relaxed)) {
@@ -882,12 +883,14 @@ void OptimizerService::SchedulerLoop(size_t shard) {
         gate = QueryState::kExpired;
       }
       if (gate == QueryState::kQueued) break;
-      if (!RetireLeaderLocked(run, gate)) {
-        run_destroyed = true;
-        break;
-      }
+      ended = RetireLeaderLocked(run, gate);
     }
-    if (run_destroyed) continue;
+    if (ended != nullptr) {
+      lock.unlock();
+      ended.reset();  // Frees the arena and plan indexes outside mu_.
+      lock.lock();
+      continue;
+    }
 
     // Copy the turn's inputs while mu_ is held: the leader entry cannot
     // be erased during the turn (only the stepping shard finalizes
@@ -940,26 +943,25 @@ void OptimizerService::SchedulerLoop(size_t shard) {
     bool finished = false;
     QueryState end_state = QueryState::kDone;
     int steps_this_turn = 0;
+    std::shared_ptr<const FrontierSnapshot> published;
     for (int i = 0; i < priority && !finished; ++i) {
       if (has_deadline && Clock::now() >= deadline) {
         finished = true;
         end_state = QueryState::kExpired;
         break;
       }
-      run->last_snapshot = run->session->Step();
+      // One immutable snapshot per step: observers read it, subscribers
+      // share it, and the turn publishes its last one. Each Push is an
+      // O(1) bounded enqueue — a stalled subscriber costs this shard
+      // nothing beyond it (the backpressure guarantee).
+      published = std::make_shared<const FrontierSnapshot>(
+          run->session->Step());
       ++run->steps_done;
       ++steps_this_turn;
       for (const auto& [qid, observer] : observers) {
-        observer(qid, run->last_snapshot);
+        observer(qid, *published);
       }
-      if (!subs.empty()) {
-        // One publication copy per step, shared by every subscriber; each
-        // Push is an O(1) bounded enqueue — a stalled subscriber costs
-        // this shard nothing beyond it (the backpressure guarantee).
-        auto shared =
-            std::make_shared<const FrontierSnapshot>(run->last_snapshot);
-        for (const auto& sub : subs) sub->Push(shared, /*is_final=*/false);
-      }
+      for (const auto& sub : subs) sub->Push(published, /*is_final=*/false);
       run->session->ApplyAction(UserAction::Continue());
       if (run->steps_done >= run->max_iterations) {
         finished = true;
@@ -968,14 +970,6 @@ void OptimizerService::SchedulerLoop(size_t shard) {
         end_state = QueryState::kCancelled;
       }
     }
-
-    // The publication copy (an O(|plans|) deep copy) happens while this
-    // shard still owns last_snapshot exclusively — never under mu_.
-    std::shared_ptr<const FrontierSnapshot> published;
-    if (steps_this_turn > 0) {
-      published = std::make_shared<const FrontierSnapshot>(run->last_snapshot);
-    }
-    std::vector<LateDelivery> deliveries;
     lock.lock();
     stats_.steps_executed += static_cast<uint64_t>(steps_this_turn);
     if (steps_this_turn > 0) {
@@ -1043,54 +1037,42 @@ void OptimizerService::SchedulerLoop(size_t shard) {
       if (shard_queues_[run->home_shard].size() > 1) work_cv_.notify_one();
       continue;
     }
-    // Predict whether this turn completes the run in state kDone: either
-    // the leader finished it, or a retiring leader leaves followers on a
-    // run that already ran all its steps (the inner CompleteRunLocked
-    // branch below). Exactly then the run's per-cell frontier logs are
-    // exported for the cross-query fragment store — now, while the
-    // stepping shard still owns the session (CompleteRunLocked destroys
-    // the run). The provider is moved out with the logs; the actual
-    // store insertion (key building, order canonicalization) happens
-    // outside mu_ below. Diverged runs never publish.
-    const bool will_complete_done =
-        end_state == QueryState::kDone ||
-        (!run->followers.empty() &&
-         run->steps_done >= run->max_iterations &&
-         !run->pending_bounds.has_value());
-    std::unique_ptr<FragmentStoreProvider> publish_provider;
-    std::vector<IncrementalOptimizer::PublishableFragment> publish_cells;
-    if (will_complete_done && !run->diverged && !run->stale &&
-        run->fragment_provider != nullptr) {
-      publish_cells =
-          run->session->mutable_optimizer()->TakePublishableFragments();
-      if (!publish_cells.empty()) {
-        publish_provider = std::move(run->fragment_provider);
-      }
-    }
-    if (end_state == QueryState::kDone) {
-      CompleteRunLocked(run, &deliveries);
-    } else if (RetireLeaderLocked(run, end_state)) {
-      // Leader-only event and followers remain: the run survives under
-      // the promoted leader.
-      if (run->steps_done >= run->max_iterations &&
-          !run->pending_bounds.has_value()) {
-        // The retired leader raced completion: the remaining riders
+    // The run ends here: it completes, or its leader retires. Either way
+    // it leaves runs_ under mu_, and whether it publishes is decided
+    // here too; the fragment export (key building, order
+    // canonicalization, store insertion), the late deliveries and the
+    // run's destruction happen outside mu_ below.
+    bool completed = end_state == QueryState::kDone;
+    if (!completed) {
+      ended = RetireLeaderLocked(run, end_state);
+      if (ended == nullptr) {
+        // Followers remain: the run survives under the promoted leader.
+        // If the retired leader raced completion, the remaining riders
         // still get the finished frontier (unless a bounds change is
         // pending, which earns the run one more turn — see above).
-        CompleteRunLocked(run, &deliveries);
-      } else {
-        shard_queues_[run->home_shard].push_back(rid);
-        if (shard_queues_[run->home_shard].size() > 1) work_cv_.notify_one();
+        completed = run->steps_done >= run->max_iterations &&
+                    !run->pending_bounds.has_value();
+        if (!completed) {
+          shard_queues_[run->home_shard].push_back(rid);
+          if (shard_queues_[run->home_shard].size() > 1) work_cv_.notify_one();
+          continue;
+        }
       }
     }
-    if (!deliveries.empty() || publish_provider != nullptr) {
-      lock.unlock();
-      for (const LateDelivery& d : deliveries) d.observer(d.id, *d.frontier);
-      if (publish_provider != nullptr) {
-        publish_provider->PublishAll(std::move(publish_cells));
-      }
-      lock.lock();
+    std::vector<LateDelivery> deliveries;
+    if (completed) ended = CompleteRunLocked(run, &deliveries);
+    // Diverged runs no longer match their key; stale runs describe a dead
+    // catalog generation. Neither publishes fragments.
+    const bool publish = completed && !ended->diverged && !ended->stale &&
+                         ended->fragment_provider != nullptr;
+    lock.unlock();
+    for (const LateDelivery& d : deliveries) d.observer(d.id, *d.frontier);
+    if (publish) {
+      ended->fragment_provider->PublishAll(
+          ended->session->mutable_optimizer()->TakePublishableFragments());
     }
+    ended.reset();  // Frees the arena and plan indexes outside mu_.
+    lock.lock();
   }
 }
 

@@ -61,10 +61,11 @@
 /// cross-query store of *sub-join-graph* Pareto frontiers
 /// (FragmentStore, docs/FRAGMENT_SHARING.md): a completed, non-diverged
 /// run publishes every connected multi-table cell's frontier under a
-/// canonical sub-join-graph key, and a later run whose query overlaps
-/// seeds those cells instead of enumerating them. Seeded runs still
-/// step normally (the anytime snapshot stream is preserved) but skip
-/// the sealed cells' enumeration work — visible in
+/// canonical sub-join-graph key — read from its result indexes after the
+/// run has left the service, outside the service mutex — and a later run
+/// whose query overlaps seeds those cells instead of enumerating them.
+/// Seeded runs still step normally (the anytime snapshot stream is
+/// preserved) but skip the sealed cells' enumeration work — visible in
 /// QueryResult::plans_generated / pairs_generated — and their frontiers
 /// remain bit-identical to cold sequential runs. Diverged (re-bounded)
 /// runs never publish, and a seeded run that diverges automatically
@@ -412,18 +413,22 @@ class OptimizerService {
   void SweepExpiredFollowersLocked(RunState* run,
                                    std::chrono::steady_clock::time_point now);
   // Completes a run in state kDone: finalizes every attached query,
-  // fills the cache (unless diverged), collects final-frontier
-  // deliveries for observers that saw no snapshot, and destroys the
-  // run. Requires mu_ held.
-  void CompleteRunLocked(RunState* run,
-                         std::vector<LateDelivery>* deliveries);
+  // fills the cache (unless diverged or stale), collects final-frontier
+  // deliveries for observers that saw no snapshot, and takes the run out
+  // of the service (ExtractRunLocked). Requires mu_ held.
+  std::unique_ptr<RunState> CompleteRunLocked(
+      RunState* run, std::vector<LateDelivery>* deliveries);
   // Finalizes the current leader in `state` and promotes the oldest
-  // follower to leader; returns false when no follower remains (the
-  // run is destroyed). Requires mu_ held.
-  bool RetireLeaderLocked(RunState* run, QueryState state);
-  // Removes the run from the in-flight index (if it is still the
-  // index's entry for its key) and frees it. Requires mu_ held.
-  void DestroyRunLocked(RunState* run);
+  // follower to leader; returns null then. When no follower remains the
+  // run is taken out of the service and returned instead. Requires mu_
+  // held.
+  std::unique_ptr<RunState> RetireLeaderLocked(RunState* run,
+                                               QueryState state);
+  // Removes the run from runs_ and from the in-flight index (if it is
+  // still the index's entry for its key) and hands it to the caller,
+  // which frees it — and publishes its fragments — after releasing mu_.
+  // Requires mu_ held.
+  std::unique_ptr<RunState> ExtractRunLocked(RunState* run);
 
   const Catalog& catalog_;
   const ServiceOptions options_;

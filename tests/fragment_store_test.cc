@@ -5,13 +5,15 @@
 // iteration, for serial and pooled phase 2, and through the sharded
 // service for shard counts {1, 2, 4} — while measurably cutting the
 // optimizer's generation work (pair/plan counters, asserted like the
-// coalescing step counts); diverged (re-bounded) seeded runs must stay
+// coalescing step counts); seeded cells must list their plans in the
+// donor's index order; diverged (re-bounded) seeded runs must stay
 // correct α-approximations and never publish; and the store itself must
 // evict under a byte budget without ever invalidating a snapshot a
 // reader holds (hammered under TSan in CI).
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -489,6 +491,79 @@ TEST(FragmentSeedingTest, DivergedSeededRunStaysCorrectAndNeverPublishes) {
   // Diverged runs export nothing.
   EXPECT_TRUE(
       session.mutable_optimizer()->TakePublishableFragments().empty());
+}
+
+// Seeding is exact only if a seeded cell's index walks its plans in the
+// donor's order (FRAGMENT_SHARING.md); FrontierSignature sorts its rows,
+// so the bit-identity tests above cannot see the order. For every sealed
+// cell of a seeded session and every resolution r, Res^q[∞, 0..r] must
+// list the donor's cost bits, order tags and resolutions in the donor's
+// order — over chains, stars and cycles of 4-7 tables, with and without
+// interesting orders.
+TEST(FragmentSeedingTest, SeededCellsKeepTheDonorIndexOrder) {
+  const MetricSchema schema = MetricSchema::Standard3();
+  const CostVector everything = CostVector::Infinite(schema.dims());
+  const IamaOptions iama = SmallIama();
+  const Topology topologies[] = {Topology::kChain, Topology::kStar,
+                                 Topology::kCycle};
+  const auto bits = [](double v) {
+    uint64_t out;
+    std::memcpy(&out, &v, sizeof(out));
+    return out;
+  };
+  size_t cells_checked = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Catalog catalog;
+    Rng rng(seed);
+    GeneratorOptions gen;
+    gen.num_tables = 4 + static_cast<int>(seed % 4);
+    gen.topology = topologies[seed % 3];
+    const Query query = RandomQuery(rng, gen, &catalog);
+    OperatorOptions op_options = TinyOperatorOptions(/*sampling=*/true);
+    op_options.enable_interesting_orders = seed % 2 == 1;
+    const PlanFactory factory(query, catalog, schema, CostModelParams{},
+                              op_options);
+    FragmentStore store({/*capacity_bytes=*/16 << 20});
+    FragmentStoreProvider provider(&store, query, schema, iama,
+                                   op_options.enable_interesting_orders, 2);
+
+    IamaOptions donor_iama = iama;
+    donor_iama.optimizer.fragment_publish = true;
+    IamaSession donor(factory, donor_iama);
+    RunTrajectory(&donor, iama.schedule.NumLevels());
+    provider.PublishAll(
+        donor.mutable_optimizer()->TakePublishableFragments());
+
+    IamaOptions seeded_iama = iama;
+    seeded_iama.optimizer.fragment_store = &provider;
+    const IamaSession seeded(factory, seeded_iama);
+    const IncrementalOptimizer& warm = seeded.optimizer();
+    ASSERT_GT(warm.counters().fragment_cells_seeded, 0u) << "seed " << seed;
+    const uint32_t full = TableSet::Full(gen.num_tables).mask();
+    for (uint32_t mask = 1; mask <= full; ++mask) {
+      const TableSet q(mask);
+      if (!warm.IsSealed(q)) continue;
+      ++cells_checked;
+      for (int r = 0; r <= iama.schedule.MaxResolution(); ++r) {
+        const std::vector<CellIndex::Entry> want =
+            donor.optimizer().ResultPlansFor(q, everything, r);
+        const std::vector<CellIndex::Entry> got =
+            warm.ResultPlansFor(q, everything, r);
+        ASSERT_EQ(got.size(), want.size())
+            << "seed " << seed << " cell " << mask << " r " << r;
+        for (size_t i = 0; i < got.size(); ++i) {
+          for (int d = 0; d < schema.dims(); ++d) {
+            ASSERT_EQ(bits(got[i].cost[d]), bits(want[i].cost[d]))
+                << "seed " << seed << " cell " << mask << " r " << r
+                << " entry " << i;
+          }
+          ASSERT_EQ(got[i].order, want[i].order);
+          ASSERT_EQ(got[i].resolution, want[i].resolution);
+        }
+      }
+    }
+  }
+  EXPECT_GE(cells_checked, 200u);
 }
 
 // --- Service-level tests -----------------------------------------------------
