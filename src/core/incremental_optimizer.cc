@@ -141,9 +141,9 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
 // inserted them — classifies them as Δ. The cell itself is sealed: its
 // phase-2 enumeration (and the generation work it stands for) never runs.
 //
-// The constructor probes first; runs admitted while overlapping leaders
+// The constructor probes first; runs admitted while overlapping runs
 // were still in flight probe again before their first step, since the
-// admission-time probe raced those leaders' publishes. Before the first
+// admission-time probe raced those runs' publishes. Before the first
 // Optimize call every unsealed multi-table cell is still empty — its
 // enumeration has not started — so either probe replays the donor's plans
 // into a virgin cell and the bit-identity argument holds for both.

@@ -178,7 +178,7 @@ class IncrementalOptimizer {
   // Seeds and seals every connected multi-table cell that is not sealed
   // yet and that the fragment provider has a frontier for. The
   // constructor probes once; calling again re-probes the cells that
-  // missed. Admission-time seeding races concurrent publishes: a leader
+  // missed. Admission-time seeding races concurrent publishes: a run
   // that publishes after this run was admitted (but before its first
   // step) can still be harvested here. Only meaningful before the first
   // Optimize call — a no-op afterwards (seeding into a cell whose

@@ -223,11 +223,11 @@ void OptimizerServer::ServeConnection(Conn* conn) {
   // written once.
   auto cleanup = [&] {
     for (auto& [id, run] : runs) {
-      // Detach the wakeup fd before cancelling: cancellation finalizes
-      // the run on a later scheduler turn, and that finalization's Push
-      // must not poke a descriptor this thread is about to close (the
-      // subscription owns a dup, so detaching here closes the last
-      // reference it holds).
+      // Detach the wakeup fd before cancelling: cancelling a query whose
+      // run is stepping finalizes it at that turn's boundary, and that
+      // finalization's Push must not poke a descriptor this thread is
+      // about to close (the subscription owns a dup, so detaching here
+      // closes the last reference it holds).
       run.subscription->SetWakeupFd(-1);
       service_->Cancel(id);
     }

@@ -56,8 +56,8 @@ std::string CanonicalQueryKeySuffix(const Query& query,
 // Joins a version prefix to a precomputed suffix. The catalog version
 // leads the key: frontiers depend on the base statistics, so
 // submissions from different catalog generations must never share a
-// cache line, a shard-placement bucket, or an in-flight leader
-// (ROADMAP's missing-epoch gap).
+// cache line, a shard-placement bucket, or an in-flight run (ROADMAP's
+// missing-epoch gap).
 std::string VersionedKey(uint64_t catalog_version,
                          const std::string& suffix) {
   std::string key = "v2;c=";
@@ -77,7 +77,8 @@ std::string CanonicalQueryKey(const Query& query, const MetricSchema& schema,
 }
 
 // One submitted query: its observer, scheduling parameters, and the run
-// it is attached to (its own for a leader; a shared one for a follower).
+// it rides. While the run is stepping only the stepping shard finalizes
+// its riders, so a rider's entry outlives every turn it starts in.
 struct OptimizerService::QueryEntry {
   QueryId id = kInvalidQueryId;
   SnapshotObserver observer;
@@ -89,26 +90,26 @@ struct OptimizerService::QueryEntry {
   // releases the tenant's in-flight slot.
   std::string tenant;
   int priority = 1;
-  bool has_deadline = false;
-  Clock::time_point deadline;
-  // True when this submission attached to an in-flight duplicate (stays
-  // true through leadership promotion).
+  Clock::time_point deadline = Clock::time_point::max();  // max = none.
+  // True when this submission attached to an in-flight duplicate.
   bool coalesced = false;
+  // Cancel() landed while the run was stepping: the turn boundary
+  // finalizes the entry as kCancelled.
+  bool cancelled = false;
   // Snapshots delivered to this entry's observer, credited at turn
   // boundaries under mu_; completion delivers the final frontier to
   // observers still at 0.
   int snapshots_seen = 0;
-  std::atomic<bool> cancel_requested{false};
   RunState* run = nullptr;
 };
 
 // One physical optimization: the session plus the queries riding on it.
-// Queue membership, leadership, followers, pending bounds, and the
-// published snapshot are guarded by mu_; factory/session/steps_done
-// belong to the shard thread whose turn it is (a run is never in a queue
-// while being stepped, and turn boundaries acquire mu_, ordering
-// successive turns even across different shard threads). A run that
-// ends leaves runs_ under mu_ and is owned by the shard that ended it.
+// Queue membership, riders, pending bounds, and the published snapshot
+// are guarded by mu_; factory/session/steps_done belong to the shard
+// thread whose turn it is (a run is never in a queue while being
+// stepped, and turn boundaries acquire mu_, ordering successive turns
+// even across different shard threads). A run that ends leaves runs_
+// under mu_ and is owned by the shard that ended it.
 struct OptimizerService::RunState {
   uint64_t run_id = 0;
   std::string key;
@@ -122,30 +123,29 @@ struct OptimizerService::RunState {
   std::shared_ptr<const CatalogSnapshot> catalog;
   uint64_t catalog_version = 0;  // == catalog->version(), for results.
   // Fragment-store epoch observed at admission (in the same mu_
-  // critical section that a RefreshCatalog would use to mark this run
-  // stale): the run's fragment keys are built against this epoch, so a
-  // refresh between admission and the first turn cannot make the run
+  // critical section that a RefreshCatalog would use to stop this run
+  // sharing): the run's fragment keys are built against this epoch, so
+  // a refresh between admission and the first turn cannot make the run
   // read or write fragments of the new catalog generation.
   uint64_t fragment_epoch = 0;
-  QueryId leader = kInvalidQueryId;
-  std::vector<QueryId> followers;  // Attach order; promotion order.
-  // ApplyBounds happened: the result no longer matches `key`, so no new
-  // followers attach and the cache is not filled on completion.
-  bool diverged = false;
-  // RefreshCatalog happened after this run's admission: the run
-  // finishes on its pinned snapshot, but — mirroring `diverged` — it
-  // accepts no new followers and never publishes to the whole-query
-  // cache or the fragment store (its results describe dead statistics).
-  bool stale = false;
+  // The queries riding this run, in admission order. A run ends when it
+  // completes or when its last rider is gone.
+  std::vector<QueryId> riders;
+  // The run's result still matches `key` on the serving catalog: new
+  // duplicates may ride it, and on completion it fills the cache and
+  // publishes fragments. StopSharingLocked clears it for good, after
+  // ApplyBounds (the result no longer matches `key`) or RefreshCatalog
+  // (the run finishes on dead statistics).
+  bool shareable = true;
+  // A shard holds the run for a turn (set and cleared under mu_).
+  bool stepping = false;
+  // A Cancel landed mid-turn: the shard ends the turn after the step in
+  // flight. Written under mu_; the stepping shard reads it unlocked.
+  std::atomic<bool> interrupted{false};
   std::optional<CostVector> pending_bounds;
-  // Tenant of the founding submission, for fragment warm-hit telemetry
-  // attribution: the founder paid for the run's admission slot, so its
-  // tenant gets the seeding credit even after leadership promotion.
+  // Tenant of the founding submission: it paid for the run's admission
+  // slot, so it gets the run's fragment warm-hit credit.
   std::string tenant;
-  // Cells seeded from the fragment store were credited to
-  // tenant_fragment_hits_ (done once, at the first turn boundary —
-  // seeding happens entirely during session build).
-  bool fragment_hits_credited = false;
   // Shard-thread-only state (built at admission, before the run is
   // first enqueued — see Submit):
   std::unique_ptr<PlanFactory> factory;
@@ -155,9 +155,11 @@ struct OptimizerService::RunState {
   // the final PublishAll runs after the run left runs_, outside mu_.
   std::unique_ptr<FragmentStoreProvider> fragment_provider;
   int steps_done = 0;
-  // The turn's last step snapshot, published under mu_ at turn
-  // boundaries for follower attach/cancel/expiry results between turns.
-  std::shared_ptr<const FrontierSnapshot> last_published;
+  // The turn's last step snapshot (empty before the first step),
+  // published under mu_ at turn boundaries; every rider's result reads
+  // it.
+  std::shared_ptr<const FrontierSnapshot> last_published =
+      std::make_shared<const FrontierSnapshot>();
   int steps_published = 0;
   // Optimizer work counters mirrored at turn boundaries (under mu_), so
   // finalization paths never touch the session from other threads.
@@ -210,11 +212,8 @@ OptimizerService::~OptimizerService() {
   for (std::deque<uint64_t>& q : shard_queues_) q.clear();
   // Unblock any Wait() on queries the shards never finished.
   while (!entries_.empty()) {
-    QueryEntry* entry = entries_.begin()->second.get();
-    const RunState* run = entry->run;
-    FinalizeEntryLocked(entry, QueryState::kCancelled, run->last_published,
-                        run->steps_published, run->plans_published,
-                        run->pairs_published);
+    FinalizeEntryLocked(entries_.begin()->second.get(),
+                        QueryState::kCancelled);
   }
   runs.swap(runs_);
   inflight_.clear();
@@ -313,8 +312,8 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
       // re-validate against the snapshot this submission actually pins
       // (rare — the price of keeping validation off the hot lock).
       // Admission stays atomic with respect to refresh: a submission
-      // either fully precedes one (pins the old snapshot, is marked
-      // stale with the other live runs) or fully follows it.
+      // either fully precedes one (pins the old snapshot, stops sharing
+      // with the other live runs) or fully follows it.
       snapshot = catalog_snapshot_;
       MOQO_RETURN_IF_ERROR(ValidateQuery(request.query, *snapshot));
     }
@@ -330,14 +329,14 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
       ++stats_.submitted;
       cache_lru_.splice(cache_lru_.begin(), cache_lru_, hit->second);
       const CacheEntry& entry = cache_lru_.front().second;
-      StoredResult result;
-      result.id = id;
-      result.state = QueryState::kDone;
-      result.iterations = entry.iterations;
-      result.from_cache = true;
-      result.catalog_version = entry.catalog_version;
-      result.frontier = entry.frontier;  // Shared, not copied.
-      RecordResultLocked(std::move(result));
+      StoredResult stored;
+      stored.result.id = id;
+      stored.result.state = QueryState::kDone;
+      stored.result.iterations = entry.iterations;
+      stored.result.from_cache = true;
+      stored.result.catalog_version = entry.catalog_version;
+      stored.frontier = entry.frontier;  // Shared, not copied.
+      RecordResultLocked(std::move(stored));
       ++stats_.cache_hits;
       ++stats_.completed;
       cached = entry.frontier;
@@ -351,8 +350,8 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
         response.subscription->Push(entry.frontier, /*is_final=*/true);
       }
     } else {
-      // Per-tenant in-flight quota: leaders and followers both hold a
-      // slot (a follower still consumes a result, a Wait, a stream).
+      // Per-tenant in-flight quota: every rider holds a slot (a
+      // coalesced one still consumes a result, a Wait, a stream).
       auto tenant_count = tenant_inflight_.find(request.tenant);
       if (quota.max_inflight > 0 &&
           tenant_count != tenant_inflight_.end() &&
@@ -399,19 +398,16 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
       }
       ++tenant_inflight_[request.tenant];
       if (request.deadline_ms > 0.0) {
-        entry->has_deadline = true;
         entry->deadline =
             Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double, std::milli>(
                                    request.deadline_ms));
       }
       if (coalesces) {
-        // Coalesce: ride the in-flight leader instead of optimizing the
-        // same query a second time.
-        RunState* run = runs_.at(flight->second).get();
-        entry->run = run;
+        // Coalesce: ride the in-flight duplicate instead of optimizing
+        // the same query a second time.
+        entry->run = runs_.at(flight->second).get();
         entry->coalesced = true;
-        run->followers.push_back(id);
         ++stats_.coalesced;
         response.coalesced = true;
       } else {
@@ -431,7 +427,6 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
         run->tenant = request.tenant;
         run->home_shard = static_cast<size_t>(
             Fnv1a64(key) % static_cast<uint64_t>(options_.num_shards));
-        run->leader = id;
         entry->run = run.get();
         if (options_.coalesce_in_flight) inflight_[key] = run->run_id;
         // The session (with a fragment store, an O(plan-space) seed
@@ -444,6 +439,7 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
         fresh_run = run.get();
         runs_.emplace(run->run_id, std::move(run));
       }
+      entry->run->riders.push_back(id);
       entries_.emplace(id, std::move(entry));
     }
     // Every successful admission (fresh, coalesced, or cache hit)
@@ -474,19 +470,19 @@ bool OptimizerService::Cancel(QueryId id) {
   auto it = entries_.find(id);
   if (it == entries_.end()) return false;
   QueryEntry* entry = it->second.get();
-  entry->cancel_requested.store(true, std::memory_order_relaxed);
   RunState* run = entry->run;
-  if (run->leader != id) {
-    // A follower detaches immediately: the run (and its other riders)
-    // are unaffected, so there is no turn boundary to wait for.
-    run->followers.erase(
-        std::find(run->followers.begin(), run->followers.end(), id));
-    FinalizeEntryLocked(entry, QueryState::kCancelled, run->last_published,
-                        run->steps_published, run->plans_published,
-                        run->pairs_published);
+  if (run->stepping) {
+    // The stepping shard ends the turn after the step in flight and
+    // finalizes the rider at that boundary, before it decides whether
+    // the run completed — so this Cancel is observed as kCancelled.
+    entry->cancelled = true;
+    run->interrupted.store(true, std::memory_order_relaxed);
+  } else {
+    // Between turns the rider leaves at once. A run left without riders
+    // ends, unstepped, when a shard next pops it.
+    run->riders.erase(std::find(run->riders.begin(), run->riders.end(), id));
+    FinalizeEntryLocked(entry, QueryState::kCancelled);
   }
-  // Leaders are finalized by the shard thread at the next step boundary
-  // (possibly handing leadership to the oldest follower).
   return true;
 }
 
@@ -504,15 +500,8 @@ Status OptimizerService::ApplyBounds(QueryId id, const CostVector& bounds) {
   // Applied by the stepping shard at the next turn boundary; several
   // ApplyBounds before that boundary collapse to the latest one.
   run->pending_bounds = bounds;
-  if (!run->diverged) {
-    // The run's result no longer corresponds to its canonical key:
-    // stop new duplicates from attaching and keep it out of the cache.
-    run->diverged = true;
-    auto flight = inflight_.find(run->key);
-    if (flight != inflight_.end() && flight->second == run->run_id) {
-      inflight_.erase(flight);
-    }
-  }
+  // The run's result no longer corresponds to its canonical key.
+  StopSharingLocked(run);
   return Status::OK();
 }
 
@@ -540,16 +529,8 @@ uint64_t OptimizerService::RefreshCatalog() {
   cache_index_.clear();
   // In-flight runs finish on their pinned snapshots (the anytime
   // contract for their riders) but are excluded from every sharing
-  // surface from here on — exactly the diverged-run machinery, minus
-  // the bounds change.
-  for (auto& [rid, run] : runs_) {
-    if (run->stale) continue;
-    run->stale = true;
-    auto flight = inflight_.find(run->key);
-    if (flight != inflight_.end() && flight->second == rid) {
-      inflight_.erase(flight);
-    }
-  }
+  // surface from here on, as a re-bounded run is.
+  for (auto& [rid, run] : runs_) StopSharingLocked(run.get());
   ++stats_.catalog_refreshes;
   return catalog_snapshot_->version();
 }
@@ -574,16 +555,8 @@ QueryResult OptimizerService::Wait(QueryId id) {
     });
     auto it = results_.find(id);
     if (it != results_.end()) {
-      const StoredResult& stored = it->second;
-      result.id = stored.id;
-      result.state = stored.state;
-      result.iterations = stored.iterations;
-      result.from_cache = stored.from_cache;
-      result.coalesced = stored.coalesced;
-      result.plans_generated = stored.plans_generated;
-      result.pairs_generated = stored.pairs_generated;
-      result.catalog_version = stored.catalog_version;
-      frontier = stored.frontier;  // Shared; deep copy happens unlocked.
+      result = it->second.result;
+      frontier = it->second.frontier;  // Shared; deep copy happens unlocked.
     }  // else: unknown id — result stays default-constructed.
     auto wit = wait_counts_.find(id);
     if (--wit->second == 0) wait_counts_.erase(wit);
@@ -695,9 +668,9 @@ void OptimizerService::BuildRun(RunState* run) {
   run->session = std::make_unique<IamaSession>(*run->factory, iama);
 }
 
-void OptimizerService::RecordResultLocked(StoredResult result) {
-  const QueryId id = result.id;
-  results_.emplace(id, std::move(result));
+void OptimizerService::RecordResultLocked(StoredResult stored) {
+  const QueryId id = stored.result.id;
+  results_.emplace(id, std::move(stored));
   results_order_.push_back(id);
   if (options_.result_retention > 0) {
     // Evict the oldest result that no thread is blocked in Wait() on —
@@ -719,21 +692,18 @@ void OptimizerService::RecordResultLocked(StoredResult result) {
   done_cv_.notify_all();
 }
 
-void OptimizerService::FinalizeEntryLocked(
-    QueryEntry* entry, QueryState state,
-    std::shared_ptr<const FrontierSnapshot> frontier, int iterations,
-    uint64_t plans, uint64_t pairs) {
-  StoredResult result;
-  result.id = entry->id;
-  result.state = state;
-  result.iterations = iterations;
-  result.coalesced = entry->coalesced;
-  result.plans_generated = plans;
-  result.pairs_generated = pairs;
-  result.catalog_version = entry->run->catalog_version;
-  result.frontier = frontier != nullptr
-                        ? std::move(frontier)
-                        : std::make_shared<const FrontierSnapshot>();
+void OptimizerService::FinalizeEntryLocked(QueryEntry* entry,
+                                           QueryState state) {
+  const RunState& run = *entry->run;
+  StoredResult stored;
+  stored.result.id = entry->id;
+  stored.result.state = state;
+  stored.result.iterations = run.steps_published;
+  stored.result.coalesced = entry->coalesced;
+  stored.result.catalog_version = run.catalog_version;
+  stored.result.plans_generated = run.plans_published;
+  stored.result.pairs_generated = run.pairs_published;
+  stored.frontier = run.last_published;
   switch (state) {
     case QueryState::kDone:
       ++stats_.completed;
@@ -754,7 +724,7 @@ void OptimizerService::FinalizeEntryLocked(
     // ignored. Drops are folded into service stats here — the
     // subscription outlives the entry, but its count is stable once
     // closed.
-    entry->subscription->Push(result.frontier, /*is_final=*/true);
+    entry->subscription->Push(stored.frontier, /*is_final=*/true);
     stats_.snapshot_drops += entry->subscription->dropped_total();
   }
   // Release the tenant's in-flight slot (every non-cache admission took
@@ -763,47 +733,39 @@ void OptimizerService::FinalizeEntryLocked(
   if (tenant_it != tenant_inflight_.end() && --tenant_it->second <= 0) {
     tenant_inflight_.erase(tenant_it);
   }
-  RecordResultLocked(std::move(result));
+  RecordResultLocked(std::move(stored));
   entries_.erase(entry->id);
 }
 
-void OptimizerService::SweepExpiredFollowersLocked(RunState* run,
-                                                   Clock::time_point now) {
-  for (size_t i = 0; i < run->followers.size();) {
-    QueryEntry* f = entries_.at(run->followers[i]).get();
-    if (f->has_deadline && now >= f->deadline) {
-      FinalizeEntryLocked(f, QueryState::kExpired, run->last_published,
-                          run->steps_published, run->plans_published,
-                          run->pairs_published);
-      run->followers.erase(run->followers.begin() +
-                           static_cast<ptrdiff_t>(i));
-    } else {
+void OptimizerService::SweepRidersLocked(RunState* run,
+                                         Clock::time_point now) {
+  for (size_t i = 0; i < run->riders.size();) {
+    QueryEntry* rider = entries_.at(run->riders[i]).get();
+    if (!rider->cancelled && now < rider->deadline) {
       ++i;
+      continue;
     }
+    FinalizeEntryLocked(rider, rider->cancelled ? QueryState::kCancelled
+                                                : QueryState::kExpired);
+    run->riders.erase(run->riders.begin() + static_cast<ptrdiff_t>(i));
   }
 }
 
-std::unique_ptr<OptimizerService::RunState>
-OptimizerService::CompleteRunLocked(RunState* run,
-                                    std::vector<LateDelivery>* deliveries) {
-  // Turn boundaries publish before completing, so the published
-  // snapshot is the final frontier (the fallback covers zero-step runs).
-  std::shared_ptr<const FrontierSnapshot> frontier =
-      run->last_published != nullptr
-          ? run->last_published
-          : std::make_shared<const FrontierSnapshot>();
-  // Diverged runs no longer match their key; stale runs describe a dead
-  // catalog generation. Neither may fill the cache.
-  if (!run->diverged && !run->stale && options_.frontier_cache_capacity > 0) {
+void OptimizerService::CompleteRunLocked(
+    RunState* run, std::vector<LateDelivery>* deliveries) {
+  // Turn boundaries publish before completing, so the published snapshot
+  // is the final frontier and steps_published == steps_done.
+  const std::shared_ptr<const FrontierSnapshot>& frontier =
+      run->last_published;
+  if (run->shareable && options_.frontier_cache_capacity > 0) {
+    const CacheEntry entry{frontier, run->steps_published,
+                           run->catalog_version};
     auto it = cache_index_.find(run->key);
     if (it != cache_index_.end()) {
       cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-      cache_lru_.front().second = {frontier, run->steps_done,
-                                   run->catalog_version};
+      cache_lru_.front().second = entry;
     } else {
-      cache_lru_.emplace_front(
-          run->key,
-          CacheEntry{frontier, run->steps_done, run->catalog_version});
+      cache_lru_.emplace_front(run->key, entry);
       cache_index_.emplace(run->key, cache_lru_.begin());
       if (cache_lru_.size() > options_.frontier_cache_capacity) {
         cache_index_.erase(cache_lru_.back().first);
@@ -812,46 +774,25 @@ OptimizerService::CompleteRunLocked(RunState* run,
     }
   }
   // The final frontier is owed to every observer that never saw a step
-  // snapshot (followers that attached during or after the last turn, or
-  // a leader promoted after the final step); delivery happens outside
-  // the lock, after all results below are visible to waiters.
-  QueryEntry* leader = entries_.at(run->leader).get();
-  if (leader->observer && leader->snapshots_seen == 0) {
-    deliveries->push_back({run->leader, leader->observer, frontier});
-  }
-  FinalizeEntryLocked(leader, QueryState::kDone, frontier, run->steps_done,
-                      run->plans_published, run->pairs_published);
-  for (QueryId fid : run->followers) {
-    QueryEntry* f = entries_.at(fid).get();
-    if (f->observer && f->snapshots_seen == 0) {
-      deliveries->push_back({fid, f->observer, frontier});
+  // snapshot (riders that attached during or after the last turn);
+  // delivery happens outside the lock, after all results below are
+  // visible to waiters.
+  for (QueryId id : run->riders) {
+    QueryEntry* rider = entries_.at(id).get();
+    if (rider->observer && rider->snapshots_seen == 0) {
+      deliveries->push_back({id, rider->observer, frontier});
     }
-    FinalizeEntryLocked(f, QueryState::kDone, frontier, run->steps_done,
-                        run->plans_published, run->pairs_published);
+    FinalizeEntryLocked(rider, QueryState::kDone);
   }
-  run->followers.clear();
-  return ExtractRunLocked(run);
+  run->riders.clear();
 }
 
-std::unique_ptr<OptimizerService::RunState>
-OptimizerService::RetireLeaderLocked(RunState* run, QueryState state) {
-  QueryEntry* leader = entries_.at(run->leader).get();
-  FinalizeEntryLocked(leader, state, run->last_published,
-                      run->steps_published, run->plans_published,
-                      run->pairs_published);
-  if (run->followers.empty()) return ExtractRunLocked(run);
-  run->leader = run->followers.front();
-  run->followers.erase(run->followers.begin());
-  return nullptr;
-}
-
-std::unique_ptr<OptimizerService::RunState>
-OptimizerService::ExtractRunLocked(RunState* run) {
+void OptimizerService::StopSharingLocked(RunState* run) {
+  run->shareable = false;
   auto flight = inflight_.find(run->key);
   if (flight != inflight_.end() && flight->second == run->run_id) {
     inflight_.erase(flight);
   }
-  return std::move(runs_.extract(run->run_id).mapped());
 }
 
 void OptimizerService::SchedulerLoop(size_t shard) {
@@ -865,91 +806,57 @@ void OptimizerService::SchedulerLoop(size_t shard) {
     // steal moves a run once instead of being re-counted (and re-paid)
     // at every subsequent turn while the victim's queue sits empty.
     run->home_shard = shard;
-    const Clock::time_point now = Clock::now();
-    SweepExpiredFollowersLocked(run, now);
-    // Pre-step gate: a cancelled or expired leader is finalized before
-    // the turn steps; leadership hands off to the oldest follower, and
-    // the run dies only when no rider remains. Queued runs
-    // always have steps left (completion happens at turn end), so a
-    // promoted leader continues the run rather than re-enqueueing it
-    // from scratch.
-    std::unique_ptr<RunState> ended;
-    while (ended == nullptr) {
-      QueryEntry* gate_leader = entries_.at(run->leader).get();
-      QueryState gate = QueryState::kQueued;  // Sentinel: no event.
-      if (gate_leader->cancel_requested.load(std::memory_order_relaxed)) {
-        gate = QueryState::kCancelled;
-      } else if (gate_leader->has_deadline && now >= gate_leader->deadline) {
-        gate = QueryState::kExpired;
-      }
-      if (gate == QueryState::kQueued) break;
-      ended = RetireLeaderLocked(run, gate);
-    }
-    if (ended != nullptr) {
-      lock.unlock();
-      ended.reset();  // Frees the arena and plan indexes outside mu_.
-      lock.lock();
-      continue;
-    }
+    // Riders that expired while the run was queued leave before the turn
+    // instead of cutting it short for the others.
+    SweepRidersLocked(run, Clock::now());
 
-    // Copy the turn's inputs while mu_ is held: the leader entry cannot
-    // be erased during the turn (only the stepping shard finalizes
-    // leaders), so its deadline copy and atomic cancel flag are safe to
-    // read unlocked; follower observers are copied by value because a
-    // follower may Cancel (and its entry be freed) mid-turn.
-    QueryEntry* leader = entries_.at(run->leader).get();
-    const bool has_deadline = leader->has_deadline;
-    const Clock::time_point deadline = leader->deadline;
-    // The run steps at the highest priority among its riders: a
-    // high-priority duplicate accelerates the shared run for everyone.
-    int priority = leader->priority;
-    std::vector<std::pair<QueryId, SnapshotObserver>> observers;
-    // Subscriptions are shared_ptr copies: a rider may Cancel (and its
-    // entry be finalized) mid-turn, after which pushes land on a closed
-    // stream and are ignored — no dangling, no lost final event.
-    std::vector<std::shared_ptr<SnapshotSubscription>> subs;
-    if (leader->observer) observers.emplace_back(run->leader, leader->observer);
-    if (leader->subscription != nullptr) subs.push_back(leader->subscription);
-    for (QueryId fid : run->followers) {
-      const QueryEntry* f = entries_.at(fid).get();
-      priority = std::max(priority, f->priority);
-      if (f->observer) observers.emplace_back(fid, f->observer);
-      if (f->subscription != nullptr) subs.push_back(f->subscription);
+    // The turn steps at its riders' highest priority (a high-priority
+    // duplicate accelerates the shared run for everyone) until their
+    // earliest deadline. Its riders' entries stay live through the turn
+    // (only this shard finalizes them while the run is stepping), so
+    // their observers and subscriptions are read through the pointers.
+    std::vector<QueryEntry*> turn_riders;
+    int priority = 0;
+    Clock::time_point deadline = Clock::time_point::max();
+    for (QueryId id : run->riders) {
+      QueryEntry* rider = entries_.at(id).get();
+      turn_riders.push_back(rider);
+      priority = std::max(priority, rider->priority);
+      deadline = std::min(deadline, rider->deadline);
     }
     std::optional<CostVector> pending = std::move(run->pending_bounds);
     run->pending_bounds.reset();
+    run->stepping = true;
+    run->interrupted.store(false, std::memory_order_relaxed);
     lock.unlock();
 
     // Stepping happens outside the lock: this shard owns the run
     // exclusively (it is in no queue right now), so Submit/Cancel/Wait/
-    // ApplyBounds stay responsive during long invocations.
-    if (run->steps_done == 0) {
-      // The session was built at admission (see Submit), so frontiers
-      // published by concurrent overlapping runs between admission and
-      // this first turn were invisible to the build-time probe. Re-probe
-      // now — lookups no longer race publishes, and a late-admitted
-      // duplicate still seeds from the leader's cells. A no-op without
-      // a fragment store.
-      run->session->mutable_optimizer()->ReprobeFragments();
-    }
-    // Work stealing may move a run between shards across turns; the
-    // stepping shard's own pool partition keeps every pool single-caller.
-    run->session->RebindPool(pools_[shard].get());
-    if (pending.has_value()) {
-      // Dimensions were validated by ApplyBounds against the service
-      // schema, which every session shares.
-      MOQO_CHECK(run->session->SetBounds(*pending));
-    }
-    bool finished = false;
-    QueryState end_state = QueryState::kDone;
+    // ApplyBounds stay responsive during long invocations. A run whose
+    // last rider left while it was queued ends below without stepping.
     int steps_this_turn = 0;
     std::shared_ptr<const FrontierSnapshot> published;
-    for (int i = 0; i < priority && !finished; ++i) {
-      if (has_deadline && Clock::now() >= deadline) {
-        finished = true;
-        end_state = QueryState::kExpired;
-        break;
+    if (!turn_riders.empty()) {
+      if (run->steps_done == 0) {
+        // The session was built at admission (see Submit), so frontiers
+        // published by concurrent overlapping runs between admission and
+        // this first turn were invisible to the build-time probe.
+        // Re-probe now — lookups no longer race publishes, and a
+        // late-admitted duplicate still seeds from the earlier run's
+        // cells. A no-op without a fragment store.
+        run->session->mutable_optimizer()->ReprobeFragments();
       }
+      // Work stealing may move a run between shards across turns; the
+      // stepping shard's own pool partition keeps every pool
+      // single-caller.
+      run->session->RebindPool(pools_[shard].get());
+      if (pending.has_value()) {
+        // Dimensions were validated by ApplyBounds against the service
+        // schema, which every session shares.
+        MOQO_CHECK(run->session->SetBounds(*pending));
+      }
+    }
+    for (int i = 0; i < priority && Clock::now() < deadline; ++i) {
       // One immutable snapshot per step: observers read it, subscribers
       // share it, and the turn publishes its last one. Each Push is an
       // O(1) bounded enqueue — a stalled subscriber costs this shard
@@ -958,78 +865,63 @@ void OptimizerService::SchedulerLoop(size_t shard) {
           run->session->Step());
       ++run->steps_done;
       ++steps_this_turn;
-      for (const auto& [qid, observer] : observers) {
-        observer(qid, *published);
+      for (QueryEntry* rider : turn_riders) {
+        if (rider->observer) rider->observer(rider->id, *published);
+        if (rider->subscription != nullptr) {
+          rider->subscription->Push(published, /*is_final=*/false);
+        }
       }
-      for (const auto& sub : subs) sub->Push(published, /*is_final=*/false);
       run->session->ApplyAction(UserAction::Continue());
-      if (run->steps_done >= run->max_iterations) {
-        finished = true;
-      } else if (leader->cancel_requested.load(std::memory_order_relaxed)) {
-        finished = true;
-        end_state = QueryState::kCancelled;
+      if (run->steps_done >= run->max_iterations ||
+          run->interrupted.load(std::memory_order_relaxed)) {
+        break;
       }
     }
     lock.lock();
+    run->stepping = false;
     stats_.steps_executed += static_cast<uint64_t>(steps_this_turn);
     if (steps_this_turn > 0) {
-      for (const auto& [qid, observer] : observers) {
-        auto it = entries_.find(qid);
-        if (it != entries_.end()) {
-          it->second->snapshots_seen += steps_this_turn;
-        }
+      for (QueryEntry* rider : turn_riders) {
+        rider->snapshots_seen += steps_this_turn;
       }
-      // Publish before any turn-end finalization so expired followers,
-      // retired leaders, and completion all see this turn's frontier.
-      run->steps_published = run->steps_done;
-      run->last_published = std::move(published);
       // Mirror the optimizer's work counters for QueryResult: this
       // shard owns the session, and the mirror is read only under mu_.
       const Counters& counters = run->session->optimizer().counters();
+      // Credit the run's fragment warm hits to its founding tenant, once:
+      // seeding happens while the session is built and before its first
+      // step, so the count is final at the first publish.
+      if (run->steps_published == 0 && counters.fragment_cells_seeded > 0) {
+        tenant_fragment_hits_[run->tenant] += counters.fragment_cells_seeded;
+      }
+      // Publish before the sweep below, so finalized riders and
+      // completion all see this turn's frontier.
+      run->steps_published = run->steps_done;
+      run->last_published = std::move(published);
       run->plans_published = counters.plans_generated;
       run->pairs_published = counters.pairs_generated;
-      // Credit the run's fragment warm hits to its founding tenant,
-      // once: seeding happens entirely while the session is built, so
-      // the counter is final by the first turn boundary.
-      if (!run->fragment_hits_credited) {
-        run->fragment_hits_credited = true;
-        if (counters.fragment_cells_seeded > 0) {
-          tenant_fragment_hits_[run->tenant] +=
-              counters.fragment_cells_seeded;
-        }
-      }
     } else if (pending.has_value() && !run->pending_bounds.has_value()) {
       // A zero-step turn (deadline hit before the first step) must not
       // swallow applied-but-unstepped bounds: restore them so the
-      // completion guards below keep granting turns until a step runs
+      // completion guard below keeps granting turns until a step runs
       // under them. (Re-applying SetBounds next turn is idempotent — no
       // step advanced the session since. A newer ApplyBounds that
       // arrived mid-turn supersedes them instead.)
       run->pending_bounds = std::move(pending);
     }
-    // Followers are deadline-checked at both boundaries of every turn
-    // (leaders between every step): a follower whose deadline passed
-    // mid-turn must expire here, not ride a completing run to kDone.
-    SweepExpiredFollowersLocked(run, Clock::now());
-    // Linearize Cancel against completion: Cancel sets the flag under
-    // mu_ while the entry is still live, so re-checking here guarantees
-    // that a true-returning Cancel is observed as kCancelled even when
-    // the last step finished concurrently. (Leadership cannot have
-    // changed mid-turn: only the stepping shard reassigns it.)
-    if (leader->cancel_requested.load(std::memory_order_relaxed)) {
-      finished = true;
-      end_state = QueryState::kCancelled;
-    }
+    // Riders cancelled during the turn, and riders whose deadline passed
+    // (including ones that attached mid-turn), leave before completion is
+    // decided: a true Cancel is observed as kCancelled, and an expired
+    // rider never rides a completing run to kDone.
+    SweepRidersLocked(run, Clock::now());
     // A bounds change accepted during (or right after) the final step
     // must not be silently dropped: instead of completing, the run gets
     // another turn, which applies the bounds and steps at least once
     // under them — ApplyBounds' "takes effect at the next turn
     // boundary" promise holds even against completion.
-    if (finished && end_state == QueryState::kDone &&
-        run->pending_bounds.has_value()) {
-      finished = false;
-    }
-    if (!finished) {
+    const bool completed = !run->riders.empty() &&
+                           run->steps_done >= run->max_iterations &&
+                           !run->pending_bounds.has_value();
+    if (!completed && !run->riders.empty()) {
       shard_queues_[run->home_shard].push_back(rid);  // Back of the line.
       // Wake a stealer only when there is work beyond this run: with a
       // lone run, this shard re-pops it itself before releasing mu_,
@@ -1037,34 +929,17 @@ void OptimizerService::SchedulerLoop(size_t shard) {
       if (shard_queues_[run->home_shard].size() > 1) work_cv_.notify_one();
       continue;
     }
-    // The run ends here: it completes, or its leader retires. Either way
-    // it leaves runs_ under mu_, and whether it publishes is decided
-    // here too; the fragment export (key building, order
-    // canonicalization, store insertion), the late deliveries and the
-    // run's destruction happen outside mu_ below.
-    bool completed = end_state == QueryState::kDone;
-    if (!completed) {
-      ended = RetireLeaderLocked(run, end_state);
-      if (ended == nullptr) {
-        // Followers remain: the run survives under the promoted leader.
-        // If the retired leader raced completion, the remaining riders
-        // still get the finished frontier (unless a bounds change is
-        // pending, which earns the run one more turn — see above).
-        completed = run->steps_done >= run->max_iterations &&
-                    !run->pending_bounds.has_value();
-        if (!completed) {
-          shard_queues_[run->home_shard].push_back(rid);
-          if (shard_queues_[run->home_shard].size() > 1) work_cv_.notify_one();
-          continue;
-        }
-      }
-    }
+    // The run ends here: it completes, or its last rider is gone. It
+    // leaves runs_ under mu_, and whether it publishes is decided here
+    // too; the fragment export (key building, order canonicalization,
+    // store insertion), the late deliveries and the run's destruction
+    // happen outside mu_ below.
     std::vector<LateDelivery> deliveries;
-    if (completed) ended = CompleteRunLocked(run, &deliveries);
-    // Diverged runs no longer match their key; stale runs describe a dead
-    // catalog generation. Neither publishes fragments.
-    const bool publish = completed && !ended->diverged && !ended->stale &&
-                         ended->fragment_provider != nullptr;
+    if (completed) CompleteRunLocked(run, &deliveries);
+    const bool publish =
+        completed && run->shareable && run->fragment_provider != nullptr;
+    StopSharingLocked(run);
+    std::unique_ptr<RunState> ended = std::move(runs_.extract(rid).mapped());
     lock.unlock();
     for (const LateDelivery& d : deliveries) d.observer(d.id, *d.frontier);
     if (publish) {

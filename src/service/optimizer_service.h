@@ -29,14 +29,15 @@
 /// (service_test asserts this for shards {1, 2, 4}, including under
 /// TSan).
 ///
-/// **Scheduling.** Weighted round-robin per shard; a run's `priority`
-/// (the maximum across the queries attached to it) is the number of
-/// consecutive steps it gets per turn, and an optional per-query
-/// deadline (wall clock from
-/// admission) expires queries that cannot finish in time — they keep
-/// their last (coarser) frontier, which is exactly the anytime contract.
-/// Deadlines are checked between every step for a run's leader and at
-/// both boundaries of every turn for coalesced followers.
+/// **Scheduling.** Weighted round-robin per shard. Every query attached
+/// to a run is one of its *riders*, and all riders are treated alike: a
+/// turn gives the run as many consecutive steps as its riders' highest
+/// `priority`, and ends early at their earliest deadline (wall clock
+/// from admission). A rider whose deadline passes expires with its run's
+/// last (coarser) frontier, which is exactly the anytime contract.
+/// Deadlines are checked between every step and at both boundaries of
+/// every turn, so a rider that attached mid-turn expires at the turn's
+/// end at the latest.
 ///
 /// **Caching and coalescing.** A small LRU cache maps a canonicalized
 /// query (join graph + metric set + the options that affect the result)
@@ -44,22 +45,21 @@
 /// entirely and return the cached frontier, which equals the fresh run
 /// bit for bit because optimization is deterministic. The cache fills
 /// when a run completes. Duplicates submitted while the first copy is
-/// still *in flight* coalesce instead: the new submission attaches to
-/// the running leader as a follower, shares its snapshots and final
-/// frontier, and performs no optimization work of its own. A follower
-/// keeps its own deadline/cancel semantics and result entry, and its
-/// priority raises the shared run's turn weight (max across riders).
-/// If the leader is cancelled or expires with live followers, the oldest
-/// follower is promoted to leader and the run continues where it left
-/// off (no work is lost or redone). ApplyBounds() re-bounds a running
-/// query mid-flight; since the re-bounded result no longer corresponds
-/// to the canonical key, such a run is marked diverged — it stops
-/// accepting new followers and never fills the cache.
+/// still *in flight* coalesce instead: the new submission becomes
+/// another rider of the running run, shares its snapshots and final
+/// frontier, and performs no optimization work of its own. Each rider
+/// keeps its own deadline, cancel and result entry, and raises the
+/// shared turn to its priority. A run continues while any rider is left
+/// and ends, its work unneeded, when the last one is cancelled or
+/// expires; the riders that stay lose and redo no work. ApplyBounds()
+/// re-bounds a running query mid-flight; since the re-bounded result no
+/// longer corresponds to the canonical key, such a run stops sharing —
+/// it accepts no new riders and never fills the cache.
 ///
 /// **Fragment sharing.** Cache and coalescing only help bit-identical
 /// queries; ServiceOptions::fragment_cache_bytes additionally enables a
 /// cross-query store of *sub-join-graph* Pareto frontiers
-/// (FragmentStore, docs/FRAGMENT_SHARING.md): a completed, non-diverged
+/// (FragmentStore, docs/FRAGMENT_SHARING.md): a completed, shareable
 /// run publishes every connected multi-table cell's frontier under a
 /// canonical sub-join-graph key — read from its result indexes after the
 /// run has left the service, outside the service mutex — and a later run
@@ -67,10 +67,10 @@
 /// Seeded runs still step normally (the anytime snapshot stream is
 /// preserved) but skip the sealed cells' enumeration work — visible in
 /// QueryResult::plans_generated / pairs_generated — and their frontiers
-/// remain bit-identical to cold sequential runs. Diverged (re-bounded)
-/// runs never publish, and a seeded run that diverges automatically
-/// falls back to full enumeration (correct, but no longer bit-identical
-/// to a cold diverged run).
+/// remain bit-identical to cold sequential runs. Re-bounded runs never
+/// publish, and a seeded run that is re-bounded automatically falls
+/// back to full enumeration (correct, but no longer bit-identical to a
+/// cold re-bounded run).
 ///
 /// **Catalog refresh.** Statistics drift; serving frontiers computed
 /// from dead cardinalities is a correctness bug, not a staleness
@@ -79,11 +79,11 @@
 /// republishes the live catalog's current state: it re-pins the
 /// service's admission snapshot, bumps the fragment-store epoch,
 /// drops the whole-query cache (whose keys are version-guarded via
-/// CanonicalQueryKey anyway), and marks every in-flight run *stale* —
-/// stale runs finish normally on their pinned snapshot (their riders
+/// CanonicalQueryKey anyway), and stops every in-flight run sharing —
+/// those runs finish normally on their pinned snapshot (their riders
 /// get exactly the frontier a cold run on the old catalog would
-/// produce) but stop accepting new followers and never publish to the
-/// cache or the fragment store, mirroring the diverged-run machinery.
+/// produce) but accept no new riders and never publish to the cache or
+/// the fragment store, as a re-bounded run does.
 /// Each QueryResult carries the catalog version it was computed under.
 /// See docs/CATALOG_REFRESH.md for the full protocol and its
 /// guarantees.
@@ -142,8 +142,8 @@ struct ServiceOptions {
   /// num_shards > num_threads oversubscribes the worker budget (each
   /// shard always keeps at least its own thread).
   int num_shards = 1;
-  /// Attach duplicate in-flight submissions to the running leader
-  /// instead of optimizing them a second time. Disable to force every
+  /// Let a duplicate of an in-flight submission ride that run instead
+  /// of optimizing the query a second time. Disable to force every
   /// submission onto its own run (e.g. for scheduling benchmarks).
   bool coalesce_in_flight = true;
   /// Capacity (entries) of the LRU frontier cache; 0 disables caching.
@@ -188,8 +188,8 @@ struct ServiceOptions {
   /// A Submit that would create a run beyond this bound is load-shed
   /// with kShedding and a retry-after hint instead of queueing
   /// unboundedly — the overload contract a network front end needs.
-  /// Cache hits and coalesced followers are always admitted (they
-  /// create no run). 0 = unlimited (in-process/test use).
+  /// Cache hits and coalesced riders are always admitted (they create
+  /// no run). 0 = unlimited (in-process/test use).
   size_t max_inflight_runs = 0;
   /// Base of the kShedding retry-after hint: the hint is this value
   /// times the number of runs currently waiting in shard queues (at
@@ -232,8 +232,8 @@ struct ServiceOptions {
 /// are deliberately excluded: the parallel engine is
 /// frontier-equivalent, so runs at different thread counts share
 /// cache lines. The same key drives shard placement and in-flight
-/// coalescing, so duplicates land on the same shard and attach to the
-/// same leader.
+/// coalescing, so duplicates land on the same shard and ride the same
+/// run.
 std::string CanonicalQueryKey(const Query& query, const MetricSchema& schema,
                               const SubmitRequest& request,
                               uint64_t catalog_version);
@@ -268,17 +268,17 @@ class OptimizerService {
   /// and on success returns the schedulable id plus what admission
   /// decided (cache hit, coalesced, subscription). A submission whose
   /// canonical key matches a completed run returns its cached frontier
-  /// without optimizing; one matching a run still in flight attaches to
-  /// it as a follower (see the file comment).
+  /// without optimizing; one matching a run still in flight rides it
+  /// (see the file comment).
   StatusOr<SubmitResponse> Submit(SubmitRequest request);
 
   /// Requests cancellation; returns false if the query is unknown or
   /// already finished. After a true return, Wait() observes kCancelled —
-  /// even if the run's last step completed concurrently (the
-  /// cancellation flag is re-checked before the result is finalized).
-  /// Cancelling a follower detaches only that follower; cancelling a
-  /// leader with live followers hands leadership to the oldest follower
-  /// and the run continues for them.
+  /// even if the run's last step completed concurrently. A query whose
+  /// run is queued finishes inside the call; one whose run is stepping
+  /// finishes at the end of the step in flight, which ends the run's
+  /// turn. Cancelling detaches only that query: the run continues for
+  /// its other riders and ends once none is left.
   bool Cancel(QueryId id);
 
   /// Re-bounds an in-flight query — the service form of the paper's
@@ -291,14 +291,13 @@ class OptimizerService {
   /// run's final step was already in flight, the run takes one more
   /// turn and steps at least once under the new bounds before
   /// completing (QueryResult::iterations then exceeds max_iterations by
-  /// those extra steps). Bounds apply
-  /// to the whole run — a coalesced run is one shared interactive
-  /// session, so leader and followers all observe the re-bounded
-  /// stream — and mark it diverged: it stops accepting new followers
-  /// and its final frontier never enters the cache. Returns NotFound
-  /// for unknown/finished ids (including cache-hit submissions, which
-  /// finish instantly) and InvalidArgument when `bounds` does not match
-  /// the service metric schema.
+  /// those extra steps). Bounds apply to the whole run — a coalesced run
+  /// is one shared interactive session, so all its riders observe the
+  /// re-bounded stream — and the run stops sharing: it accepts no new
+  /// riders and its final frontier never enters the cache. Returns
+  /// NotFound for unknown/finished ids (including cache-hit submissions,
+  /// which finish instantly) and InvalidArgument when `bounds` does not
+  /// match the service metric schema.
   Status ApplyBounds(QueryId id, const CostVector& bounds);
 
   /// Blocks until the query finishes (done, cancelled, or expired) and
@@ -312,10 +311,10 @@ class OptimizerService {
   /// the fragment-store epoch so stored fragments from the old
   /// generation can never be seeded again, drops the whole-query
   /// frontier cache (its keys are version-guarded regardless — dropping
-  /// just frees the dead entries now), and marks every in-flight run
-  /// stale. Stale runs finish on the snapshot they pinned at admission
+  /// just frees the dead entries now), and stops every in-flight run
+  /// sharing. Those runs finish on the snapshot they pinned at admission
   /// — bit-identical to a cold run on the old catalog — but accept no
-  /// new followers and never publish to the cache or fragment store.
+  /// new riders and never publish to the cache or fragment store.
   /// Submissions admitted after RefreshCatalog returns optimize on the
   /// new statistics and provably re-optimize (cache and fragment keys
   /// cannot match any pre-refresh entry). A refresh that observes no
@@ -370,19 +369,15 @@ class OptimizerService {
     uint64_t catalog_version = 0;
   };
 
+  // A terminal result. `result.frontier` stays empty: the frontier is
+  // shared with the run (and the cache) and deep-copied by Wait() after
+  // it releases mu_.
   struct StoredResult {
-    QueryId id = kInvalidQueryId;
-    QueryState state = QueryState::kQueued;
-    int iterations = 0;
-    bool from_cache = false;
-    bool coalesced = false;
-    uint64_t plans_generated = 0;
-    uint64_t pairs_generated = 0;
-    uint64_t catalog_version = 0;
+    QueryResult result;
     std::shared_ptr<const FrontierSnapshot> frontier;
   };
 
-  // A follower observer owed the final frontier at completion.
+  // An observer owed the final frontier at completion.
   struct LateDelivery {
     QueryId id = kInvalidQueryId;
     SnapshotObserver observer;
@@ -401,34 +396,24 @@ class OptimizerService {
   void BuildRun(RunState* run);
   // Stores a terminal result, evicting the oldest beyond
   // result_retention, and wakes waiters. Requires mu_ held.
-  void RecordResultLocked(StoredResult result);
+  void RecordResultLocked(StoredResult stored);
   // Records `entry`'s terminal result (bumping the matching stats
-  // counter) and erases the entry. `plans`/`pairs` are the run's work
-  // counters as of its latest turn boundary. Requires mu_ held.
-  void FinalizeEntryLocked(QueryEntry* entry, QueryState state,
-                           std::shared_ptr<const FrontierSnapshot> frontier,
-                           int iterations, uint64_t plans, uint64_t pairs);
-  // Finalizes every follower whose own deadline has passed. Requires
-  // mu_ held.
-  void SweepExpiredFollowersLocked(RunState* run,
-                                   std::chrono::steady_clock::time_point now);
-  // Completes a run in state kDone: finalizes every attached query,
-  // fills the cache (unless diverged or stale), collects final-frontier
-  // deliveries for observers that saw no snapshot, and takes the run out
-  // of the service (ExtractRunLocked). Requires mu_ held.
-  std::unique_ptr<RunState> CompleteRunLocked(
-      RunState* run, std::vector<LateDelivery>* deliveries);
-  // Finalizes the current leader in `state` and promotes the oldest
-  // follower to leader; returns null then. When no follower remains the
-  // run is taken out of the service and returned instead. Requires mu_
-  // held.
-  std::unique_ptr<RunState> RetireLeaderLocked(RunState* run,
-                                               QueryState state);
-  // Removes the run from runs_ and from the in-flight index (if it is
-  // still the index's entry for its key) and hands it to the caller,
-  // which frees it — and publishes its fragments — after releasing mu_.
+  // counter) from its run's latest turn boundary — published frontier,
+  // steps and work counters — and erases the entry. The caller removes
+  // it from the run's riders. Requires mu_ held.
+  void FinalizeEntryLocked(QueryEntry* entry, QueryState state);
+  // Finalizes every rider of `run` that was cancelled mid-turn or whose
+  // deadline has passed by `now`. Requires mu_ held.
+  void SweepRidersLocked(RunState* run,
+                         std::chrono::steady_clock::time_point now);
+  // Completes a run in state kDone: finalizes every rider, fills the
+  // cache (if the run is shareable), and collects final-frontier
+  // deliveries for observers that saw no snapshot. Requires mu_ held.
+  void CompleteRunLocked(RunState* run, std::vector<LateDelivery>* deliveries);
+  // Takes the run off every sharing surface for good: no new duplicate
+  // rides it, and it neither fills the cache nor publishes fragments.
   // Requires mu_ held.
-  std::unique_ptr<RunState> ExtractRunLocked(RunState* run);
+  void StopSharingLocked(RunState* run);
 
   const Catalog& catalog_;
   const ServiceOptions options_;
@@ -450,13 +435,13 @@ class OptimizerService {
   std::condition_variable waiters_cv_;  // Destructor drains Wait() calls.
   bool stop_ = false;
   bool draining_ = false;  // BeginDrain(): admission closed for good.
-  // Unfinished queries per tenant (leaders + followers; cache hits never
-  // enter). Entries are erased at zero so the map tracks live tenants,
-  // not every tenant name ever seen.
+  // Unfinished queries per tenant (every rider; cache hits never enter).
+  // Entries are erased at zero so the map tracks live tenants, not every
+  // tenant name ever seen.
   std::unordered_map<std::string, int> tenant_inflight_;
   // Cumulative fragment-store warm hits per tenant: cells seeded (not
   // enumerated) by runs the tenant founded, credited once per run at
-  // its first turn boundary and reported back on every admission
+  // its first publish and reported back on every admission
   // (SubmitResponse::tenant_fragment_hits). Unlike tenant_inflight_,
   // entries persist for the service lifetime — the counter is
   // monotonic telemetry, not an admission gauge.
@@ -468,8 +453,8 @@ class OptimizerService {
   uint64_t next_run_id_ = 1;
   std::unordered_map<QueryId, std::unique_ptr<QueryEntry>> entries_;
   std::unordered_map<uint64_t, std::unique_ptr<RunState>> runs_;
-  // Canonical key -> run id of the non-diverged in-flight run new
-  // duplicates attach to. Maintained only when coalescing is enabled.
+  // Canonical key -> id of the shareable in-flight run new duplicates
+  // ride. Maintained only when coalescing is enabled.
   std::unordered_map<std::string, uint64_t> inflight_;
   std::vector<std::deque<uint64_t>> shard_queues_;  // Round-robin per shard.
   std::unordered_map<QueryId, StoredResult> results_;

@@ -66,7 +66,7 @@ using SnapshotObserver = std::function<void(QueryId, const FrontierSnapshot&)>;
 /// Per-tenant admission limits and fair-share weight
 /// (ServiceOptions::tenant_quotas / ServiceOptions::default_quota).
 struct TenantQuota {
-  /// Queries (leaders and coalesced followers alike) a tenant may have
+  /// Queries (every rider of a run, coalesced or not) a tenant may have
   /// unfinished at once; further Submits return kQuotaExceeded.
   /// 0 = unlimited.
   int max_inflight = 0;
@@ -161,17 +161,16 @@ struct QueryResult {
   QueryId id = kInvalidQueryId;
   /// Terminal state (kQueued only for unknown ids).
   QueryState state = QueryState::kQueued;
-  /// Optimizer steps executed by the run that served this query (for a
-  /// coalesced follower: the shared run's steps, not zero). May exceed
-  /// the requested max_iterations when ApplyBounds landed on the run's
-  /// final step: the run takes at least one extra step under the new
-  /// bounds rather than dropping them.
+  /// Optimizer steps the run that served this query had executed when
+  /// the query finished (for a coalesced rider: the shared run's steps,
+  /// not zero). May exceed the requested max_iterations when ApplyBounds
+  /// landed on the run's final step: the run takes at least one extra
+  /// step under the new bounds rather than dropping them.
   int iterations = 0;
   /// True when the result was served by the completed-run LRU cache.
   bool from_cache = false;
-  /// True when this query attached to an in-flight duplicate (it was a
-  /// follower, or was promoted to leader after attaching as one) and so
-  /// triggered no optimization of its own.
+  /// True when this query attached to an in-flight duplicate as another
+  /// rider of its run, and so triggered no optimization of its own.
   bool coalesced = false;
   /// The catalog version (Catalog::version) this result's frontier was
   /// computed under — the version of the snapshot the serving run
@@ -189,11 +188,10 @@ struct QueryResult {
   uint64_t plans_generated = 0;
   /// See plans_generated.
   uint64_t pairs_generated = 0;
-  /// The run's last *published* snapshot: the final frontier for kDone;
-  /// for queries finalized between a run's turns (cancelled or expired
-  /// followers, cancelled leaders of dead runs) the frontier from the
-  /// latest turn boundary — which may trail snapshots already streamed
-  /// to the observer mid-turn. Plan ids inside refer to the run's
+  /// The frontier of the run's last step before the query finished (the
+  /// final frontier for kDone; empty if no step ran): riders leave only
+  /// at turn boundaries or between turns, so no streamed snapshot is
+  /// newer. Plan ids inside refer to the run's
   /// (freed) arena — treat them as opaque tags; the cost vectors and
   /// order/resolution fields are the payload.
   FrontierSnapshot frontier;

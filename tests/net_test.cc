@@ -588,9 +588,9 @@ TEST(NetServerTest, SheddingCarriesRetryAfterHint) {
   ASSERT_TRUE(duplicate.ok()) << duplicate.status().ToString();
   EXPECT_TRUE(duplicate.value().coalesced);
 
-  // Cancelling the leader hands the run to the coalesced follower (the
-  // run outlives its original submitter), so both ids must be cancelled
-  // to actually stop it.
+  // Cancelling the first submission leaves the run to the coalesced
+  // rider (the run outlives its original submitter), so both ids must be
+  // cancelled to actually stop it.
   ASSERT_TRUE(client.Cancel(first.value().id).ok());
   ASSERT_TRUE(client.Cancel(duplicate.value().id).ok());
   ASSERT_TRUE(client.Wait(first.value().id).ok());

@@ -3,9 +3,9 @@
 // every shard count; the LRU frontier cache must serve repeated queries
 // without re-optimization; an observer and a subscription on one
 // submission must carry the same stream; duplicate in-flight submissions
-// must coalesce onto the running leader (no second optimization —
-// asserted on step counters) with correct follower cancel/expiry/handoff
-// semantics; ApplyBounds must re-bound live runs and keep diverged
+// must coalesce onto the running duplicate as riders (no second
+// optimization — asserted on step counters), each rider with its own
+// cancel and deadline; ApplyBounds must re-bound live runs and keep diverged
 // results out of the cache; RefreshCatalog must make resubmitted queries
 // re-optimize on the new statistics (cache miss by key version) while
 // runs admitted earlier finish bit-identical to a cold run on their
@@ -533,9 +533,10 @@ class SchedulerGate {
 };
 
 // Holds a gated service with one shard plus the ids/request shared by the
-// coalescing tests: a parked blocker, a leader, and (on demand) coalesced
-// duplicates of the leader's query. `submit` is the request template for
-// the workload's first query, which every coalescing test submits.
+// coalescing tests: a parked blocker, a run's first rider, and (on
+// demand) coalesced duplicates of its query. `submit` is the request
+// template for the workload's first query, which every coalescing test
+// submits.
 struct CoalescingRig {
   explicit CoalescingRig(const Workload& w)
       : submit(SmallRequest(w.queries.front())),
@@ -582,7 +583,7 @@ TEST(OptimizerServiceCoalescingTest, DuplicateInFlightSubmitCoalesces) {
     ++dup_snaps;
   };
   const QueryId dup = rig.service.Submit(std::move(dup_submit)).value().id;
-  // The duplicate attached to the in-flight leader instead of queueing a
+  // The duplicate attached to the in-flight run instead of queueing a
   // second run.
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
 
@@ -606,11 +607,11 @@ TEST(OptimizerServiceCoalescingTest, DuplicateInFlightSubmitCoalesces) {
   ASSERT_EQ(FrontierSignature(rl.frontier.plans),
             FrontierSignature(reference.plans));
   // Step-count instrumented: the duplicate performed no optimization —
-  // total service steps are exactly blocker + one leader run.
+  // total service steps are exactly blocker + one shared run.
   EXPECT_EQ(rig.service.stats().steps_executed,
             static_cast<uint64_t>(blocker_steps + rig.iterations));
-  // The leader streamed every snapshot; the follower is guaranteed at
-  // least the final frontier.
+  // The first rider streamed every snapshot; the coalesced one is
+  // guaranteed at least the final frontier.
   EXPECT_EQ(leader_snaps.load(), rig.iterations);
   EXPECT_GE(dup_snaps.load(), 1);
 }
@@ -623,7 +624,8 @@ TEST(OptimizerServiceCoalescingTest, FollowerCancelLeavesLeaderUnaffected) {
   const QueryId leader = rig.service.Submit(rig.submit).value().id;
   const QueryId dup = rig.service.Submit(rig.submit).value().id;
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
-  // Cancelling the follower detaches it immediately — no turn needed.
+  // Cancelling a rider of a queued run finalizes it at once — no turn
+  // needed.
   EXPECT_TRUE(rig.service.Cancel(dup));
   const QueryResult rd = rig.service.Wait(dup);
   EXPECT_EQ(rd.state, QueryState::kCancelled);
@@ -640,7 +642,7 @@ TEST(OptimizerServiceCoalescingTest, FollowerCancelLeavesLeaderUnaffected) {
             FrontierSignature(reference.plans));
   EXPECT_EQ(rig.service.stats().steps_executed,
             static_cast<uint64_t>(blocker_steps + rig.iterations));
-  EXPECT_EQ(rig.service.stats().cancelled, 2u);  // Follower + blocker.
+  EXPECT_EQ(rig.service.stats().cancelled, 2u);  // Duplicate + blocker.
 }
 
 TEST(OptimizerServiceCoalescingTest, LeaderCancelHandsOffToFollower) {
@@ -651,8 +653,8 @@ TEST(OptimizerServiceCoalescingTest, LeaderCancelHandsOffToFollower) {
   const QueryId leader = rig.service.Submit(rig.submit).value().id;
   const QueryId dup = rig.service.Submit(rig.submit).value().id;
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
-  // Cancelling the leader while a follower rides along hands leadership
-  // off instead of killing the run.
+  // Cancelling the first rider while a duplicate rides along leaves the
+  // run to the duplicate instead of killing it.
   EXPECT_TRUE(rig.service.Cancel(leader));
 
   const int blocker_steps = rig.ReleaseAndFinishBlocker();
@@ -678,7 +680,7 @@ TEST(OptimizerServiceCoalescingTest, LeaderCancelHandsOffToFollower) {
 TEST(OptimizerServiceCoalescingTest, DuplicateSubmitsRacingCompletion) {
   // Hammer one canonical query from several client threads: every
   // submission must resolve to exactly one of {fresh run, coalesced
-  // follower, cache hit}, and total optimizer work must equal fresh
+  // rider, cache hit}, and total optimizer work must equal fresh
   // runs × iterations — whatever the interleaving (also a TSan target).
   const Workload w = MakeWorkload(/*num_random=*/0);
   ServiceOptions opts = SmallServiceOptions(/*threads=*/2);
@@ -737,9 +739,10 @@ TEST(OptimizerServiceCoalescingTest, ExpiredFollowerKeepsRunAlive) {
 }
 
 TEST(OptimizerServiceCoalescingTest, MidTurnExpiredFollowerDoesNotRideToDone) {
-  // A follower that attaches mid-turn with an already-hopeless deadline
+  // A rider that attaches mid-turn with an already-hopeless deadline
   // must expire at the turn boundary — even when that same turn
-  // completes the run — not be finalized kDone alongside the leader.
+  // completes the run — not be finalized kDone alongside the first
+  // rider.
   const Workload w = MakeWorkload(/*num_random=*/0);
   OptimizerService service(w.catalog, SmallServiceOptions(1));
   const Query& q = w.queries.front();
@@ -771,6 +774,107 @@ TEST(OptimizerServiceCoalescingTest, MidTurnExpiredFollowerDoesNotRideToDone) {
   EXPECT_EQ(stats.coalesced, 1u);
   EXPECT_EQ(stats.expired, 1u);
   EXPECT_EQ(stats.steps_executed, static_cast<uint64_t>(iterations));
+}
+
+TEST(OptimizerServiceCoalescingTest, RiderCancelledMidStepLeavesRunToOthers) {
+  // Cancelling one rider of a stepping run ends that rider after the
+  // step in flight; the run carries on for the rider that remains and
+  // redoes no step.
+  const Workload w = MakeWorkload(/*num_random=*/0);
+  SchedulerGate gate;
+  OptimizerService service(w.catalog, SmallServiceOptions(1));
+  const Query& q = w.queries.front();
+  SubmitRequest first = SmallRequest(q);
+  const int iterations = first.iama.schedule.NumLevels();
+  first.observer = gate.Observer();  // Parks the shard inside step 1.
+  const QueryId a = service.Submit(first).value().id;
+  gate.AwaitEntered();
+  const QueryId b = service.Submit(SmallRequest(q)).value().id;
+  EXPECT_EQ(service.stats().coalesced, 1u);
+  EXPECT_TRUE(service.Cancel(a));
+  gate.Release();
+
+  const QueryResult ra = service.Wait(a);
+  EXPECT_EQ(ra.state, QueryState::kCancelled);
+  EXPECT_FALSE(ra.coalesced);
+  EXPECT_EQ(ra.iterations, 1);
+  const QueryResult rb = service.Wait(b);
+  EXPECT_EQ(rb.state, QueryState::kDone);
+  EXPECT_TRUE(rb.coalesced);
+  EXPECT_EQ(rb.iterations, iterations);
+  const FrontierSnapshot reference = SequentialFinalSnapshot(
+      q, w.catalog, SmallServiceOptions(1), first.iama, iterations);
+  ASSERT_EQ(FrontierSignature(rb.frontier.plans),
+            FrontierSignature(reference.plans));
+  EXPECT_EQ(service.stats().steps_executed,
+            static_cast<uint64_t>(rb.iterations));
+}
+
+TEST(OptimizerServiceCoalescingTest,
+     QueuedRunRidersLeaveAtOnceAndRunNeverSteps) {
+  // Every rider of a queued run finishes inside its own Cancel call,
+  // without waiting for the parked shard; the run left without riders
+  // is dropped unstepped.
+  const Workload w = MakeWorkload(/*num_random=*/1, /*random_tables=*/4);
+  CoalescingRig rig(w);
+
+  const QueryId first = rig.service.Submit(rig.submit).value().id;
+  const QueryId dup = rig.service.Submit(rig.submit).value().id;
+  EXPECT_EQ(rig.service.stats().coalesced, 1u);
+  EXPECT_TRUE(rig.service.Cancel(first));
+  EXPECT_TRUE(rig.service.Cancel(dup));
+  EXPECT_EQ(rig.service.stats().cancelled, 2u);  // The blocker still runs.
+
+  const int blocker_steps = rig.ReleaseAndFinishBlocker();
+  const QueryResult rf = rig.service.Wait(first);
+  EXPECT_EQ(rf.state, QueryState::kCancelled);
+  EXPECT_EQ(rf.iterations, 0);
+  const QueryResult rd = rig.service.Wait(dup);
+  EXPECT_EQ(rd.state, QueryState::kCancelled);
+  EXPECT_TRUE(rd.coalesced);
+  EXPECT_EQ(rd.iterations, 0);
+  EXPECT_EQ(rig.service.stats().steps_executed,
+            static_cast<uint64_t>(blocker_steps));
+}
+
+TEST(OptimizerServiceCoalescingTest, EarliestRiderDeadlineEndsTheTurn) {
+  // A turn lasts until its riders' earliest deadline, so a coalesced
+  // rider's deadline is checked between steps too: the hurried rider
+  // expires after the step that outlasted it, and the run then finishes
+  // for the patient rider without redoing a step.
+  const Workload w = MakeWorkload(/*num_random=*/1, /*random_tables=*/4);
+  CoalescingRig rig(w);
+  const Query& q = w.queries.front();
+
+  SubmitRequest patient = rig.submit;
+  patient.priority = rig.iterations;  // The whole run is one turn.
+  patient.observer = [](QueryId, const FrontierSnapshot& s) {
+    // Step 1 outlasts the hurried rider's deadline.
+    if (s.iteration == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    }
+  };
+  const QueryId first = rig.service.Submit(std::move(patient)).value().id;
+  SubmitRequest hurried = rig.submit;
+  hurried.deadline_ms = 500.0;
+  const QueryId dup = rig.service.Submit(std::move(hurried)).value().id;
+  EXPECT_EQ(rig.service.stats().coalesced, 1u);
+
+  const int blocker_steps = rig.ReleaseAndFinishBlocker();
+  const QueryResult rd = rig.service.Wait(dup);
+  EXPECT_EQ(rd.state, QueryState::kExpired);
+  EXPECT_TRUE(rd.coalesced);
+  EXPECT_EQ(rd.iterations, 1);
+  const QueryResult rf = rig.service.Wait(first);
+  EXPECT_EQ(rf.state, QueryState::kDone);
+  EXPECT_EQ(rf.iterations, rig.iterations);
+  const FrontierSnapshot reference =
+      SequentialFinalSnapshot(q, w.catalog, SmallServiceOptions(1),
+                              rig.submit.iama, rig.iterations);
+  ASSERT_EQ(FrontierSignature(rf.frontier.plans),
+            FrontierSignature(reference.plans));
+  EXPECT_EQ(rig.service.stats().steps_executed,
+            static_cast<uint64_t>(blocker_steps + rig.iterations));
 }
 
 TEST(OptimizerServiceApplyBoundsTest, RejectsUnknownIdsAndBadDimensions) {
@@ -860,12 +964,13 @@ TEST(OptimizerServiceApplyBoundsTest, FollowerBoundsApplyToSharedRun) {
   const QueryId leader = rig.service.Submit(rig.submit).value().id;
   const QueryId dup = rig.service.Submit(rig.submit).value().id;
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
-  // A coalesced run is one shared interactive session: a follower's
-  // bounds drag re-bounds it for every rider and diverges it.
+  // A coalesced run is one shared interactive session: a coalesced
+  // rider's bounds drag re-bounds it for every rider and stops it
+  // sharing.
   CostVector bounds = CostVector::Infinite(3);
   bounds[1] = 4.0;
   ASSERT_TRUE(rig.service.ApplyBounds(dup, bounds).ok());
-  // The diverged run stops accepting new followers: a third duplicate
+  // The re-bounded run stops accepting new riders: a third duplicate
   // starts a fresh run of its own.
   const QueryId fresh = rig.service.Submit(rig.submit).value().id;
   EXPECT_EQ(rig.service.stats().coalesced, 1u);
@@ -878,7 +983,7 @@ TEST(OptimizerServiceApplyBoundsTest, FollowerBoundsApplyToSharedRun) {
   EXPECT_EQ(rl.state, QueryState::kDone);
   EXPECT_EQ(rd.state, QueryState::kDone);
   EXPECT_TRUE(rd.coalesced);
-  // Leader and follower share the re-bounded frontier.
+  // Both riders share the re-bounded frontier.
   ASSERT_EQ(FrontierSignature(rl.frontier.plans),
             FrontierSignature(rd.frontier.plans));
   for (const auto& e : rl.frontier.plans) EXPECT_LE(e.cost[1], 4.0);
@@ -1022,7 +1127,7 @@ TEST(OptimizerServiceRefreshTest, LiveRunFinishesOnPinnedSnapshot) {
   // A run admitted before the refresh must complete bit-identical to a
   // cold run on the OLD catalog (it pinned that snapshot at admission),
   // must not fill the cache, and must not accept post-refresh
-  // followers; a post-refresh duplicate re-optimizes on the new one.
+  // riders; a post-refresh duplicate re-optimizes on the new one.
   Workload w = MakeWorkload(/*num_random=*/1, /*random_tables=*/4);
   CoalescingRig rig(w);  // One shard, parked on the blocker.
   const Query& q = w.queries.front();
@@ -1142,7 +1247,7 @@ TEST(CanonicalQueryKeyTest, DistinguishesResultAffectingChanges) {
 
   // The catalog version (statistics generation) is result-affecting:
   // the ROADMAP gap this closes — a refresh must make every pre-refresh
-  // cache line and in-flight leader unmatchable.
+  // cache line and in-flight run unmatchable.
   EXPECT_NE(CanonicalQueryKey(q, schema, submit, version + 1), base);
 
   // Join *sequence* is result-affecting (interesting-order tags), so two
