@@ -14,10 +14,20 @@
 //            ParetoFrontier::Insert; kernel = ParetoFrontier::Insert, the
 //            production frontier on the kernel's batched primitives.
 //
+// A fourth workload runs at batch sizes {256, 4096, 16384} x 3 dims:
+//
+//   judge_order  the order phase 2 judges a cell's plans in, from scores
+//            computed as the optimizer computes them: scalar = std::sort
+//            of a copy of the 80-byte batch records the optimizer sorted
+//            before, by (score, id); kernel = JudgeOrder.
+//
 // Throughput is reported in million entry-comparisons per second
-// (filter/probe) and million inserts per second (insert), plus the
-// kernel/scalar speedup. Output: a table on stdout and BENCH_kernel.json
-// in the working directory so the perf trajectory is tracked across PRs.
+// (filter/probe), million inserts per second (insert) and million plans
+// ordered per second (judge_order), plus the kernel/scalar speedup.
+// Output: a table on stdout and BENCH_kernel.json in the working
+// directory, with a host block (cores, compiler, build type, and the
+// commit `git rev-parse HEAD` reports there, "+dirty" for a modified
+// tree), so the perf trajectory is tracked across PRs.
 //
 // Usage:
 //   ./build/bench_dominance_kernel            run + write BENCH_kernel.json
@@ -25,7 +35,11 @@
 //                                             bit-identity only; exits
 //                                             nonzero on any mismatch (CI
 //                                             smoke step, Release matrix)
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -228,6 +242,96 @@ Result BenchInsert(int cell_size, int dims, uint64_t seed) {
   return {"insert", cell_size, dims, scalar_mps, kernel_mps};
 }
 
+// The plan batch record the optimizer sorted before JudgeOrder: id,
+// cost vector, score and order tag, 80 bytes.
+struct SortedBatchEntry {
+  uint32_t id = 0;
+  CostVector cost;
+  double score = 0.0;
+  uint8_t order = 0;
+};
+
+bool ScoreThenId(const SortedBatchEntry& a, const SortedBatchEntry& b) {
+  return a.score < b.score || (a.score == b.score && a.id < b.id);
+}
+
+// A phase-2-like batch: `n` plans with log-uniform costs, scored the way
+// the optimizer scores them (each metric normalized by its batch mean),
+// ids ascending with position.
+std::vector<SortedBatchEntry> ScoredBatch(size_t n, int dims, Rng& rng) {
+  std::vector<SortedBatchEntry> batch(n);
+  CostVector scale(dims, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    batch[i].id = static_cast<uint32_t>(i);
+    batch[i].cost = CostVector(dims);
+    for (int d = 0; d < dims; ++d) {
+      batch[i].cost[d] = std::pow(10.0, rng.UniformDouble(0.0, 6.0));
+      scale[d] += batch[i].cost[d];
+    }
+  }
+  for (int d = 0; d < dims; ++d) scale[d] = n / scale[d];
+  for (SortedBatchEntry& e : batch) {
+    for (int d = 0; d < dims; ++d) e.score += e.cost[d] * scale[d];
+  }
+  return batch;
+}
+
+Result BenchJudgeOrder(int batch_size, int dims, uint64_t seed) {
+  Rng rng(seed);
+  const size_t n = static_cast<size_t>(batch_size);
+  const std::vector<SortedBatchEntry> batch = ScoredBatch(n, dims, rng);
+  std::vector<double> scores(n);
+  std::vector<uint32_t> ids(n);
+  for (size_t i = 0; i < n; ++i) {
+    scores[i] = batch[i].score;
+    ids[i] = batch[i].id;
+  }
+  uint64_t sink = 0;
+  long reps = 0;
+  std::vector<SortedBatchEntry> work;
+  const double scalar_ms = MeasureMs(
+      [&](long) {
+        work = batch;
+        std::sort(work.begin(), work.end(), ScoreThenId);
+        sink += work[n / 2].id;
+      },
+      &reps);
+  const double scalar_mps = static_cast<double>(reps) *
+                            static_cast<double>(n) / scalar_ms / 1e3;
+  std::vector<uint32_t> order;
+  const double kernel_ms = MeasureMs(
+      [&](long) {
+        JudgeOrder(scores.data(), ids.data(), n, &order);
+        sink += order[n / 2];
+      },
+      &reps);
+  const double kernel_mps = static_cast<double>(reps) *
+                            static_cast<double>(n) / kernel_ms / 1e3;
+  if (sink == 0xDEAD) std::printf("#");
+  return {"judge_order", batch_size, dims, scalar_mps, kernel_mps};
+}
+
+// `git rev-parse HEAD` in the working directory, "+dirty" when tracked
+// files differ from it; "none" outside a git checkout.
+std::string GitCommit() {
+  std::string commit = "none";
+  if (FILE* p = popen("git rev-parse HEAD 2>/dev/null", "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof(buf), p) != nullptr) {
+      commit = std::string(buf, std::strcspn(buf, "\n"));
+    }
+    if (pclose(p) != 0 || commit.empty()) commit = "none";
+  }
+  if (commit == "none") return commit;
+  if (FILE* p = popen("git status --porcelain --untracked-files=no "
+                      "2>/dev/null",
+                      "r")) {
+    if (std::fgetc(p) != EOF) commit += "+dirty";
+    pclose(p);
+  }
+  return commit;
+}
+
 // --verify: scalar-vs-kernel bit-identity cross-check (the CI smoke).
 // Returns the number of mismatches.
 int Verify() {
@@ -300,6 +404,41 @@ int Verify() {
       }
     }
   }
+  // Judge order: JudgeOrder against std::sort of the batch records, on
+  // scored batches whose ids ascend (phase 2) or are shuffled (phase 1),
+  // with a coarse copy of every score so that ties occur.
+  for (int trial = 0; trial < 300; ++trial) {
+    Rng local(4242 + static_cast<uint64_t>(trial));
+    const size_t n = local.Uniform(trial % 10 == 0 ? 20000 : 600);
+    std::vector<SortedBatchEntry> batch = ScoredBatch(n, 3, local);
+    for (SortedBatchEntry& e : batch) {
+      if (local.Bernoulli(0.3)) e.score = std::floor(e.score * 8.0) / 8.0;
+    }
+    if (trial % 2 == 1) {
+      for (size_t i = n; i > 1; --i) {
+        std::swap(batch[i - 1].id, batch[local.Uniform(i)].id);
+      }
+    }
+    std::vector<double> scores(n);
+    std::vector<uint32_t> ids(n);
+    for (size_t i = 0; i < n; ++i) {
+      scores[i] = batch[i].score;
+      ids[i] = batch[i].id;
+    }
+    std::vector<uint32_t> order;
+    JudgeOrder(scores.data(), ids.data(), n, &order);
+    std::vector<SortedBatchEntry> sorted = batch;
+    std::sort(sorted.begin(), sorted.end(), ScoreThenId);
+    bool same = order.size() == n;
+    for (size_t i = 0; i < n && same; ++i) {
+      same = batch[order[i]].id == sorted[i].id;
+    }
+    if (!same) {
+      std::fprintf(stderr, "judge order mismatch trial %d (n %zu)\n", trial,
+                   n);
+      ++failures;
+    }
+  }
   return failures;
 }
 
@@ -317,7 +456,7 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<Result> results;
-  std::printf("%-8s %10s %6s %14s %14s %10s\n", "workload", "cell", "dims",
+  std::printf("%-12s %6s %6s %14s %14s %10s\n", "workload", "cell", "dims",
               "scalar_mops", "kernel_mops", "speedup");
   for (int dims : {2, 3}) {
     for (int cell : {16, 256, 4096}) {
@@ -325,19 +464,29 @@ int Main(int argc, char** argv) {
       for (const Result& r :
            {BenchFilter(w), BenchProbe(w), BenchInsert(cell, dims, 7)}) {
         results.push_back(r);
-        std::printf("%-8s %10d %6d %14.1f %14.1f %9.2fx\n", r.workload,
-                    r.cell_size, r.dims, r.scalar_mps, r.kernel_mps,
-                    r.speedup());
       }
     }
+  }
+  for (int batch : {256, 4096, 16384}) {
+    results.push_back(BenchJudgeOrder(batch, 3, 11));
+  }
+  for (const Result& r : results) {
+    std::printf("%-12s %6d %6d %14.1f %14.1f %9.2fx\n", r.workload,
+                r.cell_size, r.dims, r.scalar_mps, r.kernel_mps, r.speedup());
   }
 
   FILE* f = std::fopen("BENCH_kernel.json", "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n  \"bench\": \"dominance_kernel\",\n");
     std::fprintf(f,
+                 "  \"host\": {\"nproc\": %ld, \"compiler\": \"%s\", "
+                 "\"build_type\": \"%s\", \"commit\": \"%s\"},\n",
+                 sysconf(_SC_NPROCESSORS_ONLN), MOQO_BENCH_COMPILER,
+                 MOQO_BENCH_BUILD_TYPE, GitCommit().c_str());
+    std::fprintf(f,
                  "  \"unit\": \"million ops/sec (filter: entries, probe: "
-                 "probes, insert: inserts)\",\n");
+                 "probes, insert: inserts, judge_order: plans; cell = batch "
+                 "size for judge_order)\",\n");
     std::fprintf(f, "  \"configs\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
       const Result& r = results[i];

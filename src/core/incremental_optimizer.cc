@@ -1,6 +1,6 @@
 #include "core/incremental_optimizer.h"
 
-#include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "core/pruning.h"
@@ -23,37 +23,43 @@ struct CellJoin {
 struct BatchEntry {
   uint32_t id = 0;
   CostVector cost;
-  double score = 0.0;
   uint8_t order = 0;
 };
 
-// Orders a batch of plans so that cheap plans are pruned first. The score
-// is a positive-weighted sum of the cost components (normalized by the
-// batch mean per metric), which is monotone w.r.t. dominance: if a
-// dominates b then score(a) <= score(b), so dominating plans enter the
-// result set before the plans they suppress. This keeps the append-only
-// result sets close to minimal (see OptimizerOptions::sorted_pruning).
-// Score ties go to the smaller id, so the judge order is total and never
-// rests on std::sort's unspecified order among equal keys.
-void SortBatch(std::vector<BatchEntry>& batch) {
-  if (batch.size() < 2) return;
+// The positions of `batch` in the order Prune judges them: cheap plans
+// first when `sorted` (OptimizerOptions::sorted_pruning), arrival order
+// otherwise. The score is a positive-weighted sum of the cost components
+// (normalized by the batch mean per metric), which is monotone w.r.t.
+// dominance: if a dominates b then score(a) <= score(b), so dominating
+// plans enter the result set before the plans they suppress. This keeps
+// the append-only result sets close to minimal. Score ties go to the
+// smaller id, so the judge order is total (JudgeOrder in pareto/kernel.h).
+void JudgeOrderOf(const std::vector<BatchEntry>& batch, bool sorted,
+                  std::vector<uint32_t>* order) {
+  const size_t n = batch.size();
+  if (!sorted || n < 2) {
+    order->resize(n);
+    std::iota(order->begin(), order->end(), 0u);
+    return;
+  }
   const int dims = batch[0].cost.dims();
   CostVector scale(dims, 0.0);
   for (const BatchEntry& e : batch) {
     for (int i = 0; i < dims; ++i) scale[i] += e.cost.at(i);
   }
   for (int i = 0; i < dims; ++i) {
-    scale[i] = scale[i] > 0.0 ? batch.size() / scale[i] : 0.0;
+    scale[i] = scale[i] > 0.0 ? n / scale[i] : 0.0;
   }
-  for (BatchEntry& e : batch) {
+  std::vector<double> scores(n);
+  std::vector<uint32_t> ids(n);
+  for (size_t pos = 0; pos < n; ++pos) {
+    const BatchEntry& e = batch[pos];
     double score = 0.0;
     for (int i = 0; i < dims; ++i) score += e.cost.at(i) * scale.at(i);
-    e.score = score;
+    scores[pos] = score;
+    ids[pos] = e.id;
   }
-  std::sort(batch.begin(), batch.end(),
-            [](const BatchEntry& a, const BatchEntry& b) {
-              return a.score < b.score || (a.score == b.score && a.id < b.id);
-            });
+  JudgeOrder(scores.data(), ids.data(), n, order);
 }
 
 }  // namespace
@@ -74,7 +80,7 @@ struct IncrementalOptimizer::CellWork {
   CellIndex* cand = nullptr;
   FreshPairRegistry* fresh = nullptr;
   std::vector<CellJoin> joins;
-  std::vector<BatchEntry> batch;       // One entry per join; judge order.
+  std::vector<BatchEntry> batch;       // One entry per join; same order.
   std::vector<Survivor> survivors;     // In judge order.
   Counters counters;
 };
@@ -107,6 +113,7 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
   // Fill in scan plans for single tables (Algorithm 1 lines 7-10). The
   // seeding is part of invocation 1 so that the first Optimize call sees
   // the scan plans as Δ members.
+  std::vector<uint32_t> order;
   for (int t = 0; t < n; ++t) {
     const TableSet q = TableSet::Singleton(t);
     std::vector<BatchEntry> batch;
@@ -114,10 +121,11 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
       const PlanId id =
           arena_.AddScan(q, op, oc.cost, oc.output_rows, oc.order);
       ++counters_.plans_generated;
-      batch.push_back({id, oc.cost, 0.0, oc.order});
+      batch.push_back({id, oc.cost, oc.order});
     });
-    if (options_.sorted_pruning) SortBatch(batch);
-    for (const BatchEntry& e : batch) {
+    JudgeOrderOf(batch, options_.sorted_pruning, &order);
+    for (const uint32_t pos : order) {
+      const BatchEntry& e = batch[pos];
       Prune(res_.For(q), cand_.For(q), initial_bounds, /*resolution=*/0,
             CompareResolution(0), schedule_, e.id, e.cost, e.order,
             invocation_, options_.park_next_level_only, &counters_);
@@ -209,20 +217,28 @@ IncrementalOptimizer::TakePublishableFragments() {
   if (!options_.fragment_publish || !publish_valid_ || last_resolution_ < 0) {
     return out;
   }
-  const CostVector everything =
-      CostVector::Infinite(factory_.cost_model().schema().dims());
+  const int dims = factory_.cost_model().schema().dims();
   const PlanSetTable& res = res_;  // Never creates a set.
   const int n = factory_.NumTables();
   for (size_t k = 2; k <= static_cast<size_t>(n); ++k) {
     for (TableSet q : connected_by_size_[k]) {
       if (IsSealed(q)) continue;  // Already in the store.
+      const CellIndex& index = res.For(q);
       PublishableFragment cell{q, last_resolution_, {}};
-      res.For(q).ForEachInRange(
-          everything, last_resolution_, [&](const CellIndex::Entry& e) {
-            const PlanNode& node = arena_.at(e.id);
-            cell.plans.push_back({e.cost, node.output_cardinality, node.op,
-                                  e.order, e.resolution});
-          });
+      cell.plans.reserve(index.size());
+      index.ForEachEntry(last_resolution_, [&](uint32_t id,
+                                               const CostBank& bank,
+                                               size_t i, int resolution,
+                                               int order) {
+        const PlanNode& node = arena_.at(id);
+        FragmentPlan& plan = cell.plans.emplace_back();
+        plan.cost = CostVector(dims);
+        for (int d = 0; d < dims; ++d) plan.cost.data()[d] = bank.At(i, d);
+        plan.output_rows = node.output_cardinality;
+        plan.op = node.op;
+        plan.order = static_cast<uint8_t>(order);
+        plan.resolution = static_cast<uint8_t>(resolution);
+      });
       if (!cell.plans.empty()) out.push_back(std::move(cell));
     }
   }
@@ -258,6 +274,7 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
   // Candidates matching the current bounds and resolution are removed and
   // pruned again; Prune may insert them into the result set, re-park them
   // for a finer resolution, or discard them.
+  std::vector<uint32_t> order;
   for (size_t k = 1; k <= static_cast<size_t>(n); ++k) {
     for (TableSet q : connected_by_size_[k]) {
       CellIndex& cand = cand_.For(q);
@@ -267,10 +284,11 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
       batch.reserve(drained.size());
       for (const CellIndex::Entry& e : drained) {
         counters_.OnCandidateRetrieved(e.id);
-        batch.push_back({e.id, e.cost, 0.0, e.order});
+        batch.push_back({e.id, e.cost, e.order});
       }
-      if (options_.sorted_pruning) SortBatch(batch);
-      for (const BatchEntry& e : batch) {
+      JudgeOrderOf(batch, options_.sorted_pruning, &order);
+      for (const uint32_t pos : order) {
+        const BatchEntry& e = batch[pos];
         Prune(res_.For(q), cand, bounds, resolution,
               CompareResolution(resolution), schedule_, e.id, e.cost,
               e.order, invocation_, options_.park_next_level_only,
@@ -398,7 +416,7 @@ void IncrementalOptimizer::EnumerateFreshPairs(
             const uint32_t index = static_cast<uint32_t>(work->joins.size());
             work->joins.push_back({a_left ? a.id : b.id, a_left ? b.id : a.id,
                                    op, oc.output_rows});
-            work->batch.push_back({index, oc.cost, 0.0, oc.order});
+            work->batch.push_back({index, oc.cost, oc.order});
             ++work->counters.plans_generated;
           });
     };
@@ -422,9 +440,10 @@ void IncrementalOptimizer::EnumerateFreshPairs(
 void IncrementalOptimizer::JudgeCell(const CostVector& bounds,
                                      int resolution, CellWork* work) {
   // Cheapest first, before any superset consumes the cell.
-  if (options_.sorted_pruning) SortBatch(work->batch);
+  std::vector<uint32_t> order;
+  JudgeOrderOf(work->batch, options_.sorted_pruning, &order);
   const int compare_resolution = CompareResolution(resolution);
-  for (size_t pos = 0; pos < work->batch.size(); ++pos) {
+  for (const uint32_t pos : order) {
     const BatchEntry& e = work->batch[pos];
     const PruneVerdict verdict =
         JudgePlan(*work->res, bounds, resolution, compare_resolution,
@@ -438,8 +457,7 @@ void IncrementalOptimizer::JudgeCell(const CostVector& bounds,
         ApplyVerdict(verdict, *work->res, *work->cand, kInvalidPlan, e.cost,
                      e.order, invocation_, &work->counters);
     const bool in_result = verdict.outcome == PruneOutcome::kInsertedResult;
-    work->survivors.push_back(
-        {static_cast<uint32_t>(pos), in_result, handle});
+    work->survivors.push_back({pos, in_result, handle});
   }
 }
 

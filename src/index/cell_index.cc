@@ -1,6 +1,7 @@
 #include "index/cell_index.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace moqo {
 namespace {
@@ -41,34 +42,6 @@ CellIndex::Key CellIndex::MakeKey(const CostVector& cost, int resolution,
     key |= static_cast<Key>(byte & 0xFFu) << (8 * i);
   }
   return key;
-}
-
-CellIndex::Key CellIndex::BoundKey(const CostVector& bounds,
-                                   int max_res) const {
-  return MakeKey(bounds, std::min(max_res, 255), /*order=*/0);
-}
-
-CellIndex::CellRelation CellIndex::Classify(Key cell, Key bound,
-                                            int required_order) const {
-  // Resolution byte: inclusive upper bound, no per-entry re-check needed
-  // (all entries in a cell share the cell's resolution).
-  const unsigned cell_res = static_cast<unsigned>(cell >> 56);
-  const unsigned bound_res = static_cast<unsigned>(bound >> 56);
-  if (cell_res > bound_res) return CellRelation::kOutside;
-  if (required_order != kAnyOrder) {
-    const unsigned cell_order = static_cast<unsigned>(cell >> 48) & 0xFFu;
-    if (cell_order != static_cast<unsigned>(required_order)) {
-      return CellRelation::kOutside;
-    }
-  }
-  bool inside = true;
-  for (int i = 0; i < dims_; ++i) {
-    const unsigned cb = static_cast<unsigned>(cell >> (8 * i)) & 0xFFu;
-    const unsigned bb = static_cast<unsigned>(bound >> (8 * i)) & 0xFFu;
-    if (cb > bb) return CellRelation::kOutside;
-    if (cb == bb) inside = false;  // Boundary cell: filter per entry.
-  }
-  return inside ? CellRelation::kInside : CellRelation::kBoundary;
 }
 
 // --- KeyMap ----------------------------------------------------------------
@@ -131,6 +104,13 @@ void CellIndex::KeyMap::Clear() {
 
 // --- CellIndex -------------------------------------------------------------
 
+void CellIndex::Cell::ResetBox() {
+  for (int d = 0; d < kMaxMetrics; ++d) {
+    lo[d] = std::numeric_limits<double>::infinity();
+    hi[d] = -std::numeric_limits<double>::infinity();
+  }
+}
+
 uint32_t CellIndex::CellFor(const CostVector& cost, int resolution,
                            int order) {
   const Key key = MakeKey(cost, resolution, order);
@@ -139,7 +119,7 @@ uint32_t CellIndex::CellFor(const CostVector& cost, int resolution,
     slot = static_cast<uint32_t>(cells_.size());
     cells_.emplace_back();
     Cell& cell = cells_.back();
-    cell.key = key;
+    cell.ResetBox();
     cell.bank = CostBank(dims_, arena_);
     cell.resolution = static_cast<uint8_t>(resolution);
     cell.order = static_cast<uint8_t>(order);
@@ -171,6 +151,10 @@ CellIndex::Handle CellIndex::Insert(uint32_t id, const CostVector& cost,
   const uint32_t slot = CellFor(cost, resolution, order);
   Cell& cell = cells_[slot];
   const Handle handle{slot, static_cast<uint32_t>(cell.size())};
+  for (int d = 0; d < dims_; ++d) {
+    cell.lo[d] = std::min(cell.lo[d], cost.at(d));
+    cell.hi[d] = std::max(cell.hi[d], cost.at(d));
+  }
   cell.bank.PushBack(cost.data());
   if (MOQO_PREDICT_FALSE(cell.entries.capacity() < cell.bank.capacity())) {
     // Keep the payload lane's growth in lockstep with the bank's padded
@@ -191,10 +175,10 @@ bool CellIndex::AnyInRange(const CostVector& bounds, int max_res,
 bool CellIndex::FindInRange(const CostVector& bounds, int max_res,
                             Entry* out, uint64_t* checked,
                             int required_order) const {
-  const Key bound_key = BoundKey(bounds, max_res);
+  MOQO_CHECK(bounds.dims() == dims_);
   for (const Cell& cell : cells_) {
     if (cell.size() == 0) continue;
-    const CellRelation rel = Classify(cell.key, bound_key, required_order);
+    const CellRelation rel = Classify(cell, bounds, max_res, required_order);
     if (rel == CellRelation::kOutside) continue;
     if (rel == CellRelation::kInside) {
       if (out != nullptr) MaterializeEntry(cell, 0, out);
@@ -214,12 +198,12 @@ bool CellIndex::FindInRange(const CostVector& bounds, int max_res,
 std::vector<CellIndex::Collected> CellIndex::Collect(const CostVector& bounds,
                                                      int max_res,
                                                      uint32_t invocation) {
+  MOQO_CHECK(bounds.dims() == dims_);
   std::vector<Collected> out;
-  const Key bound_key = BoundKey(bounds, max_res);
   for (Cell& cell : cells_) {
     const size_t n = cell.size();
     if (n == 0) continue;
-    const CellRelation rel = Classify(cell.key, bound_key, kAnyOrder);
+    const CellRelation rel = Classify(cell, bounds, max_res, kAnyOrder);
     if (rel == CellRelation::kOutside) continue;
     const uint8_t* filter = nullptr;
     if (rel == CellRelation::kBoundary) {
@@ -250,13 +234,13 @@ std::vector<CellIndex::Collected> CellIndex::Collect(const CostVector& bounds,
 
 std::vector<CellIndex::Entry> CellIndex::Drain(const CostVector& bounds,
                                                int max_res) {
+  MOQO_CHECK(bounds.dims() == dims_);
   std::vector<Entry> removed;
   Entry scratch;
-  const Key bound_key = BoundKey(bounds, max_res);
   for (Cell& cell : cells_) {
     size_t n = cell.size();
     if (n == 0) continue;
-    const CellRelation rel = Classify(cell.key, bound_key, kAnyOrder);
+    const CellRelation rel = Classify(cell, bounds, max_res, kAnyOrder);
     if (rel == CellRelation::kOutside) continue;
     if (rel == CellRelation::kInside) {
       for (size_t i = 0; i < n; ++i) {
@@ -264,6 +248,7 @@ std::vector<CellIndex::Entry> CellIndex::Drain(const CostVector& bounds,
       }
       cell.bank.Clear();
       cell.entries.clear();
+      cell.ResetBox();
       size_ -= n;
       continue;
     }
@@ -287,6 +272,7 @@ std::vector<CellIndex::Entry> CellIndex::Drain(const CostVector& bounds,
     }
     // A fully drained cell stays as a husk and keeps its map slot; a
     // later insert with the same key reuses it.
+    if (n == 0) cell.ResetBox();
   }
   return removed;
 }

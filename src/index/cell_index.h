@@ -6,9 +6,10 @@
 // cell structure in the spirit of Bentley & Friedman [3] with logarithmic
 // partitioning of the cost space: each plan lives in the cell identified by
 // (resolution level, interesting-order tag, ⌊log_γ cost_i⌋ for each metric
-// i). A range query walks the occupied cells, skips cells entirely outside
-// the query box via integer comparisons on the packed cell key, takes cells
-// strictly inside wholesale, and filters entries only in boundary cells.
+// i). Each cell also keeps the per-metric min/max box of the costs it
+// holds. A range query walks the occupied cells, skips cells whose box
+// lies outside the query box, takes cells whose box lies inside it
+// wholesale, and filters entries only in the remaining boundary cells.
 //
 // Data-oriented layout (docs/KERNEL.md). Cells are stored in a flat
 // vector in creation order; a small open-addressing hash maps the packed
@@ -109,12 +110,12 @@ class CellIndex {
   // Does not touch visibility stamps.
   template <typename F>
   void ForEachInRange(const CostVector& bounds, int max_res, F&& fn) const {
-    const Key bound_key = BoundKey(bounds, max_res);
+    MOQO_CHECK(bounds.dims() == dims_);
     std::vector<uint8_t> mask;
     Entry scratch;
     for (const Cell& cell : cells_) {
       if (cell.size() == 0) continue;
-      const CellRelation rel = Classify(cell.key, bound_key, kAnyOrder);
+      const CellRelation rel = Classify(cell, bounds, max_res, kAnyOrder);
       if (rel == CellRelation::kOutside) continue;
       const uint8_t* filter = nullptr;
       if (rel == CellRelation::kBoundary) {
@@ -129,6 +130,21 @@ class CellIndex {
     }
   }
 
+  // Visits every entry with resolution <= max_res in the index's order
+  // (cells in creation order, each cell's entries in insertion order)
+  // straight from the lanes, without materializing an Entry:
+  // fn(id, bank, i, resolution, order), where entry i of `bank` holds the
+  // entry's cost. Does not touch visibility stamps.
+  template <typename F>
+  void ForEachEntry(int max_res, F&& fn) const {
+    for (const Cell& cell : cells_) {
+      if (cell.resolution > max_res) continue;
+      for (size_t i = 0; i < cell.size(); ++i) {
+        fn(cell.entries[i].id, cell.bank, i, cell.resolution, cell.order);
+      }
+    }
+  }
+
   // True if some entry with resolution <= max_res and a matching order
   // tag (kAnyOrder = all) has cost ⪯ bounds. If `checked` is non-null,
   // the number of per-entry dominance checks performed is added to it
@@ -137,10 +153,12 @@ class CellIndex {
                   uint64_t* checked = nullptr,
                   int required_order = kAnyOrder) const;
 
-  // Finds some entry with resolution <= max_res, matching order tag, and
-  // cost ⪯ bounds; returns true and materializes it into `*out` (when
-  // non-null). The batched replacement of the old pointer-returning
-  // lookup: entries live in lanes, so there is no node to point at.
+  // Finds the first entry, in (cell creation, entry) order, with
+  // resolution <= max_res, matching order tag, and cost ⪯ bounds; returns
+  // true and materializes it into `*out` (when non-null). The batched
+  // replacement of the old pointer-returning lookup: entries live in
+  // lanes, so there is no node to point at. `checked` counts the entries
+  // of boundary cells scanned; cells classified by their box cost none.
   bool FindInRange(const CostVector& bounds, int max_res, Entry* out,
                    uint64_t* checked = nullptr,
                    int required_order = kAnyOrder) const;
@@ -155,6 +173,8 @@ class CellIndex {
   // Removes and returns all entries with resolution <= max_res and
   // cost ⪯ bounds. (Used to re-consider candidate plans: Algorithm 2
   // lines 8-9 retrieve and delete candidates before pruning them again.)
+  // A cell whose box lies inside the query is emptied in entry order; a
+  // boundary cell gives up its matches by swap-with-back compaction.
   std::vector<Entry> Drain(const CostVector& bounds, int max_res);
 
   // Marks every entry as never collected (last_visible = kNeverVisible),
@@ -170,9 +190,8 @@ class CellIndex {
   void Clear();
 
  private:
-  // Packed cell key: byte 7 = resolution, byte 6 = interesting-order tag,
-  // bytes 0..5 = biased per-dimension log buckets. Comparisons are
-  // per-byte.
+  // Packed cell key, the KeyMap's key: byte 7 = resolution, byte 6 =
+  // interesting-order tag, bytes 0..5 = biased per-dimension log buckets.
   using Key = uint64_t;
 
   enum class CellRelation { kOutside, kBoundary, kInside };
@@ -192,12 +211,19 @@ class CellIndex {
   // share its resolution and order (both are part of the key), so they
   // are stored once per cell instead of once per entry.
   struct Cell {
-    Key key = 0;
-    CostBank bank;                 // dims cost lanes.
-    std::vector<Payload> entries;  // Payload lane, parallel to the bank.
+    // Per-metric min (lo) and max (hi) over every cost inserted since the
+    // cell was last empty: Insert widens it, a drain that empties the
+    // cell resets it, and a partial drain leaves it wide, which only
+    // makes it looser. Range walks classify the cell by it.
+    double lo[kMaxMetrics];
+    double hi[kMaxMetrics];
     uint8_t resolution = 0;
     uint8_t order = 0;
+    CostBank bank;                 // dims cost lanes.
+    std::vector<Payload> entries;  // Payload lane, parallel to the bank.
     size_t size() const { return entries.size(); }
+    // Makes the box empty (lo = +inf, hi = -inf).
+    void ResetBox();
   };
 
   // Open-addressing hash from packed cell key to slot in cells_. Linear
@@ -223,10 +249,24 @@ class CellIndex {
 
   int Bucket(double value) const;
   Key MakeKey(const CostVector& cost, int resolution, int order) const;
-  Key BoundKey(const CostVector& bounds, int max_res) const;
-  // Classifies a cell against the query box described by `bound_key` and
-  // the order requirement.
-  CellRelation Classify(Key cell, Key bound, int required_order) const;
+  // Classifies a non-empty cell against the query (resolution <= max_res,
+  // the order requirement, cost ⪯ bounds) by its resolution, order and
+  // box: outside when some lo exceeds its bound, inside when every hi is
+  // within its bound, boundary otherwise.
+  CellRelation Classify(const Cell& cell, const CostVector& bounds,
+                        int max_res, int required_order) const {
+    if (cell.resolution > max_res) return CellRelation::kOutside;
+    if (required_order != kAnyOrder && cell.order != required_order) {
+      return CellRelation::kOutside;
+    }
+    const double* b = bounds.data();
+    bool inside = true;
+    for (int d = 0; d < dims_; ++d) {
+      if (cell.lo[d] > b[d]) return CellRelation::kOutside;
+      if (cell.hi[d] > b[d]) inside = false;
+    }
+    return inside ? CellRelation::kInside : CellRelation::kBoundary;
+  }
   // Finds or creates the cell for (cost, resolution, order); returns
   // its slot in cells_.
   uint32_t CellFor(const CostVector& cost, int resolution, int order);

@@ -194,6 +194,26 @@ uint32_t FindDominating(const CostBank& bank, const double* bounds,
 size_t FilterByBounds(const CostBank& bank, const double* bounds,
                       uint8_t* mask);
 
+// --- Judge order ----------------------------------------------------------
+//
+// JudgeOrder: the order in which pruning judges a batch of plans. Sets
+// `order` to the positions 0..n-1 sorted by (scores[pos], ids[pos])
+// ascending; positions whose (score, id) pairs are equal keep their
+// input order. This is exactly std::stable_sort under (score, id), and
+// std::sort's order whenever the ids are distinct. Scores must be
+// non-negative and not NaN (-0.0 counts as +0.0); ids are arbitrary.
+//
+// A non-negative double orders like its bit pattern read as an unsigned
+// integer, so the primitive sorts 16-byte {score bits, id, position}
+// records by a stable LSD radix sort over the high 32 score bits (four
+// 8-bit digits; a digit every record shares costs no pass), then sorts
+// each run of equal high halves by (score bits, id) — only a check where
+// the run already is in that order, as phase 2's runs of equal scores
+// are, since its ids are ascending enumeration positions. Batches below
+// a small cutoff take std::sort over the same records.
+void JudgeOrder(const double* scores, const uint32_t* ids, size_t n,
+                std::vector<uint32_t>* order);
+
 }  // namespace moqo
 
 #endif  // MOQO_PARETO_KERNEL_H_

@@ -67,6 +67,23 @@ std::string VersionedKey(uint64_t catalog_version,
   return key;
 }
 
+// The time `deadline_ms` after `now`, or time_point::max() (no deadline)
+// when steady_clock cannot represent it, +inf included. `deadline_ms` is
+// a validated non-negative number.
+Clock::time_point DeadlineAfter(Clock::time_point now, double deadline_ms) {
+  const double ticks = std::chrono::duration<double, Clock::period>(
+                           std::chrono::duration<double, std::milli>(
+                               deadline_ms))
+                           .count();
+  // A double below the headroom converts to a tick count below it, so
+  // the sum cannot overflow.
+  const Clock::rep headroom = (Clock::time_point::max() - now).count();
+  if (!(ticks < static_cast<double>(headroom))) {
+    return Clock::time_point::max();
+  }
+  return now + Clock::duration(static_cast<Clock::rep>(ticks));
+}
+
 }  // namespace
 
 std::string CanonicalQueryKey(const Query& query, const MetricSchema& schema,
@@ -234,7 +251,7 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
   if (request.priority < 1) {
     return Status::InvalidArgument("priority must be >= 1");
   }
-  if (request.deadline_ms < 0.0) {
+  if (!(request.deadline_ms >= 0.0)) {  // Rejects NaN too.
     return Status::InvalidArgument("deadline_ms must be >= 0");
   }
   if (request.iama.initial_bounds.has_value() &&
@@ -398,10 +415,7 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
       }
       ++tenant_inflight_[request.tenant];
       if (request.deadline_ms > 0.0) {
-        entry->deadline =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double, std::milli>(
-                                   request.deadline_ms));
+        entry->deadline = DeadlineAfter(Clock::now(), request.deadline_ms);
       }
       if (coalesces) {
         // Coalesce: ride the in-flight duplicate instead of optimizing

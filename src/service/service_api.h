@@ -93,6 +93,8 @@ struct SubmitRequest {
   /// steps at the maximum effective priority among its riders.
   int priority = 1;
   /// Wall-clock budget in ms, measured from admission; 0 = no deadline.
+  /// Must be >= 0 (NaN is rejected); a budget steady_clock cannot
+  /// represent, +inf included, also means no deadline.
   /// An expired query completes with whatever frontier its run last
   /// produced — possibly none, if no step ran before the deadline.
   double deadline_ms = 0.0;

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -251,6 +253,212 @@ TEST(CellIndexProperty2, DrainMatchesBruteForce) {
     if (e.cost.Dominates(CostVector(dims, 1e4))) expected.insert(e.id);
   }
   EXPECT_EQ(drained_total, expected);
+}
+
+// --- Property test: box classification against the log-bucket one. ---
+
+// Frozen copy of how CellIndex classified cells before they carried cost
+// boxes: each cell is known only by its packed key of per-metric
+// ⌊log_γ cost⌋ buckets, a query by the key of its bounds, and the two
+// are compared byte by byte. It keeps the index's layout (cells in
+// creation order, entries in insertion order, swap-with-back drains).
+class LogBucketReference {
+ public:
+  struct Hit {
+    uint32_t id = 0;
+    uint64_t checked = 0;  // Entries of boundary cells scanned.
+  };
+
+  LogBucketReference(int dims, double gamma)
+      : dims_(dims), inv_log_gamma_(1.0 / std::log(gamma)) {}
+
+  void Insert(uint32_t id, const CostVector& cost, int res, int order) {
+    const uint64_t key = MakeKey(cost, res, order);
+    auto it = slot_.find(key);
+    if (it == slot_.end()) {
+      it = slot_.emplace(key, cells_.size()).first;
+      cells_.push_back({key, {}});
+    }
+    cells_[it->second].entries.push_back({id, cost});
+  }
+
+  // The first in-range entry in (cell creation, entry) order, if any.
+  std::optional<Hit> FindInRange(const CostVector& bounds, int max_res,
+                                 int required_order) const {
+    const uint64_t bound = MakeKey(bounds, std::min(max_res, 255), 0);
+    Hit hit;
+    for (const Cell& cell : cells_) {
+      if (cell.entries.empty()) continue;
+      const Relation rel = Classify(cell.key, bound, required_order);
+      if (rel == Relation::kOutside) continue;
+      if (rel == Relation::kInside) {
+        hit.id = cell.entries[0].id;
+        return hit;
+      }
+      for (const RefEntry& e : cell.entries) {
+        ++hit.checked;
+        if (e.cost.Dominates(bounds)) {
+          hit.id = e.id;
+          return hit;
+        }
+      }
+    }
+    return std::nullopt;
+  }
+
+  // Removes the in-range entries; returns their ids, sorted.
+  std::vector<uint32_t> Drain(const CostVector& bounds, int max_res) {
+    const uint64_t bound = MakeKey(bounds, std::min(max_res, 255), 0);
+    std::vector<uint32_t> removed;
+    for (Cell& cell : cells_) {
+      std::vector<RefEntry>& v = cell.entries;
+      if (v.empty()) continue;
+      const Relation rel = Classify(cell.key, bound, kAnyOrder);
+      if (rel == Relation::kOutside) continue;
+      for (size_t i = 0; i < v.size();) {
+        if (rel == Relation::kInside || v[i].cost.Dominates(bounds)) {
+          removed.push_back(v[i].id);
+          v[i] = v.back();
+          v.pop_back();
+        } else {
+          ++i;
+        }
+      }
+    }
+    std::sort(removed.begin(), removed.end());
+    return removed;
+  }
+
+ private:
+  enum class Relation { kOutside, kBoundary, kInside };
+  struct RefEntry {
+    uint32_t id;
+    CostVector cost;
+  };
+  struct Cell {
+    uint64_t key;
+    std::vector<RefEntry> entries;
+  };
+
+  int Bucket(double value) const {
+    if (value <= 0.0) return -128;
+    if (std::isinf(value)) return 127;
+    const double b = std::floor(std::log(value) * inv_log_gamma_);
+    if (b <= -127) return -127;
+    if (b >= 126) return 126;
+    return static_cast<int>(b);
+  }
+
+  uint64_t MakeKey(const CostVector& cost, int res, int order) const {
+    uint64_t key = (static_cast<uint64_t>(res) << 56) |
+                   (static_cast<uint64_t>(order) << 48);
+    for (int i = 0; i < dims_; ++i) {
+      const unsigned byte = static_cast<unsigned>(Bucket(cost[i]) + 128);
+      key |= static_cast<uint64_t>(byte & 0xFFu) << (8 * i);
+    }
+    return key;
+  }
+
+  Relation Classify(uint64_t cell, uint64_t bound, int required_order) const {
+    if ((cell >> 56) > (bound >> 56)) return Relation::kOutside;
+    if (required_order != kAnyOrder &&
+        ((cell >> 48) & 0xFFu) != static_cast<unsigned>(required_order)) {
+      return Relation::kOutside;
+    }
+    bool inside = true;
+    for (int i = 0; i < dims_; ++i) {
+      const unsigned cb = static_cast<unsigned>(cell >> (8 * i)) & 0xFFu;
+      const unsigned bb = static_cast<unsigned>(bound >> (8 * i)) & 0xFFu;
+      if (cb > bb) return Relation::kOutside;
+      if (cb == bb) inside = false;
+    }
+    return inside ? Relation::kInside : Relation::kBoundary;
+  }
+
+  int dims_;
+  double inv_log_gamma_;
+  std::vector<Cell> cells_;
+  std::map<uint64_t, size_t> slot_;
+};
+
+// A value on or next to a bucket edge: an exact power of γ or one of
+// its nextafter neighbours, now and then zero or far beyond the buckets
+// the key can tell apart.
+double EdgeValue(Rng& rng, double gamma) {
+  if (rng.Bernoulli(0.05)) return 0.0;
+  if (rng.Bernoulli(0.03)) {
+    return std::pow(10.0, rng.Bernoulli(0.5) ? 300.0 : -300.0);
+  }
+  const double power =
+      std::pow(gamma, static_cast<double>(rng.UniformInt(-6, 12)));
+  switch (rng.Uniform(3)) {
+    case 0:
+      return std::nextafter(power, 0.0);
+    case 1:
+      return std::nextafter(power, std::numeric_limits<double>::infinity());
+    default:
+      return power;
+  }
+}
+
+// Random insert/drain histories: after every operation, FindInRange
+// returns the entry the log-bucket classification returns, with no
+// more boundary-cell checks, and every drain removes the same entries.
+TEST(CellIndexProperty2, BoxClassificationMatchesLogBuckets) {
+  Rng rng(20261019);
+  size_t probes = 0;
+  size_t hits = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const double gamma = trial % 3 == 0 ? 1.5 : (trial % 3 == 1 ? 2.0 : 10.0);
+    const int dims = 1 + trial % 3;
+    CellIndex index(dims, gamma);
+    LogBucketReference ref(dims, gamma);
+    uint32_t next_id = 0;
+    for (int op = 0; op < 150; ++op) {
+      CostVector bounds(dims);
+      for (int d = 0; d < dims; ++d) {
+        bounds[d] = rng.Bernoulli(0.15)
+                        ? std::numeric_limits<double>::infinity()
+                        : EdgeValue(rng, gamma);
+      }
+      const int max_res = static_cast<int>(rng.Uniform(5));
+      if (rng.Bernoulli(0.1)) {
+        std::vector<uint32_t> drained;
+        for (const CellIndex::Entry& e : index.Drain(bounds, max_res)) {
+          drained.push_back(e.id);
+        }
+        std::sort(drained.begin(), drained.end());
+        ASSERT_EQ(drained, ref.Drain(bounds, max_res)) << "trial " << trial;
+        continue;
+      }
+      if (rng.Bernoulli(0.6)) {
+        CostVector cost(dims);
+        for (int d = 0; d < dims; ++d) cost[d] = EdgeValue(rng, gamma);
+        const int res = static_cast<int>(rng.Uniform(4));
+        const int order = static_cast<int>(rng.Uniform(3));
+        index.Insert(next_id, cost, res, 1, order);
+        ref.Insert(next_id, cost, res, order);
+        ++next_id;
+      }
+      const int required_order =
+          rng.Bernoulli(0.4) ? kAnyOrder : static_cast<int>(rng.Uniform(3));
+      CellIndex::Entry found;
+      uint64_t checked = 0;
+      const bool got =
+          index.FindInRange(bounds, max_res, &found, &checked, required_order);
+      const std::optional<LogBucketReference::Hit> expect =
+          ref.FindInRange(bounds, max_res, required_order);
+      ASSERT_EQ(got, expect.has_value()) << "trial " << trial << " op " << op;
+      if (got) {
+        ASSERT_EQ(found.id, expect->id) << "trial " << trial << " op " << op;
+        EXPECT_LE(checked, expect->checked);
+        ++hits;
+      }
+      ++probes;
+    }
+  }
+  EXPECT_GT(probes, 20000u);
+  EXPECT_GT(hits, 2000u);
 }
 
 TEST(PlanSetTableTest, LazyCreationAndTotalSize) {

@@ -9,6 +9,7 @@
 // component ties, and mutual non-dominance all occur constantly — the
 // cases where "first payload wins" and eviction order are observable.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -358,6 +359,80 @@ TEST(KernelPropertyTest, CellIndexOrderTagFiltering) {
       }
     }
   }
+}
+
+// A score as the judge order sees it: zeros of both signs, subnormals,
+// magnitudes from 1e-300 to 1e300, +inf, and a small grid that makes
+// exact duplicates common.
+double RandomScore(Rng& rng) {
+  switch (rng.Uniform(8)) {
+    case 0:
+      return rng.Bernoulli(0.5) ? 0.0 : -0.0;
+    case 1:
+      return std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(rng.UniformInt(1, 1000));
+    case 2:
+      return std::pow(10.0, rng.UniformDouble(-300.0, 300.0));
+    case 3:
+      return rng.Bernoulli(0.05) ? std::numeric_limits<double>::infinity()
+                                 : std::numeric_limits<double>::max();
+    case 4:
+    case 5:
+      return 0.25 * static_cast<double>(rng.UniformInt(0, 15));
+    default:
+      return rng.UniformDouble(0.0, 6.0);
+  }
+}
+
+// JudgeOrder against std::sort under (score, id) over 10k random batches
+// of 0 to 20k plans, on both sides of the radix cutoff. Ids come as
+// phase 2 makes them (ascending positions), as phase 1 makes them
+// (distinct arena ids in any order), or with repeats, where the order
+// must be std::stable_sort's.
+TEST(KernelPropertyTest, JudgeOrderMatchesStdSort) {
+  Rng rng(424242);
+  size_t batches = 0;
+  size_t largest = 0;
+  for (int trial = 0; trial < 10000; ++trial) {
+    const size_t n = trial % 50 == 0   ? rng.Uniform(20001)
+                     : trial % 5 == 0 ? rng.Uniform(3000)
+                                       : rng.Uniform(200);
+    largest = std::max(largest, n);
+    std::vector<double> scores(n);
+    std::vector<uint32_t> ids(n);
+    // A batch draws its scores from a few hundred values, so equal
+    // scores meet the id tie-break in every batch of some size.
+    std::vector<double> pool(1 + rng.Uniform(300));
+    for (double& v : pool) v = RandomScore(rng);
+    for (size_t i = 0; i < n; ++i) scores[i] = pool[rng.Uniform(pool.size())];
+    const uint64_t id_mode = rng.Uniform(3);
+    for (size_t i = 0; i < n; ++i) {
+      ids[i] = id_mode == 2 ? static_cast<uint32_t>(rng.Uniform(n / 4 + 1))
+                            : static_cast<uint32_t>(i * 3 + 7);
+    }
+    if (id_mode == 1) {  // Distinct ids in random order.
+      for (size_t i = n; i > 1; --i) std::swap(ids[i - 1], ids[rng.Uniform(i)]);
+    }
+
+    std::vector<uint32_t> expect(n);
+    for (size_t i = 0; i < n; ++i) expect[i] = static_cast<uint32_t>(i);
+    const auto less = [&](uint32_t a, uint32_t b) {
+      return scores[a] < scores[b] ||
+             (scores[a] == scores[b] && ids[a] < ids[b]);
+    };
+    if (id_mode == 2) {
+      std::stable_sort(expect.begin(), expect.end(), less);
+    } else {
+      std::sort(expect.begin(), expect.end(), less);
+    }
+    std::vector<uint32_t> got;
+    JudgeOrder(scores.data(), ids.data(), n, &got);
+    ASSERT_EQ(got, expect) << "trial " << trial << " n " << n << " id mode "
+                           << id_mode;
+    ++batches;
+  }
+  EXPECT_EQ(batches, 10000u);
+  EXPECT_GT(largest, 15000u);
 }
 
 }  // namespace

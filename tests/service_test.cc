@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -341,6 +342,34 @@ TEST(OptimizerServiceTest, DeadlineExpiresSlowQuery) {
       service.Wait(service.Submit(std::move(submit)).value().id);
   EXPECT_EQ(result.state, QueryState::kExpired);
   EXPECT_EQ(service.stats().expired, 1u);
+}
+
+// A deadline steady_clock cannot represent, +inf included, means none:
+// the query runs its full schedule instead of expiring with an empty
+// frontier. NaN is rejected like a negative budget.
+TEST(OptimizerServiceTest, DeadlineBeyondTheClockMeansNone) {
+  const Workload w = MakeWorkload(/*num_random=*/0);
+  ASSERT_GE(w.queries.size(), 3u);
+  OptimizerService service(w.catalog, SmallServiceOptions(1));
+  const double unrepresentable[] = {1e13, 1e300,
+                                    std::numeric_limits<double>::infinity()};
+  for (size_t i = 0; i < 3; ++i) {
+    // Distinct queries, so no submission is served from the cache.
+    SubmitRequest submit = SmallRequest(w.queries[i]);
+    submit.deadline_ms = unrepresentable[i];
+    const QueryResult result =
+        service.Wait(service.Submit(std::move(submit)).value().id);
+    EXPECT_EQ(result.state, QueryState::kDone) << unrepresentable[i];
+    EXPECT_EQ(result.iterations, 4) << unrepresentable[i];
+    EXPECT_FALSE(result.frontier.plans.empty()) << unrepresentable[i];
+  }
+  EXPECT_EQ(service.stats().expired, 0u);
+
+  SubmitRequest nan = SmallRequest(w.queries.front());
+  nan.deadline_ms = std::numeric_limits<double>::quiet_NaN();
+  const StatusOr<SubmitResponse> rejected = service.Submit(std::move(nan));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(OptimizerServiceTest, RejectsInvalidSubmissions) {
