@@ -23,7 +23,9 @@
 //
 // Throughput is reported in million entry-comparisons per second
 // (filter/probe), million inserts per second (insert) and million plans
-// ordered per second (judge_order), plus the kernel/scalar speedup.
+// ordered per second (judge_order), plus the kernel/scalar speedup. Each
+// side of a row is the median of 5 samples of ~80 ms each, reported with
+// the samples' min-max; the speedup is the ratio of the medians.
 // Output: a table on stdout and BENCH_kernel.json in the working
 // directory, with a host block (cores, compiler, build type, and the
 // commit `git rev-parse HEAD` reports there, "+dirty" for a modified
@@ -119,42 +121,59 @@ struct Workload {
   }
 };
 
+// One side's throughput in million entry-ops/sec: the median of
+// kSamples timed samples, and their range.
+struct Rate {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
 struct Result {
   const char* workload;
   int cell_size;
   int dims;
-  double scalar_mps;  // Million entry-ops/sec, scalar path.
-  double kernel_mps;  // Million entry-ops/sec, kernel path.
+  Rate scalar;
+  Rate kernel;
   double speedup() const {
-    return scalar_mps > 0.0 ? kernel_mps / scalar_mps : 0.0;
+    return scalar.median > 0.0 ? kernel.median / scalar.median : 0.0;
   }
 };
 
-// Calibrates reps so each measured side runs ~80ms, then measures.
+constexpr int kSamples = 5;
+
+// Calibrates reps so one sample of body(0..reps-1) runs ~80ms, then
+// times kSamples such samples. `ops_per_rep` converts a rep into the
+// row's unit.
 template <typename F>
-double MeasureMs(F&& body, long* reps_out) {
+Rate Measure(F&& body, double ops_per_rep) {
   long reps = 1;
   for (;;) {
     const double t0 = NowMs();
     for (long r = 0; r < reps; ++r) body(r);
     const double elapsed = NowMs() - t0;
-    if (elapsed >= 80.0 || reps > (1L << 40)) {
-      *reps_out = reps;
-      return elapsed;
-    }
+    if (elapsed >= 80.0 || reps > (1L << 40)) break;
     reps *= elapsed < 8.0 ? 10 : 2;
   }
+  std::vector<double> rates;
+  for (int s = 0; s < kSamples; ++s) {
+    const double t0 = NowMs();
+    for (long r = 0; r < reps; ++r) body(r);
+    const double ms = NowMs() - t0;
+    rates.push_back(static_cast<double>(reps) * ops_per_rep / ms / 1e3);
+  }
+  std::sort(rates.begin(), rates.end());
+  return {rates[kSamples / 2], rates.front(), rates.back()};
 }
 
 Result BenchFilter(const Workload& w) {
   const size_t n = w.cell.size();
   std::vector<uint8_t> mask(n);
   uint64_t sink = 0;
-  long reps = 0;
   // Loose probes only: a boundary cell's bounds sit inside the cell's
   // value range by construction (cells far above the bounds classify
   // outside and are never filtered).
-  const double scalar_ms = MeasureMs(
+  const Rate scalar = Measure(
       [&](long r) {
         const CostVector& b = w.probes[static_cast<size_t>(r) % 32];
         for (size_t i = 0; i < n; ++i) {
@@ -162,20 +181,15 @@ Result BenchFilter(const Workload& w) {
         }
         sink += mask[static_cast<size_t>(r) % n];
       },
-      &reps);
-  const double scalar_mps =
-      static_cast<double>(reps) * static_cast<double>(n) / scalar_ms / 1e3;
-  const double kernel_ms = MeasureMs(
+      static_cast<double>(n));
+  const Rate kernel = Measure(
       [&](long r) {
         const CostVector& b = w.probes[static_cast<size_t>(r) % 32];
         sink += FilterByBounds(w.bank, b.data(), mask.data());
       },
-      &reps);
-  const double kernel_mps =
-      static_cast<double>(reps) * static_cast<double>(n) / kernel_ms / 1e3;
+      static_cast<double>(n));
   if (sink == 0xDEAD) std::printf("#");
-  return {"filter", static_cast<int>(n), w.bank.dims(), scalar_mps,
-          kernel_mps};
+  return {"filter", static_cast<int>(n), w.bank.dims(), scalar, kernel};
 }
 
 Result BenchProbe(const Workload& w) {
@@ -184,8 +198,7 @@ Result BenchProbe(const Workload& w) {
   // part of what is being measured.
   const size_t n = w.cell.size();
   uint64_t sink = 0;
-  long reps = 0;
-  const double scalar_ms = MeasureMs(
+  const Rate scalar = Measure(
       [&](long r) {
         const CostVector& b = w.probes[static_cast<size_t>(r) % 64];
         for (size_t i = 0; i < n; ++i) {
@@ -195,18 +208,15 @@ Result BenchProbe(const Workload& w) {
           }
         }
       },
-      &reps);
-  const double scalar_mps = static_cast<double>(reps) / scalar_ms / 1e3;
-  const double kernel_ms = MeasureMs(
+      1.0);
+  const Rate kernel = Measure(
       [&](long r) {
         const CostVector& b = w.probes[static_cast<size_t>(r) % 64];
         sink += FindDominating(w.bank, b.data());
       },
-      &reps);
-  const double kernel_mps = static_cast<double>(reps) / kernel_ms / 1e3;
+      1.0);
   if (sink == 0xDEAD) std::printf("#");
-  return {"probe", static_cast<int>(n), w.bank.dims(), scalar_mps,
-          kernel_mps};
+  return {"probe", static_cast<int>(n), w.bank.dims(), scalar, kernel};
 }
 
 Result BenchInsert(int cell_size, int dims, uint64_t seed) {
@@ -215,31 +225,24 @@ Result BenchInsert(int cell_size, int dims, uint64_t seed) {
   std::vector<CostVector> stream;
   for (int i = 0; i < cell_size; ++i) stream.push_back(RandomCost(rng, dims));
   uint64_t sink = 0;
-  long reps = 0;
-  const double scalar_ms = MeasureMs(
+  const Rate scalar = Measure(
       [&](long) {
         ScalarFrontier f;
         for (size_t i = 0; i < stream.size(); ++i) {
           sink += f.Insert(stream[i], i);
         }
       },
-      &reps);
-  const double scalar_mps = static_cast<double>(reps) *
-                            static_cast<double>(stream.size()) / scalar_ms /
-                            1e3;
-  const double kernel_ms = MeasureMs(
+      static_cast<double>(stream.size()));
+  const Rate kernel = Measure(
       [&](long) {
         ParetoFrontier f;
         for (size_t i = 0; i < stream.size(); ++i) {
           sink += f.Insert(stream[i], i);
         }
       },
-      &reps);
-  const double kernel_mps = static_cast<double>(reps) *
-                            static_cast<double>(stream.size()) / kernel_ms /
-                            1e3;
+      static_cast<double>(stream.size()));
   if (sink == 0xDEAD) std::printf("#");
-  return {"insert", cell_size, dims, scalar_mps, kernel_mps};
+  return {"insert", cell_size, dims, scalar, kernel};
 }
 
 // The plan batch record the optimizer sorted before JudgeOrder: id,
@@ -287,28 +290,23 @@ Result BenchJudgeOrder(int batch_size, int dims, uint64_t seed) {
     ids[i] = batch[i].id;
   }
   uint64_t sink = 0;
-  long reps = 0;
   std::vector<SortedBatchEntry> work;
-  const double scalar_ms = MeasureMs(
+  const Rate scalar = Measure(
       [&](long) {
         work = batch;
         std::sort(work.begin(), work.end(), ScoreThenId);
         sink += work[n / 2].id;
       },
-      &reps);
-  const double scalar_mps = static_cast<double>(reps) *
-                            static_cast<double>(n) / scalar_ms / 1e3;
+      static_cast<double>(n));
   std::vector<uint32_t> order;
-  const double kernel_ms = MeasureMs(
+  const Rate kernel = Measure(
       [&](long) {
         JudgeOrder(scores.data(), ids.data(), n, &order);
         sink += order[n / 2];
       },
-      &reps);
-  const double kernel_mps = static_cast<double>(reps) *
-                            static_cast<double>(n) / kernel_ms / 1e3;
+      static_cast<double>(n));
   if (sink == 0xDEAD) std::printf("#");
-  return {"judge_order", batch_size, dims, scalar_mps, kernel_mps};
+  return {"judge_order", batch_size, dims, scalar, kernel};
 }
 
 // `git rev-parse HEAD` in the working directory, "+dirty" when tracked
@@ -456,8 +454,8 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<Result> results;
-  std::printf("%-12s %6s %6s %14s %14s %10s\n", "workload", "cell", "dims",
-              "scalar_mops", "kernel_mops", "speedup");
+  std::printf("%-12s %6s %6s %28s %28s %10s\n", "workload", "cell", "dims",
+              "scalar_mops [min-max]", "kernel_mops [min-max]", "speedup");
   for (int dims : {2, 3}) {
     for (int cell : {16, 256, 4096}) {
       const Workload w(cell, dims, static_cast<uint64_t>(cell) * 31 + dims);
@@ -471,8 +469,11 @@ int Main(int argc, char** argv) {
     results.push_back(BenchJudgeOrder(batch, 3, 11));
   }
   for (const Result& r : results) {
-    std::printf("%-12s %6d %6d %14.1f %14.1f %9.2fx\n", r.workload,
-                r.cell_size, r.dims, r.scalar_mps, r.kernel_mps, r.speedup());
+    std::printf("%-12s %6d %6d %10.1f [%7.1f-%7.1f] %10.1f [%7.1f-%7.1f] "
+                "%9.2fx\n",
+                r.workload, r.cell_size, r.dims, r.scalar.median,
+                r.scalar.min, r.scalar.max, r.kernel.median, r.kernel.min,
+                r.kernel.max, r.speedup());
   }
 
   FILE* f = std::fopen("BENCH_kernel.json", "w");
@@ -487,15 +488,22 @@ int Main(int argc, char** argv) {
                  "  \"unit\": \"million ops/sec (filter: entries, probe: "
                  "probes, insert: inserts, judge_order: plans; cell = batch "
                  "size for judge_order)\",\n");
+    std::fprintf(f,
+                 "  \"samples\": \"each side is the median of %d samples of "
+                 "~80 ms; *_min and *_max are the samples' range\",\n",
+                 kSamples);
     std::fprintf(f, "  \"configs\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
       const Result& r = results[i];
       std::fprintf(f,
                    "    {\"workload\": \"%s\", \"cell\": %d, \"dims\": %d, "
-                   "\"scalar_mops\": %.1f, \"kernel_mops\": %.1f, "
+                   "\"scalar_mops\": %.1f, \"scalar_min\": %.1f, "
+                   "\"scalar_max\": %.1f, \"kernel_mops\": %.1f, "
+                   "\"kernel_min\": %.1f, \"kernel_max\": %.1f, "
                    "\"speedup\": %.2f}%s\n",
-                   r.workload, r.cell_size, r.dims, r.scalar_mps,
-                   r.kernel_mps, r.speedup(),
+                   r.workload, r.cell_size, r.dims, r.scalar.median,
+                   r.scalar.min, r.scalar.max, r.kernel.median,
+                   r.kernel.min, r.kernel.max, r.speedup(),
                    i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -17,6 +17,9 @@ void Counters::AddCounts(const Counters& other) {
   dominance_checks += other.dominance_checks;
   fragment_cells_seeded += other.fragment_cells_seeded;
   fragment_plans_seeded += other.fragment_plans_seeded;
+  for (const auto& [plan, retrievals] : other.retrievals_by_plan) {
+    retrievals_by_plan[plan] += retrievals;
+  }
 }
 
 std::string Counters::ToString() const {

@@ -56,7 +56,7 @@ struct Counters {
     if (track_per_plan) ++retrievals_by_plan[plan_id];
   }
 
-  // Adds every scalar count of `other` (not the per-plan map). Phase 2
+  // Adds every count of `other`, the per-plan map included. Optimize
   // counts each cell on the worker that ran it and merges after the
   // level barrier.
   void AddCounts(const Counters& other);

@@ -1,6 +1,7 @@
 #include "core/incremental_optimizer.h"
 
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "core/pruning.h"
@@ -64,24 +65,22 @@ void JudgeOrderOf(const std::vector<BatchEntry>& batch, bool sorted,
 
 }  // namespace
 
-// One cell's phase-2 work at one level. The main thread creates the
-// cell's sets and registry before dispatch; the worker that takes the
-// cell fills the rest; the main thread reads it after the level barrier.
+// One cell's task at one level. The calling thread points it at the cell
+// before dispatch; the worker that takes the cell fills the rest; the
+// calling thread reads it after the level barrier.
 struct IncrementalOptimizer::CellWork {
-  // A judged plan that entered one of the cell's sets under a
-  // placeholder id: batch[batch_pos] at `handle` in res or cand.
+  // A fresh join that entered one of the cell's sets under a placeholder
+  // id: batch[batch_pos] at `handle` in res or cand.
   struct Survivor {
     uint32_t batch_pos = 0;
     bool in_result = false;
     CellIndex::Handle handle;
   };
 
-  CellIndex* res = nullptr;
-  CellIndex* cand = nullptr;
-  FreshPairRegistry* fresh = nullptr;
-  std::vector<CellJoin> joins;
-  std::vector<BatchEntry> batch;       // One entry per join; same order.
-  std::vector<Survivor> survivors;     // In judge order.
+  Cell* cell = nullptr;
+  std::vector<CellJoin> joins;       // Phase 2's join buffer.
+  std::vector<BatchEntry> batch;     // The plans JudgeBatch judges next.
+  std::vector<Survivor> survivors;   // Phase 2's, in judge order.
   Counters counters;
 };
 
@@ -89,51 +88,60 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
                                            ResolutionSchedule schedule,
                                            const CostVector& initial_bounds,
                                            OptimizerOptions options)
-    : factory_(factory),
-      schedule_(schedule),
-      options_(options),
-      res_(factory.NumTables(), factory.cost_model().schema().dims(),
-           options.cell_gamma),
-      cand_(factory.NumTables(), factory.cost_model().schema().dims(),
-            options.cell_gamma) {
+    : factory_(factory), schedule_(schedule), options_(options) {
   counters_.track_per_plan = options_.track_per_plan_counters;
 
   const int n = factory_.NumTables();
-  // Precompute the connected table subsets, grouped by size; the DP in
-  // phase 2 only ever touches these.
-  connected_by_size_.assign(static_cast<size_t>(n) + 1, {});
+  MOQO_CHECK(n >= 1 && n <= kMaxTables);
+  const int dims = factory_.cost_model().schema().dims();
+  // One cell per connected table subset, in canonical order (by size,
+  // then by mask); Optimize only ever touches these.
+  cell_of_.assign(size_t{1} << n, kNoCell);
+  level_begin_.assign(static_cast<size_t>(n) + 2, 0);
   const uint32_t full = TableSet::Full(n).mask();
-  for (uint32_t mask = 1; mask <= full; ++mask) {
-    const TableSet q(mask);
-    if (factory_.graph().IsConnected(q)) {
-      connected_by_size_[static_cast<size_t>(q.Count())].push_back(q);
+  for (int k = 1; k <= n; ++k) {
+    level_begin_[k] = cells_.size();
+    for (uint32_t mask = 1; mask <= full; ++mask) {
+      const TableSet q(mask);
+      if (q.Count() != k || !factory_.graph().IsConnected(q)) continue;
+      cell_of_[mask] = static_cast<uint32_t>(cells_.size());
+      cells_.emplace_back(q, dims, &res_lanes_, &cand_lanes_);
     }
   }
+  level_begin_[n + 1] = cells_.size();
 
   // Fill in scan plans for single tables (Algorithm 1 lines 7-10). The
   // seeding is part of invocation 1 so that the first Optimize call sees
   // the scan plans as Δ members.
-  std::vector<uint32_t> order;
   for (int t = 0; t < n; ++t) {
     const TableSet q = TableSet::Singleton(t);
-    std::vector<BatchEntry> batch;
+    CellWork work;
+    work.cell = &cells_[cell_of_[q.mask()]];
     factory_.ForEachScan(t, [&](const OperatorDesc& op, const OpCost& oc) {
       const PlanId id =
           arena_.AddScan(q, op, oc.cost, oc.output_rows, oc.order);
       ++counters_.plans_generated;
-      batch.push_back({id, oc.cost, oc.order});
+      work.batch.push_back({id, oc.cost, oc.order});
     });
-    JudgeOrderOf(batch, options_.sorted_pruning, &order);
-    for (const uint32_t pos : order) {
-      const BatchEntry& e = batch[pos];
-      Prune(res_.For(q), cand_.For(q), initial_bounds, /*resolution=*/0,
-            CompareResolution(0), schedule_, e.id, e.cost, e.order,
-            invocation_, options_.park_next_level_only, &counters_);
-    }
+    JudgeBatch(initial_bounds, /*resolution=*/0, /*fresh_joins=*/false,
+               &work);
+    counters_.AddCounts(work.counters);
   }
 
   current_bounds_ = initial_bounds;
   ReprobeFragments();
+}
+
+size_t IncrementalOptimizer::NumResultEntries() const {
+  size_t total = 0;
+  for (const Cell& cell : cells_) total += cell.res.size();
+  return total;
+}
+
+size_t IncrementalOptimizer::NumCandidateEntries() const {
+  size_t total = 0;
+  for (const Cell& cell : cells_) total += cell.cand.size();
+  return total;
 }
 
 // Seeds every unsealed connected multi-table cell the provider knows: the
@@ -157,51 +165,39 @@ IncrementalOptimizer::IncrementalOptimizer(const PlanFactory& factory,
 // into a virgin cell and the bit-identity argument holds for both.
 void IncrementalOptimizer::ReprobeFragments() {
   if (last_resolution_ >= 0 || options_.fragment_store == nullptr) return;
-  const int n = factory_.NumTables();
-  const bool had_seals = !sealed_.empty();
-  if (!had_seals) sealed_.assign(size_t{1} << n, 0);
   const int needed = schedule_.MaxResolution();
-  const uint64_t seeded_before = counters_.fragment_cells_seeded;
-  for (size_t k = 2; k <= static_cast<size_t>(n); ++k) {
-    for (TableSet q : connected_by_size_[k]) {
-      if (sealed_[q.mask()] != 0) continue;
-      std::optional<FragmentSeed> seed =
-          options_.fragment_store->Lookup(q, needed);
-      if (!seed.has_value()) continue;
-      CellIndex& res = res_.For(q);
-      // Plain in-order replay: the first insert per cost cell creates it,
-      // so the index's creation order — and hence every downstream
-      // iteration order — matches the donor's without any pre-pass. The
-      // banks grow geometrically through the arena; the abandoned blocks
-      // (a small multiple of the final lane bytes, reclaimed wholesale
-      // when the optimizer dies) are far cheaper than per-plan
-      // bookkeeping on this hot warm-start path.
-      for (const FragmentPlan& p : seed->plans) {
-        const PlanId id =
-            arena_.AddFragment(q, p.op, p.cost, p.output_rows, p.order);
-        res.Insert(id, p.cost, p.resolution, kNeverVisible, p.order);
-        ++counters_.fragment_plans_seeded;
-      }
-      sealed_[q.mask()] = 1;
-      ++counters_.fragment_cells_seeded;
+  for (size_t c = level_begin_[2]; c < cells_.size(); ++c) {
+    Cell& cell = cells_[c];
+    if (cell.sealed) continue;
+    std::optional<FragmentSeed> seed =
+        options_.fragment_store->Lookup(cell.set, needed);
+    if (!seed.has_value()) continue;
+    // Plain in-order replay: the first insert per cost cell creates it,
+    // so the index's creation order — and hence every downstream
+    // iteration order — matches the donor's without any pre-pass. The
+    // banks grow geometrically through the arena; the abandoned blocks
+    // (a small multiple of the final lane bytes, reclaimed wholesale
+    // when the optimizer dies) are far cheaper than per-plan
+    // bookkeeping on this hot warm-start path.
+    for (const FragmentPlan& p : seed->plans) {
+      const PlanId id =
+          arena_.AddFragment(cell.set, p.op, p.cost, p.output_rows, p.order);
+      cell.res.Insert(id, p.cost, p.resolution, kNeverVisible, p.order);
+      ++counters_.fragment_plans_seeded;
     }
-  }
-  // Nothing seeded so far: drop the seal table so phase 2 keeps its
-  // zero-cost fast path (no per-level filtering) for the whole run.
-  if (!had_seals && counters_.fragment_cells_seeded == seeded_before) {
-    sealed_.clear();
+    cell.sealed = true;
+    ++counters_.fragment_cells_seeded;
   }
 }
 
 void IncrementalOptimizer::UnsealForBoundsChange() {
-  if (counters_.fragment_cells_seeded == 0 || sealed_.empty()) return;
-  sealed_.clear();
-  const int n = factory_.NumTables();
-  for (size_t k = 1; k <= static_cast<size_t>(n); ++k) {
-    for (TableSet q : connected_by_size_[k]) {
-      res_.For(q).ResetVisibility();
-    }
+  bool any_sealed = false;
+  for (Cell& cell : cells_) {
+    any_sealed |= cell.sealed;
+    cell.sealed = false;
   }
+  if (!any_sealed) return;
+  for (Cell& cell : cells_) cell.res.ResetVisibility();
 }
 
 // Reads each cell in its index's own order. Inserting the plans in that
@@ -218,33 +214,56 @@ IncrementalOptimizer::TakePublishableFragments() {
     return out;
   }
   const int dims = factory_.cost_model().schema().dims();
-  const PlanSetTable& res = res_;  // Never creates a set.
-  const int n = factory_.NumTables();
-  for (size_t k = 2; k <= static_cast<size_t>(n); ++k) {
-    for (TableSet q : connected_by_size_[k]) {
-      if (IsSealed(q)) continue;  // Already in the store.
-      const CellIndex& index = res.For(q);
-      PublishableFragment cell{q, last_resolution_, {}};
-      cell.plans.reserve(index.size());
-      index.ForEachEntry(last_resolution_, [&](uint32_t id,
-                                               const CostBank& bank,
-                                               size_t i, int resolution,
-                                               int order) {
-        const PlanNode& node = arena_.at(id);
-        FragmentPlan& plan = cell.plans.emplace_back();
-        plan.cost = CostVector(dims);
-        for (int d = 0; d < dims; ++d) plan.cost.data()[d] = bank.At(i, d);
-        plan.output_rows = node.output_cardinality;
-        plan.op = node.op;
-        plan.order = static_cast<uint8_t>(order);
-        plan.resolution = static_cast<uint8_t>(resolution);
-      });
-      if (!cell.plans.empty()) out.push_back(std::move(cell));
-    }
+  for (size_t c = level_begin_[2]; c < cells_.size(); ++c) {
+    const Cell& cell = cells_[c];
+    if (cell.sealed) continue;  // Already in the store.
+    PublishableFragment fragment{cell.set, last_resolution_, {}};
+    fragment.plans.reserve(cell.res.size());
+    cell.res.ForEachEntry(last_resolution_, [&](uint32_t id,
+                                                const CostBank& bank,
+                                                size_t i, int resolution,
+                                                int order) {
+      const PlanNode& node = arena_.at(id);
+      FragmentPlan& plan = fragment.plans.emplace_back();
+      plan.cost = CostVector(dims);
+      for (int d = 0; d < dims; ++d) plan.cost.data()[d] = bank.At(i, d);
+      plan.output_rows = node.output_cardinality;
+      plan.op = node.op;
+      plan.order = static_cast<uint8_t>(order);
+      plan.resolution = static_cast<uint8_t>(resolution);
+    });
+    if (!fragment.plans.empty()) out.push_back(std::move(fragment));
   }
   return out;
 }
 
+// One invocation, one level k of table-set sizes at a time (see
+// OptimizerOptions::pool):
+//   1. for k >= 2 the calling thread Collects every cell of size k-1
+//      (sizes < k-1 are already collected: plans inserted at level j go
+//      only into size-j sets, so earlier collections stay valid for the
+//      rest of the invocation). Any connected proper subset s of a cell
+//      forms the combinable split (s, {v}) of s ∪ {v} for some neighbor
+//      table v, so this stamps visibility exactly as Algorithm 2's
+//      per-split retrieval would;
+//   2. each live cell of size k runs StepCell: phase 1 re-judges its
+//      drained candidates, then phase 2 enumerates its fresh pairs into
+//      a batch, marking each in the cell's registry as it tests it, and
+//      judges the batch against the cell's own result set, inserting
+//      survivors under placeholder ids. Level 1 runs on the calling
+//      thread; higher levels are spread over the pool (or run inline
+//      without one). A pair's halves union to exactly one cell, and a
+//      cell's judge reads and writes only that cell's sets, so each cell
+//      sees the same sequence of fresh checks and Prune calls at every
+//      thread count, before any superset collects it;
+//   3. after the barrier, the calling thread walks the cells in
+//      canonical order: it adds their counters, appends their survivors
+//      to the arena in judge order and patches the ids. Discarded joins
+//      never get an arena node, and survivors are numbered identically
+//      at every thread count.
+// A sealed cell already carries its complete frontier (seeded from the
+// fragment store) and its candidate set is empty, so it is skipped; a
+// level whose cells are all sealed dispatches nothing.
 void IncrementalOptimizer::Optimize(const CostVector& bounds,
                                     int resolution) {
   MOQO_CHECK(resolution >= 0 && resolution <= schedule_.MaxResolution());
@@ -268,142 +287,83 @@ void IncrementalOptimizer::Optimize(const CostVector& bounds,
   }
   last_resolution_ = resolution;
 
-  const int n = factory_.NumTables();
-
-  // --- Phase 1: re-consider candidate plans (Algorithm 2 lines 6-12). ---
-  // Candidates matching the current bounds and resolution are removed and
-  // pruned again; Prune may insert them into the result set, re-park them
-  // for a finer resolution, or discard them.
-  std::vector<uint32_t> order;
-  for (size_t k = 1; k <= static_cast<size_t>(n); ++k) {
-    for (TableSet q : connected_by_size_[k]) {
-      CellIndex& cand = cand_.For(q);
-      std::vector<CellIndex::Entry> drained = cand.Drain(bounds, resolution);
-      if (drained.empty()) continue;
-      std::vector<BatchEntry> batch;
-      batch.reserve(drained.size());
-      for (const CellIndex::Entry& e : drained) {
-        counters_.OnCandidateRetrieved(e.id);
-        batch.push_back({e.id, e.cost, e.order});
-      }
-      JudgeOrderOf(batch, options_.sorted_pruning, &order);
-      for (const uint32_t pos : order) {
-        const BatchEntry& e = batch[pos];
-        Prune(res_.For(q), cand, bounds, resolution,
-              CompareResolution(resolution), schedule_, e.id, e.cost,
-              e.order, invocation_, options_.park_next_level_only,
-              &counters_);
-      }
-    }
-  }
-
-  // --- Phase 2: generate fresh plans (Algorithm 2 lines 13-22). ---
-  // Bottom-up over connected table sets of increasing cardinality; for
-  // each unordered split into two combinable subsets, enumerate only
-  // sub-plan pairs with at least one Δ member that were never combined,
-  // and join each pair once per join alternative (both orientations for
-  // hash joins, one for symmetric joins).
-  Phase2(bounds, resolution);
-}
-
-// Phase 2 (see OptimizerOptions::pool). Per level k:
-//   1. the main thread Collects every connected subset of size k-1 into a
-//      cache (sizes < k-1 are already cached: plans inserted at level j go
-//      only into size-j sets, so earlier collections stay valid for the
-//      rest of the invocation). Any connected proper subset s of a cell
-//      forms the combinable split (s, {v}) of s ∪ {v} for some neighbor
-//      table v, so this stamps visibility exactly as Algorithm 2's
-//      per-split retrieval would. It also creates the live cells' result
-//      and candidate sets and fresh-pair registries;
-//   2. the live cells are spread over the pool (or run inline without
-//      one). Each cell's worker enumerates its fresh pairs into a batch,
-//      marking each in the cell's registry as it tests it, sorts the
-//      batch, and judges it in order against the cell's own result set,
-//      inserting survivors under placeholder ids. A pair's halves union
-//      to exactly one cell, and a cell's Prune calls read and write only
-//      that cell's sets, so each cell sees the same sequence of fresh
-//      checks and Prune calls at every thread count;
-//   3. after the barrier, the main thread walks the cells in canonical
-//      order: it merges their counters, appends their survivors to the
-//      arena in judge order and patches the ids. Discarded plans never
-//      get an arena node, and survivors are numbered identically at
-//      every thread count.
-void IncrementalOptimizer::Phase2(const CostVector& bounds, int resolution) {
-  const int n = factory_.NumTables();
-  if (collected_.empty()) {
-    collected_.resize(size_t{1} << n);
-    fresh_.resize(size_t{1} << n);
-  }
+  const size_t n = static_cast<size_t>(factory_.NumTables());
   std::vector<CellWork> work;
-  for (size_t k = 2; k <= static_cast<size_t>(n); ++k) {
-    for (TableSet s : connected_by_size_[k - 1]) {
-      collected_[s.mask()] =
-          res_.For(s).Collect(bounds, resolution, invocation_);
-    }
-    // A sealed cell already carries its complete frontier (seeded from
-    // the fragment store); enumerating it would only regenerate plans the
-    // donor run produced.
-    const std::vector<TableSet>* level = &connected_by_size_[k];
-    std::vector<TableSet> live;
-    if (!sealed_.empty()) {
-      live.reserve(level->size());
-      for (TableSet q : *level) {
-        if (!IsSealed(q)) live.push_back(q);
+  for (size_t k = 1; k <= n; ++k) {
+    if (k >= 2) {
+      for (size_t c = level_begin_[k - 1]; c < level_begin_[k]; ++c) {
+        cells_[c].collected =
+            cells_[c].res.Collect(bounds, resolution, invocation_);
       }
-      level = &live;
     }
-    if (level->empty()) continue;
-
     work.clear();
-    work.resize(level->size());
-    for (size_t j = 0; j < level->size(); ++j) {
-      const TableSet q = (*level)[j];
-      work[j].res = &res_.For(q);
-      work[j].cand = &cand_.For(q);
-      std::unique_ptr<FreshPairRegistry>& fresh = fresh_[q.mask()];
-      if (fresh == nullptr) fresh = std::make_unique<FreshPairRegistry>();
-      work[j].fresh = fresh.get();
+    for (size_t c = level_begin_[k]; c < level_begin_[k + 1]; ++c) {
+      if (cells_[c].sealed) continue;
+      CellWork& w = work.emplace_back();
+      w.cell = &cells_[c];
+      w.counters.track_per_plan = options_.track_per_plan_counters;
     }
+    if (work.empty()) continue;
+
     const auto run_cell = [&](size_t j) {
-      EnumerateFreshPairs((*level)[j], collected_, &work[j]);
-      JudgeCell(bounds, resolution, &work[j]);
+      StepCell(bounds, resolution, &work[j]);
     };
-    if (options_.pool != nullptr) {
-      options_.pool->ParallelFor(level->size(), run_cell);
+    if (k >= 2 && options_.pool != nullptr) {
+      options_.pool->ParallelFor(work.size(), run_cell);
     } else {
-      for (size_t j = 0; j < level->size(); ++j) run_cell(j);
+      for (size_t j = 0; j < work.size(); ++j) run_cell(j);
     }
 
-    for (size_t j = 0; j < level->size(); ++j) {
-      const TableSet q = (*level)[j];
-      const CellWork& w = work[j];
+    for (const CellWork& w : work) {
       counters_.AddCounts(w.counters);
       for (const CellWork::Survivor& s : w.survivors) {
         const BatchEntry& e = w.batch[s.batch_pos];
         const CellJoin& join = w.joins[e.id];
-        const PlanId id = arena_.AddJoin(q, join.left, join.right, join.op,
-                                         e.cost, join.output_rows, e.order);
-        (s.in_result ? w.res : w.cand)->SetId(s.handle, id);
+        const PlanId id =
+            arena_.AddJoin(w.cell->set, join.left, join.right, join.op,
+                           e.cost, join.output_rows, e.order);
+        (s.in_result ? w.cell->res : w.cell->cand).SetId(s.handle, id);
       }
     }
   }
 }
 
-void IncrementalOptimizer::EnumerateFreshPairs(
-    TableSet q,
-    const std::vector<std::vector<CellIndex::Collected>>& collected,
-    CellWork* work) const {
-  factory_.ForEachSplit(q, [&](TableSet q1, TableSet q2) {
-    const std::vector<CellIndex::Collected>& p1 = collected[q1.mask()];
+void IncrementalOptimizer::StepCell(const CostVector& bounds, int resolution,
+                                    CellWork* work) {
+  // Phase 1 (Algorithm 2 lines 6-12): candidates matching the current
+  // bounds and resolution are removed and pruned again; Prune may insert
+  // them into the result set, re-park them for a finer resolution, or
+  // discard them.
+  for (const CellIndex::Entry& e :
+       work->cell->cand.Drain(bounds, resolution)) {
+    work->counters.OnCandidateRetrieved(e.id);
+    work->batch.push_back({e.id, e.cost, e.order});
+  }
+  JudgeBatch(bounds, resolution, /*fresh_joins=*/false, work);
+  work->batch.clear();
+
+  // Phase 2 (Algorithm 2 lines 13-22): for each unordered split into two
+  // combinable subsets, enumerate only sub-plan pairs with at least one
+  // Δ member that were never combined, and join each pair once per join
+  // alternative (both orientations for hash joins, one for symmetric
+  // joins). Cheapest first, before any superset consumes the cell.
+  EnumerateFreshPairs(work);
+  JudgeBatch(bounds, resolution, /*fresh_joins=*/true, work);
+}
+
+void IncrementalOptimizer::EnumerateFreshPairs(CellWork* work) const {
+  FreshPairRegistry& fresh = work->cell->fresh;
+  factory_.ForEachSplit(work->cell->set, [&](TableSet q1, TableSet q2) {
+    const std::vector<CellIndex::Collected>& p1 = Find(q1)->collected;
     if (p1.empty()) return;
-    const std::vector<CellIndex::Collected>& p2 = collected[q2.mask()];
+    const std::vector<CellIndex::Collected>& p2 = Find(q2)->collected;
     if (p2.empty()) return;
 
     // `a` comes from q1 and `b` from q2, so (a.id, b.id) is the pair's
     // one canonical key in the cell's fresh registry.
     auto combine = [&](const CellIndex::Collected& a,
                        const CellIndex::Collected& b) {
-      if (!work->fresh->Mark(a.id, b.id)) {
+      if (!fresh.Mark(a.id, b.id)) {
         ++work->counters.pairs_rejected_stale;
         return;
       }
@@ -437,27 +397,30 @@ void IncrementalOptimizer::EnumerateFreshPairs(
   });
 }
 
-void IncrementalOptimizer::JudgeCell(const CostVector& bounds,
-                                     int resolution, CellWork* work) {
-  // Cheapest first, before any superset consumes the cell.
+void IncrementalOptimizer::JudgeBatch(const CostVector& bounds,
+                                      int resolution, bool fresh_joins,
+                                      CellWork* work) {
   std::vector<uint32_t> order;
   JudgeOrderOf(work->batch, options_.sorted_pruning, &order);
   const int compare_resolution = CompareResolution(resolution);
+  Cell& cell = *work->cell;
   for (const uint32_t pos : order) {
     const BatchEntry& e = work->batch[pos];
     const PruneVerdict verdict =
-        JudgePlan(*work->res, bounds, resolution, compare_resolution,
+        JudgePlan(cell.res, bounds, resolution, compare_resolution,
                   schedule_, e.cost, e.order, options_.park_next_level_only,
                   &work->counters);
     if (verdict.outcome == PruneOutcome::kDiscarded) {
-      ++work->counters.joins_discarded_unstored;
+      if (fresh_joins) ++work->counters.joins_discarded_unstored;
       continue;
     }
-    const CellIndex::Handle handle =
-        ApplyVerdict(verdict, *work->res, *work->cand, kInvalidPlan, e.cost,
-                     e.order, invocation_, &work->counters);
-    const bool in_result = verdict.outcome == PruneOutcome::kInsertedResult;
-    work->survivors.push_back({pos, in_result, handle});
+    const CellIndex::Handle handle = ApplyVerdict(
+        verdict, cell.res, cell.cand, fresh_joins ? kInvalidPlan : e.id,
+        e.cost, e.order, invocation_, &work->counters);
+    if (fresh_joins) {
+      const bool in_result = verdict.outcome == PruneOutcome::kInsertedResult;
+      work->survivors.push_back({pos, in_result, handle});
+    }
   }
 }
 
@@ -470,10 +433,12 @@ std::vector<CellIndex::Entry> IncrementalOptimizer::ResultPlans(
 std::vector<CellIndex::Entry> IncrementalOptimizer::ResultPlansFor(
     TableSet q, const CostVector& bounds, int resolution) const {
   std::vector<CellIndex::Entry> out;
-  res_.For(q).ForEachInRange(bounds, resolution,
-                             [&](const CellIndex::Entry& e) {
-                               out.push_back(e);
-                             });
+  const Cell* cell = Find(q);
+  if (cell == nullptr) return out;
+  cell->res.ForEachInRange(bounds, resolution,
+                           [&](const CellIndex::Entry& e) {
+                             out.push_back(e);
+                           });
   return out;
 }
 

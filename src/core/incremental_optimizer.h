@@ -4,24 +4,25 @@
 //   * the plan arena: every scan plan, and every join plan that entered
 //     a result or candidate set (phase 2 never stores a join that
 //     pruning discards on arrival); plans are never removed from it,
-//   * the result plan sets Res^q and candidate plan sets Cand^q, indexed
-//     by cost vector and resolution level (CellIndex),
-//   * one IsFresh pair registry per connected multi-table table set.
+//   * one record per connected table subset q (a *cell*): the result
+//     plan set Res^q and candidate plan set Cand^q, indexed by cost
+//     vector and resolution level (CellIndex), and the IsFresh registry
+//     of the sub-plan pairs already joined into q.
 //
 // Each call to Optimize(bounds, resolution) performs one invocation of
-// procedure Optimize: phase 1 re-considers candidate plans that match the
-// current bounds/resolution; phase 2 generates fresh join plans bottom-up
-// over table subsets, visiting each unordered split of a subset once
-// (PlanFactory::ForEachSplit) and combining only sub-plan pairs that were
-// not combined before, each into every join alternative once
-// (PlanFactory::ForEachJoin: hash joins in both orientations, symmetric
-// joins in one). After the call, Res^q[0..b, 0..r] is an
-// α_r^|q|-approximate b-bounded Pareto plan set for every table subset q
-// (Theorems 1 and 2).
+// procedure Optimize, one table subset at a time, bottom-up: phase 1
+// re-considers q's candidate plans that match the current
+// bounds/resolution; phase 2 generates q's fresh join plans, visiting
+// each unordered split of q once (PlanFactory::ForEachSplit) and
+// combining only sub-plan pairs that were not combined before, each into
+// every join alternative once (PlanFactory::ForEachJoin: hash joins in
+// both orientations, symmetric joins in one). After the call,
+// Res^q[0..b, 0..r] is an α_r^|q|-approximate b-bounded Pareto plan set
+// for every table subset q (Theorems 1 and 2).
 #ifndef MOQO_CORE_INCREMENTAL_OPTIMIZER_H_
 #define MOQO_CORE_INCREMENTAL_OPTIMIZER_H_
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "core/counters.h"
@@ -30,7 +31,7 @@
 #include "core/resolution.h"
 #include "cost/cost_vector.h"
 #include "index/cell_index.h"
-#include "index/plan_set.h"
+#include "pareto/kernel.h"
 #include "plan/arena.h"
 #include "plan/cost_model.h"
 #include "util/thread_pool.h"
@@ -38,8 +39,6 @@
 namespace moqo {
 
 struct OptimizerOptions {
-  // Logarithmic cell width of the plan indexes.
-  double cell_gamma = 2.0;
   // Track per-plan candidate retrieval counts (Lemma 7 assertions).
   bool track_per_plan_counters = false;
   // Ablation switch (§4.2 design decision): when true, the pruning
@@ -61,38 +60,41 @@ struct OptimizerOptions {
   // guarantees are order-independent, so this is purely a performance
   // lever (ablated in bench_prune_design).
   bool sorted_pruning = true;
-  // Externally owned pool for phase 2 (fresh plan generation); null
-  // (the default) runs phase 2's per-cell work inline on the calling
-  // thread. Callers can share one pool across optimizers (or keep thread
-  // spawning out of timed regions). Must outlive the optimizer; only the
-  // optimizer's thread may Optimize.
+  // Externally owned pool for the per-cell work of Optimize; null (the
+  // default) runs it inline on the calling thread. Callers can share one
+  // pool across optimizers (or keep thread spawning out of timed
+  // regions). Must outlive the optimizer; only the optimizer's thread may
+  // Optimize.
   //
-  // Phase 2 shards the connected table subsets (cells) of each
-  // cardinality level k across a fixed pool of workers and joins them at
-  // a per-level barrier, preserving the bottom-up dependency on levels
-  // < k. The sub-plan sets a level consumes are collected once on the
-  // main thread before the level is dispatched. The worker that takes a
-  // cell enumerates its fresh sub-plan pairs, sorts the cell's batch,
-  // judges it, and inserts the survivors into the cell's own result and
-  // candidate sets under placeholder ids; no two workers touch the same
-  // cell. Each cell owns its fresh-pair registry, and its worker marks a
-  // pair in the same call that tests it. After the barrier the main
-  // thread walks the cells in canonical order, appends only the
-  // survivors to the plan arena in judge order and patches their ids.
-  // Arenas are therefore identical at every pool size, and the result
-  // frontiers are bit-identical to the inline run (Theorems 1-2 are
-  // untouched; parallel_optimizer_test asserts the equivalence).
+  // Optimize walks the cardinality levels k bottom-up and spreads the
+  // live (unsealed) cells of each level k >= 2 across a fixed pool of
+  // workers, joined at a per-level barrier that preserves the bottom-up
+  // dependency on levels < k. The sub-plan sets a level consumes are
+  // collected once on the calling thread before the level is dispatched.
+  // The worker that takes a cell drains and re-judges the cell's
+  // candidates (phase 1), then enumerates its fresh sub-plan pairs and
+  // judges them (phase 2), inserting the phase-2 survivors into the
+  // cell's own result and candidate sets under placeholder ids; no two
+  // workers touch the same cell. Each cell owns its fresh-pair registry,
+  // and its worker marks a pair in the same call that tests it. After
+  // the barrier the calling thread walks the cells in canonical order,
+  // adds their counters, appends only the survivors to the plan arena in
+  // judge order and patches their ids. Arenas are therefore identical at
+  // every pool size, and the result frontiers are bit-identical to the
+  // inline run (Theorems 1-2 are untouched; parallel_optimizer_test
+  // asserts the equivalence). Level 1 (single tables, phase 1 only) runs
+  // on the calling thread.
   ThreadPool* pool = nullptr;
   // Cross-query plan-fragment sharing (docs/FRAGMENT_SHARING.md). When
   // set, the constructor offers every connected table subset with >= 2
   // tables to the provider; on a hit the subset's result set is seeded
-  // with the stored frontier and the cell is *sealed* — phase-2
-  // enumeration skips it, which is where the cross-query work saving
-  // comes from. Seeding preserves bit-identical frontiers versus a cold
-  // run as long as the bounds never change; a bounds change automatically
-  // unseals every cell and re-enables full enumeration (results stay
-  // correct α-approximations, but are no longer bit-identical to a cold
-  // run that diverged at the same point). Must outlive the optimizer.
+  // with the stored frontier and the cell is *sealed* — Optimize skips
+  // it, which is where the cross-query work saving comes from. Seeding
+  // preserves bit-identical frontiers versus a cold run as long as the
+  // bounds never change; a bounds change automatically unseals every
+  // cell and re-enables full enumeration (results stay correct
+  // α-approximations, but are no longer bit-identical to a cold run that
+  // diverged at the same point). Must outlive the optimizer.
   FragmentProvider* fragment_store = nullptr;
   // Let a completed run export its cells' result sets for publication
   // through the serving layer (TakePublishableFragments). Costs nothing
@@ -128,12 +130,12 @@ class IncrementalOptimizer {
                                                int resolution) const;
 
   const PlanFactory& factory() const { return factory_; }
-  // Swaps the injected pool phase 2 runs on; `pool` may be null (phase 2
-  // then runs inline). For serving layers whose schedulers step one
-  // optimizer from different threads over its lifetime (work stealing):
-  // each stepping thread rebinds the optimizer to its own pool partition
-  // before Optimize, so no pool ever sees two concurrent ParallelFor
-  // callers.
+  // Swaps the injected pool the per-cell work runs on; `pool` may be
+  // null (the work then runs inline). For serving layers whose
+  // schedulers step one optimizer from different threads over its
+  // lifetime (work stealing): each stepping thread rebinds the optimizer
+  // to its own pool partition before Optimize, so no pool ever sees two
+  // concurrent ParallelFor callers.
   // Only legal between invocations, from the thread driving the
   // optimizer. Thread counts never affect results, so rebinding never
   // changes frontiers.
@@ -141,12 +143,11 @@ class IncrementalOptimizer {
   const PlanArena& arena() const { return arena_; }
   const ResolutionSchedule& schedule() const { return schedule_; }
   const Counters& counters() const { return counters_; }
-  Counters& mutable_counters() { return counters_; }
   uint32_t invocations_completed() const { return invocation_ - 1; }
 
   // Total plans currently indexed (result + candidate), for space studies.
-  size_t NumResultEntries() const { return res_.TotalSize(); }
-  size_t NumCandidateEntries() const { return cand_.TotalSize(); }
+  size_t NumResultEntries() const;
+  size_t NumCandidateEntries() const;
 
   // --- Cross-query fragment sharing (docs/FRAGMENT_SHARING.md) ---
 
@@ -170,9 +171,10 @@ class IncrementalOptimizer {
   std::vector<PublishableFragment> TakePublishableFragments();
 
   // True when `cell`'s result set was seeded from the fragment provider
-  // and phase-2 enumeration is suppressed for it.
+  // and Optimize skips it.
   bool IsSealed(TableSet cell) const {
-    return !sealed_.empty() && sealed_[cell.mask()] != 0;
+    const Cell* c = Find(cell);
+    return c != nullptr && c->sealed;
   }
 
   // Seeds and seals every connected multi-table cell that is not sealed
@@ -187,6 +189,36 @@ class IncrementalOptimizer {
   void ReprobeFragments();
 
  private:
+  // One connected table subset q.
+  struct Cell {
+    Cell(TableSet q, int dims, BankArena* res_lanes, BankArena* cand_lanes)
+        : set(q), res(dims, kCellGamma, res_lanes),
+          cand(dims, kCellGamma, cand_lanes) {}
+
+    TableSet set;
+    CellIndex res;   // Res^q.
+    CellIndex cand;  // Cand^q.
+    // The sub-plan pairs already joined into q (a pair's halves union to
+    // exactly q); empty for single tables.
+    FreshPairRegistry fresh;
+    // This invocation's Collect of Res^q, taken before the level above q
+    // is enumerated.
+    std::vector<CellIndex::Collected> collected;
+    // Seeded from the fragment provider: Optimize skips the cell, whose
+    // candidate set stays empty.
+    bool sealed = false;
+  };
+  // One cell's task at one level, and the judge's batch (defined in the
+  // .cc).
+  struct CellWork;
+
+  // The cell of table set q, or null when q is not connected.
+  const Cell* Find(TableSet q) const {
+    MOQO_CHECK(q.mask() < cell_of_.size());
+    const uint32_t c = cell_of_[q.mask()];
+    return c == kNoCell ? nullptr : &cells_[c];
+  }
+
   // Bounds changed on an optimizer that consumed fragments: unseal every
   // cell and force-Δ all result entries, so the pairings the sealed
   // cells never enumerated are (re)tried. The fresh-pair registry keeps
@@ -200,50 +232,52 @@ class IncrementalOptimizer {
                                                   : resolution;
   }
 
-  // Phase 2 (Algorithm 2 lines 13-22), one level at a time: each live
-  // cell is enumerated and judged on the pool (or inline without one),
-  // then the survivors get arena ids in canonical order.
-  void Phase2(const CostVector& bounds, int resolution);
-
-  // One cell's phase-2 work at one level (defined in the .cc).
-  struct CellWork;
-  // Enumerates the fresh sub-plan pairs of cell q against the
-  // pre-collected sub-plan sets, one unordered split and one canonical
+  // One cell's work in one invocation (Algorithm 2 lines 6-22 for one
+  // table set): phase 1 drains the cell's candidates in range and judges
+  // them again, then phase 2 enumerates and judges the cell's fresh
+  // joins. Writes only the cell and `work`.
+  void StepCell(const CostVector& bounds, int resolution, CellWork* work);
+  // Enumerates the fresh sub-plan pairs of the work's cell against the
+  // collected sub-plan sets, one unordered split and one canonical
   // (q1-side, q2-side) orientation per pair, marks them in the cell's
-  // registry and buffers their join alternatives. Writes only `work` and
-  // the registry it points to.
-  void EnumerateFreshPairs(
-      TableSet q,
-      const std::vector<std::vector<CellIndex::Collected>>& collected,
-      CellWork* work) const;
-  // Sorts the cell's batch and judges it in order, inserting survivors
-  // into the cell's own result and candidate sets under placeholder ids.
-  // Writes only the cell's sets and `work`.
-  void JudgeCell(const CostVector& bounds, int resolution, CellWork* work);
+  // registry and buffers their join alternatives into the batch. Writes
+  // only `work` and the registry it points to.
+  void EnumerateFreshPairs(CellWork* work) const;
+  // The one judge of scans, candidates and fresh joins (Algorithm 3):
+  // judges the work's batch in JudgeOrderOf's order against the cell's
+  // result set and files each plan where its verdict says. Scans and
+  // candidates are filed under their arena ids. Fresh joins
+  // (`fresh_joins`) have none yet: a discarded one is never stored, and
+  // a kept one is filed under a placeholder id and recorded as a
+  // survivor for the merge to number. Writes only the cell's sets and
+  // `work`.
+  void JudgeBatch(const CostVector& bounds, int resolution, bool fresh_joins,
+                  CellWork* work);
+
+  static constexpr uint32_t kNoCell = 0xFFFFFFFFu;
 
   const PlanFactory& factory_;
   ResolutionSchedule schedule_;
   OptimizerOptions options_;
   PlanArena arena_;
-  PlanSetTable res_;
-  PlanSetTable cand_;
-  // By mask: the cell's fresh-pair registry, created when phase 2 first
-  // reaches the cell (a pair's halves union to exactly one cell).
-  std::vector<std::unique_ptr<FreshPairRegistry>> fresh_;
+  // Lane storage of every cell's result banks and candidate banks,
+  // declared before the cells so it outlives them; bump-allocated blocks
+  // are reclaimed wholesale with the optimizer.
+  BankArena res_lanes_;
+  BankArena cand_lanes_;
+  // Every connected table subset in canonical order: by size, then by
+  // mask. The subsets of size k are cells_[level_begin_[k] ..
+  // level_begin_[k + 1]).
+  std::vector<Cell> cells_;
+  std::vector<size_t> level_begin_;
+  // By mask: the subset's index in cells_, or kNoCell if not connected.
+  std::vector<uint32_t> cell_of_;
   Counters counters_;
   // Invocation counter; the constructor's scan seeding belongs to
   // invocation 1, which is also used by the first Optimize call.
   uint32_t invocation_ = 1;
-  // All connected table subsets, grouped by cardinality (precomputed).
-  std::vector<std::vector<TableSet>> connected_by_size_;
-  // Per-invocation cache of Collect() results by table-set mask, reused
-  // across Phase2 calls to avoid re-allocating 2^n vectors.
-  std::vector<std::vector<CellIndex::Collected>> collected_;
 
   // --- Fragment sharing state ---
-  // By mask: 1 = cell seeded from the provider, phase 2 skips it. Empty
-  // when no provider was given or after UnsealForBoundsChange.
-  std::vector<uint8_t> sealed_;
   // Bounds of the previous invocation; a mismatch marks the run diverged
   // (publishing stops, sealed cells unseal).
   CostVector current_bounds_;

@@ -52,9 +52,10 @@ struct PruneVerdict {
   int level = 0;
 };
 
-// Prune is JudgePlan then ApplyVerdict. The split lets phase 2 judge a
-// cell's plans on a pool worker and give arena ids only to the plans
-// that survive.
+// Prune is JudgePlan then ApplyVerdict. The optimizer calls the halves
+// itself: its one judge routine files scans and candidates under their
+// arena ids, and fresh joins, which have none yet, under a placeholder
+// id, so that only the joins that survive get an arena node.
 //
 // `compare_resolution` controls which result plans participate in the
 // dominance check: the paper's design uses compare_resolution ==

@@ -16,8 +16,8 @@
 // 64-bit cell key to its slot — no per-node allocation, no pointer-chasing
 // bucket walks. Each cell keeps its entries in struct-of-arrays form: the
 // cost vectors live in a pareto/kernel.h CostBank (per-metric contiguous
-// double lanes, arena-bump-allocated when the owning PlanSetTable supplies
-// its arena), with the plan id and Δ-visibility state in one parallel
+// double lanes, arena-bump-allocated when the owner supplies a
+// BankArena), with the plan id and Δ-visibility state in one parallel
 // payload array.
 // Boundary-cell filtering and dominance probes run the kernel's batched
 // primitives (FilterByBounds / FindDominating) over whole lanes instead of
@@ -56,6 +56,9 @@ inline constexpr int kAnyOrder = -1;
 // real invocation counters start at 1 and can never reach it.
 inline constexpr uint32_t kNeverVisible = 0xFFFFFFFFu;
 
+// The logarithmic cell width of the optimizer's plan indexes.
+inline constexpr double kCellGamma = 2.0;
+
 class CellIndex {
  public:
   // A materialized entry view (the storage itself is struct-of-arrays).
@@ -81,7 +84,7 @@ class CellIndex {
   // ⌊log_γ c⌋ = ⌊log_γ c'⌋). When `arena` is non-null the cells' cost
   // lanes are bump-allocated from it (it must outlive the index);
   // otherwise the index owns heap storage.
-  explicit CellIndex(int dims, double gamma = 2.0,
+  explicit CellIndex(int dims, double gamma = kCellGamma,
                      BankArena* arena = nullptr);
 
   // Where an entry lives: its cell's slot and its position in the cell.

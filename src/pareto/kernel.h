@@ -48,15 +48,16 @@ inline constexpr size_t kLanePad = 4;
 // "Not found" result of the kernel search primitives.
 inline constexpr uint32_t kKernelNpos = 0xFFFFFFFFu;
 
-// Bump allocator for cost-bank lane storage, shared by all cells of one
-// PlanSetTable. Blocks are handed out and never individually freed —
-// when a bank grows it abandons its old block — and the whole arena is
-// reclaimed at once when the owning table dies. This replaces per-cell
-// vector reallocation churn with pointer bumps, and keeps one table's
-// lanes closely packed in memory.
+// Bump allocator for cost-bank lane storage, shared by many indexes (the
+// optimizer keeps one for all result sets and one for all candidate
+// sets). Blocks are handed out and never individually freed — when a
+// bank grows it abandons its old block — and the whole arena is
+// reclaimed at once when its owner dies. This replaces per-cell vector
+// reallocation churn with pointer bumps, and keeps the lanes closely
+// packed in memory.
 //
-// Thread-safe: phase-2 workers grow the banks of different cells of one
-// table at the same time. Only bank growth allocates, so the mutex is
+// Thread-safe: the optimizer's workers grow the banks of different
+// indexes at the same time. Only bank growth allocates, so the mutex is
 // rarely taken.
 class BankArena {
  public:

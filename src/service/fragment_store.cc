@@ -10,6 +10,7 @@
 #include <cstring>
 #include <utility>
 
+#include "index/cell_index.h"
 #include "service/fragment_codec.h"
 #include "util/str.h"
 
@@ -721,7 +722,9 @@ void AppendFrontierOptions(std::string* key, const MetricSchema& schema,
   }
   const OptimizerOptions& opt = iama.optimizer;
   *key += ";o=";
-  AppendHexDouble(key, opt.cell_gamma);
+  // The plan indexes' cell width. It is fixed, but stays in the key so
+  // that keys in existing store logs keep matching.
+  AppendHexDouble(key, kCellGamma);
   *key += opt.prune_against_all_resolutions ? ":1" : ":0";
   *key += opt.park_next_level_only ? ":1" : ":0";
   *key += opt.sorted_pruning ? ":1" : ":0";

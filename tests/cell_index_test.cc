@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "index/cell_index.h"
-#include "index/plan_set.h"
 #include "util/rng.h"
 
 namespace moqo {
@@ -459,17 +458,6 @@ TEST(CellIndexProperty2, BoxClassificationMatchesLogBuckets) {
   }
   EXPECT_GT(probes, 20000u);
   EXPECT_GT(hits, 2000u);
-}
-
-TEST(PlanSetTableTest, LazyCreationAndTotalSize) {
-  PlanSetTable table(4, 2);
-  EXPECT_EQ(table.TotalSize(), 0u);
-  table.For(TableSet(0b0011)).Insert(1, CostVector{1.0, 1.0}, 0, 1);
-  table.For(TableSet(0b1100)).Insert(2, CostVector{2.0, 2.0}, 0, 1);
-  table.For(TableSet(0b0011)).Insert(3, CostVector{3.0, 3.0}, 1, 1);
-  EXPECT_EQ(table.TotalSize(), 3u);
-  EXPECT_EQ(table.For(TableSet(0b0011)).size(), 2u);
-  EXPECT_EQ(table.For(TableSet(0b1111)).size(), 0u);
 }
 
 }  // namespace

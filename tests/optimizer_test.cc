@@ -11,6 +11,7 @@
 #include "pareto/coverage.h"
 #include "pareto/dominance.h"
 #include "test_helpers.h"
+#include "util/thread_pool.h"
 
 namespace moqo {
 namespace {
@@ -187,32 +188,44 @@ TEST(IncrementalTest, NoStalePairsInMonotoneSeries) {
 
 TEST(IncrementalTest, LemmaSevenCandidateRetrievalBound) {
   // Lemma 7: each generated plan is retrieved at most rM+1 times from the
-  // candidate set.
+  // candidate set. Inline and on a pool, whose workers count each cell's
+  // retrievals apart.
   RandomWorld world = MakeRandomWorld(45, 4, /*sampling=*/true);
   const ResolutionSchedule schedule(5, 1.01, 0.2);
   const CostVector inf = CostVector::Infinite(3);
-  OptimizerOptions options;
-  options.track_per_plan_counters = true;
-  IncrementalOptimizer opt(*world.factory, schedule, inf, options);
-  // A long, adversarial invocation sequence incl. bound changes.
-  opt.Optimize(inf, 0);
-  opt.Optimize(inf, 1);
-  const auto snap = opt.ResultPlans(inf, 1);
-  ASSERT_FALSE(snap.empty());
-  CostVector bounds = CostVector::Infinite(3);
-  bounds[0] = snap[0].cost[0] * 2.0;
-  opt.Optimize(bounds, 0);
-  opt.Optimize(bounds, 1);
-  opt.Optimize(bounds, 2);
-  opt.Optimize(inf, 2);
-  opt.Optimize(inf, 3);
-  opt.Optimize(inf, 4);
-  opt.Optimize(inf, 4);
-  for (const auto& [plan, retrievals] :
-       opt.counters().retrievals_by_plan) {
-    EXPECT_LE(retrievals,
-              static_cast<uint32_t>(schedule.MaxResolution() + 1))
-        << "plan " << plan;
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "inline" : "4-thread pool");
+    OptimizerOptions options;
+    options.track_per_plan_counters = true;
+    options.pool = p;
+    IncrementalOptimizer opt(*world.factory, schedule, inf, options);
+    // A long, adversarial invocation sequence incl. bound changes.
+    opt.Optimize(inf, 0);
+    opt.Optimize(inf, 1);
+    const auto snap = opt.ResultPlans(inf, 1);
+    ASSERT_FALSE(snap.empty());
+    CostVector bounds = CostVector::Infinite(3);
+    bounds[0] = snap[0].cost[0] * 2.0;
+    opt.Optimize(bounds, 0);
+    opt.Optimize(bounds, 1);
+    opt.Optimize(bounds, 2);
+    opt.Optimize(inf, 2);
+    opt.Optimize(inf, 3);
+    opt.Optimize(inf, 4);
+    opt.Optimize(inf, 4);
+    // The per-plan map saw every retrieval, so the bound below is not
+    // vacuous.
+    const Counters& counters = opt.counters();
+    ASSERT_FALSE(counters.retrievals_by_plan.empty());
+    uint64_t total = 0;
+    for (const auto& [plan, retrievals] : counters.retrievals_by_plan) {
+      EXPECT_LE(retrievals,
+                static_cast<uint32_t>(schedule.MaxResolution() + 1))
+          << "plan " << plan;
+      total += retrievals;
+    }
+    EXPECT_EQ(total, counters.candidate_retrievals);
   }
 }
 
