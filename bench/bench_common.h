@@ -1,15 +1,19 @@
-// Shared infrastructure for the figure-reproduction benchmarks.
+// Shared infrastructure for the benchmarks.
 //
 // Each bench_fig* binary reproduces one figure of the paper's evaluation
 // (§6): it runs the three algorithms — incremental anytime (IAMA),
 // memoryless, one-shot — on the TPC-H query blocks grouped by table count
 // and prints the per-invocation optimization times the figure plots.
+// Benches that write a BENCH_*.json file stamp it with HostJson().
 #ifndef MOQO_BENCH_BENCH_COMMON_H_
 #define MOQO_BENCH_BENCH_COMMON_H_
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +30,39 @@
 
 namespace moqo {
 namespace bench {
+
+// `git rev-parse HEAD` in the working directory, "+dirty" when tracked
+// files differ from it; "none" outside a git checkout.
+inline std::string GitCommit() {
+  std::string commit = "none";
+  if (FILE* p = popen("git rev-parse HEAD 2>/dev/null", "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof(buf), p) != nullptr) {
+      commit = std::string(buf, std::strcspn(buf, "\n"));
+    }
+    if (pclose(p) != 0 || commit.empty()) commit = "none";
+  }
+  if (commit == "none") return commit;
+  if (FILE* p = popen("git status --porcelain --untracked-files=no "
+                      "2>/dev/null",
+                      "r")) {
+    if (std::fgetc(p) != EOF) commit += "+dirty";
+    pclose(p);
+  }
+  return commit;
+}
+
+// The `"host": {...}` member of a BENCH file: online cores, compiler,
+// build type and commit (MOQO_BENCH_* are set per bench by CMake).
+inline std::string HostJson() {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "\"host\": {\"nproc\": %ld, \"compiler\": \"%s\", "
+                "\"build_type\": \"%s\", \"commit\": \"%s\"}",
+                sysconf(_SC_NPROCESSORS_ONLN), MOQO_BENCH_COMPILER,
+                MOQO_BENCH_BUILD_TYPE, GitCommit().c_str());
+  return buf;
+}
 
 class Timer {
  public:

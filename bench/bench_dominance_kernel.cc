@@ -1,54 +1,43 @@
-// bench_dominance_kernel — microbenchmark of the data-oriented Pareto
-// kernel (pareto/kernel.h) against the scalar layout it replaced.
+// bench_dominance_kernel — microbenchmark of the Pareto kernel
+// (pareto/kernel.h) against array-of-structs scalar loops.
 //
-// Three workloads, each at cell sizes {16, 256, 4096} x dims {2, 3}:
+// Two workloads:
 //
-//   filter   mask every entry of a cell against query bounds
-//            (boundary-cell filtering in Collect/Drain/ForEachInRange):
-//            scalar = per-entry CostVector::Dominates over an
-//            array-of-structs vector; kernel = FilterByBounds lane pass.
 //   probe    first-dominator search with early exit (pruning's
-//            "∃ pA ⪯ α·c(p)" range probe): scalar = early-exit Dominates
-//            loop; kernel = FindDominating blocked scan.
-//   insert   Pareto-frontier maintenance: scalar = the frozen pre-kernel
-//            ParetoFrontier::Insert; kernel = ParetoFrontier::Insert, the
-//            production frontier on the kernel's batched primitives.
+//            "∃ pA ⪯ α·c(p)" range probe) at cell sizes {2, 4, 8} x dims
+//            {2, 3}, the sizes the probed cells of the end-to-end
+//            workloads have: scalar = early-exit CostVector::Dominates
+//            loop over a vector; kernel = FindDominating over a CostBank.
+//   judge_order  the order phase 2 judges a cell's plans in, at batch
+//            sizes {256, 4096, 16384} x 3 dims, from scores computed as
+//            the optimizer computes them: scalar = std::sort of a copy of
+//            the 80-byte batch records the optimizer sorted before, by
+//            (score, id); kernel = JudgeOrder.
 //
-// A fourth workload runs at batch sizes {256, 4096, 16384} x 3 dims:
-//
-//   judge_order  the order phase 2 judges a cell's plans in, from scores
-//            computed as the optimizer computes them: scalar = std::sort
-//            of a copy of the 80-byte batch records the optimizer sorted
-//            before, by (score, id); kernel = JudgeOrder.
-//
-// Throughput is reported in million entry-comparisons per second
-// (filter/probe), million inserts per second (insert) and million plans
-// ordered per second (judge_order), plus the kernel/scalar speedup. Each
-// side of a row is the median of 5 samples of ~80 ms each, reported with
-// the samples' min-max; the speedup is the ratio of the medians.
-// Output: a table on stdout and BENCH_kernel.json in the working
-// directory, with a host block (cores, compiler, build type, and the
-// commit `git rev-parse HEAD` reports there, "+dirty" for a modified
-// tree), so the perf trajectory is tracked across PRs.
+// Throughput is reported in million probes per second (probe) and
+// million plans ordered per second (judge_order), plus the kernel/scalar
+// speedup. Each side of a row is the median of 5 samples of ~80 ms each,
+// reported with the samples' min-max; the speedup is the ratio of the
+// medians. Output: a table on stdout and BENCH_kernel.json in the
+// working directory, with a host block (bench_common.h's HostJson), so
+// the perf trajectory is tracked across commits.
 //
 // Usage:
 //   ./build/bench_dominance_kernel            run + write BENCH_kernel.json
-//   ./build/bench_dominance_kernel --verify   cross-check scalar vs kernel
-//                                             bit-identity only; exits
-//                                             nonzero on any mismatch (CI
-//                                             smoke step, Release matrix)
-#include <unistd.h>
-
+//   ./build/bench_dominance_kernel --verify   check FindDominating and
+//                                             JudgeOrder against linear
+//                                             scans and std::sort; exits
+//                                             nonzero on any mismatch
+//                                             (also a ctest test)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "cost/cost_vector.h"
-#include "pareto/frontier.h"
 #include "pareto/kernel.h"
 #include "util/rng.h"
 
@@ -61,33 +50,6 @@ double NowMs() {
       .count();
 }
 
-// The frozen pre-kernel scalar frontier (also the reference in
-// tests/kernel_test.cc); array-of-structs, per-entry checked compares.
-struct ScalarFrontier {
-  struct Entry {
-    CostVector cost;
-    uint64_t payload = 0;
-  };
-  std::vector<Entry> entries;
-
-  bool Insert(const CostVector& cost, uint64_t payload) {
-    for (const Entry& e : entries) {
-      if (e.cost.StrictlyDominates(cost)) return false;
-      if (e.cost.Equals(cost)) return false;
-    }
-    for (size_t i = 0; i < entries.size();) {
-      if (cost.StrictlyDominates(entries[i].cost)) {
-        entries[i] = entries.back();
-        entries.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    entries.push_back({cost, payload});
-    return true;
-  }
-};
-
 CostVector RandomCost(Rng& rng, int dims) {
   CostVector c(dims);
   for (int d = 0; d < dims; ++d) {
@@ -98,10 +60,11 @@ CostVector RandomCost(Rng& rng, int dims) {
 
 struct Workload {
   std::vector<CostVector> cell;   // Scalar (AoS) cell contents.
+  BankArena arena;
   CostBank bank;                  // The same contents in lane layout.
   std::vector<CostVector> probes; // Query bounds, ~50% hit rate.
 
-  Workload(int cell_size, int dims, uint64_t seed) : bank(dims) {
+  Workload(int cell_size, int dims, uint64_t seed) : bank(dims, &arena) {
     Rng rng(seed);
     cell.reserve(static_cast<size_t>(cell_size));
     for (int i = 0; i < cell_size; ++i) {
@@ -121,7 +84,7 @@ struct Workload {
   }
 };
 
-// One side's throughput in million entry-ops/sec: the median of
+// One side's throughput in million ops/sec: the median of
 // kSamples timed samples, and their range.
 struct Rate {
   double median = 0.0;
@@ -166,36 +129,9 @@ Rate Measure(F&& body, double ops_per_rep) {
   return {rates[kSamples / 2], rates.front(), rates.back()};
 }
 
-Result BenchFilter(const Workload& w) {
-  const size_t n = w.cell.size();
-  std::vector<uint8_t> mask(n);
-  uint64_t sink = 0;
-  // Loose probes only: a boundary cell's bounds sit inside the cell's
-  // value range by construction (cells far above the bounds classify
-  // outside and are never filtered).
-  const Rate scalar = Measure(
-      [&](long r) {
-        const CostVector& b = w.probes[static_cast<size_t>(r) % 32];
-        for (size_t i = 0; i < n; ++i) {
-          mask[i] = w.cell[i].Dominates(b);
-        }
-        sink += mask[static_cast<size_t>(r) % n];
-      },
-      static_cast<double>(n));
-  const Rate kernel = Measure(
-      [&](long r) {
-        const CostVector& b = w.probes[static_cast<size_t>(r) % 32];
-        sink += FilterByBounds(w.bank, b.data(), mask.data());
-      },
-      static_cast<double>(n));
-  if (sink == 0xDEAD) std::printf("#");
-  return {"filter", static_cast<int>(n), w.bank.dims(), scalar, kernel};
-}
-
 Result BenchProbe(const Workload& w) {
-  // Metric: million probes/sec over the identical probe stream — the
-  // early-exit asymmetry (scalar exits per entry, kernel per block) is
-  // part of what is being measured.
+  // Metric: million probes/sec over the identical probe stream; both
+  // sides exit at the first dominating entry.
   const size_t n = w.cell.size();
   uint64_t sink = 0;
   const Rate scalar = Measure(
@@ -217,32 +153,6 @@ Result BenchProbe(const Workload& w) {
       1.0);
   if (sink == 0xDEAD) std::printf("#");
   return {"probe", static_cast<int>(n), w.bank.dims(), scalar, kernel};
-}
-
-Result BenchInsert(int cell_size, int dims, uint64_t seed) {
-  // Pre-generate an insert stream sized to keep the frontier churning.
-  Rng rng(seed);
-  std::vector<CostVector> stream;
-  for (int i = 0; i < cell_size; ++i) stream.push_back(RandomCost(rng, dims));
-  uint64_t sink = 0;
-  const Rate scalar = Measure(
-      [&](long) {
-        ScalarFrontier f;
-        for (size_t i = 0; i < stream.size(); ++i) {
-          sink += f.Insert(stream[i], i);
-        }
-      },
-      static_cast<double>(stream.size()));
-  const Rate kernel = Measure(
-      [&](long) {
-        ParetoFrontier f;
-        for (size_t i = 0; i < stream.size(); ++i) {
-          sink += f.Insert(stream[i], i);
-        }
-      },
-      static_cast<double>(stream.size()));
-  if (sink == 0xDEAD) std::printf("#");
-  return {"insert", cell_size, dims, scalar, kernel};
 }
 
 // The plan batch record the optimizer sorted before JudgeOrder: id,
@@ -309,95 +219,30 @@ Result BenchJudgeOrder(int batch_size, int dims, uint64_t seed) {
   return {"judge_order", batch_size, dims, scalar, kernel};
 }
 
-// `git rev-parse HEAD` in the working directory, "+dirty" when tracked
-// files differ from it; "none" outside a git checkout.
-std::string GitCommit() {
-  std::string commit = "none";
-  if (FILE* p = popen("git rev-parse HEAD 2>/dev/null", "r")) {
-    char buf[64] = {};
-    if (std::fgets(buf, sizeof(buf), p) != nullptr) {
-      commit = std::string(buf, std::strcspn(buf, "\n"));
-    }
-    if (pclose(p) != 0 || commit.empty()) commit = "none";
-  }
-  if (commit == "none") return commit;
-  if (FILE* p = popen("git status --porcelain --untracked-files=no "
-                      "2>/dev/null",
-                      "r")) {
-    if (std::fgetc(p) != EOF) commit += "+dirty";
-    pclose(p);
-  }
-  return commit;
-}
-
-// --verify: scalar-vs-kernel bit-identity cross-check (the CI smoke).
-// Returns the number of mismatches.
+// --verify: FindDominating against a linear scan (hit and `scanned`
+// count) and JudgeOrder against std::sort. Returns the number of
+// mismatches.
 int Verify() {
   int failures = 0;
   Rng rng(20260808);
-  // Masks and probes against linear scans.
   for (int trial = 0; trial < 500; ++trial) {
     const int dims = 2 + trial % 3;
     const int n = 1 + static_cast<int>(rng.Uniform(512));
     Workload w(n, dims, 1000 + static_cast<uint64_t>(trial));
-    std::vector<uint8_t> mask(w.cell.size());
     for (const CostVector& b : w.probes) {
-      FilterByBounds(w.bank, b.data(), mask.data());
-      uint32_t expect_first = kKernelNpos;
+      uint32_t expect = kKernelNpos;
+      size_t expect_scanned = w.cell.size();
       for (size_t i = 0; i < w.cell.size(); ++i) {
-        const bool in = w.cell[i].Dominates(b);
-        if (in && expect_first == kKernelNpos) {
-          expect_first = static_cast<uint32_t>(i);
-        }
-        if ((mask[i] != 0) != in) {
-          std::fprintf(stderr, "FilterByBounds mismatch trial %d entry %zu\n",
-                       trial, i);
-          ++failures;
+        if (w.cell[i].Dominates(b)) {
+          expect = static_cast<uint32_t>(i);
+          expect_scanned = i + 1;
+          break;
         }
       }
-      if (FindDominating(w.bank, b.data()) != expect_first) {
+      size_t scanned = 0;
+      if (FindDominating(w.bank, b.data(), &scanned) != expect ||
+          scanned != expect_scanned) {
         std::fprintf(stderr, "FindDominating mismatch trial %d\n", trial);
-        ++failures;
-      }
-    }
-  }
-  // Frontier decisions and final layout, bit for bit.
-  for (int trial = 0; trial < 500; ++trial) {
-    const int dims = 2 + trial % 3;
-    Rng local(777 + static_cast<uint64_t>(trial));
-    ScalarFrontier ref;
-    ParetoFrontier pf;
-    for (int i = 0; i < 64; ++i) {
-      CostVector c(dims);
-      for (int d = 0; d < dims; ++d) {
-        c[d] = 0.5 * static_cast<double>(local.UniformInt(0, 7));
-      }
-      const bool r0 = ref.Insert(c, static_cast<uint64_t>(i));
-      const bool r1 = pf.Insert(c, static_cast<uint64_t>(i));
-      if (r0 != r1) {
-        std::fprintf(stderr, "insert decision mismatch trial %d step %d\n",
-                     trial, i);
-        ++failures;
-      }
-    }
-    if (ref.entries.size() != pf.size()) {
-      std::fprintf(stderr, "frontier size mismatch trial %d\n", trial);
-      ++failures;
-      continue;
-    }
-    for (size_t i = 0; i < ref.entries.size(); ++i) {
-      bool same = ref.entries[i].payload == pf.entries()[i].payload;
-      for (int d = 0; d < dims && same; ++d) {
-        uint64_t a, b;
-        const double da = ref.entries[i].cost.at(d);
-        const double db = pf.entries()[i].cost.at(d);
-        std::memcpy(&a, &da, 8);
-        std::memcpy(&b, &db, 8);
-        same = a == b;
-      }
-      if (!same) {
-        std::fprintf(stderr, "frontier layout mismatch trial %d entry %zu\n",
-                     trial, i);
         ++failures;
       }
     }
@@ -448,7 +293,8 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "verify: %d mismatches\n", failures);
         return 1;
       }
-      std::printf("verify: scalar and kernel paths bit-identical\n");
+      std::printf("verify: FindDominating and JudgeOrder match the "
+                  "scalar references\n");
       return 0;
     }
   }
@@ -457,12 +303,9 @@ int Main(int argc, char** argv) {
   std::printf("%-12s %6s %6s %28s %28s %10s\n", "workload", "cell", "dims",
               "scalar_mops [min-max]", "kernel_mops [min-max]", "speedup");
   for (int dims : {2, 3}) {
-    for (int cell : {16, 256, 4096}) {
+    for (int cell : {2, 4, 8}) {
       const Workload w(cell, dims, static_cast<uint64_t>(cell) * 31 + dims);
-      for (const Result& r :
-           {BenchFilter(w), BenchProbe(w), BenchInsert(cell, dims, 7)}) {
-        results.push_back(r);
-      }
+      results.push_back(BenchProbe(w));
     }
   }
   for (int batch : {256, 4096, 16384}) {
@@ -479,15 +322,10 @@ int Main(int argc, char** argv) {
   FILE* f = std::fopen("BENCH_kernel.json", "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n  \"bench\": \"dominance_kernel\",\n");
+    std::fprintf(f, "  %s,\n", bench::HostJson().c_str());
     std::fprintf(f,
-                 "  \"host\": {\"nproc\": %ld, \"compiler\": \"%s\", "
-                 "\"build_type\": \"%s\", \"commit\": \"%s\"},\n",
-                 sysconf(_SC_NPROCESSORS_ONLN), MOQO_BENCH_COMPILER,
-                 MOQO_BENCH_BUILD_TYPE, GitCommit().c_str());
-    std::fprintf(f,
-                 "  \"unit\": \"million ops/sec (filter: entries, probe: "
-                 "probes, insert: inserts, judge_order: plans; cell = batch "
-                 "size for judge_order)\",\n");
+                 "  \"unit\": \"million ops/sec (probe: probes, "
+                 "judge_order: plans; cell = batch size for judge_order)\",\n");
     std::fprintf(f,
                  "  \"samples\": \"each side is the median of %d samples of "
                  "~80 ms; *_min and *_max are the samples' range\",\n",

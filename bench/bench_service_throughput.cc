@@ -21,7 +21,9 @@
 // qps vs. shard count would indicate a scheduling bottleneck, not noise.
 //
 // Output: a self-describing table on stdout, plus BENCH_service.json in
-// the working directory so the perf trajectory is tracked across PRs.
+// the working directory, with a host block (bench_common.h's HostJson),
+// so the perf trajectory is tracked across commits. Run it from the repo
+// root so the block's commit resolves.
 //
 // A final persistence study (the `persistence` section of the JSON)
 // fixes one configuration and compares three boot states of the
@@ -49,6 +51,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.h"
 #include "catalog/tpch.h"
 #include "query/query.h"
 #include "service/optimizer_service.h"
@@ -289,6 +292,7 @@ int main(int argc, char** argv) {
               "frag_hit%", "frag_pub");
 
   std::string json = "{\n  \"bench\": \"service_throughput\",\n";
+  json += "  " + bench::HostJson() + ",\n";
   json += "  \"total_threads\": " + std::to_string(threads) + ",\n";
   json += "  \"num_tables\": " + std::to_string(kNumTables) + ",\n";
   json += "  \"levels\": " + std::to_string(levels) + ",\n";

@@ -13,6 +13,7 @@ CostVector InitialBounds(const PlanFactory& factory,
     // them: a dimension mismatch would otherwise read past the end of
     // the shorter vector inside the dominance checks.
     MOQO_CHECK(options.initial_bounds->dims() == dims);
+    MOQO_CHECK(!options.initial_bounds->HasNaN());
     return *options.initial_bounds;
   }
   return CostVector::Infinite(dims);
@@ -43,9 +44,11 @@ bool IamaSession::ApplyAction(const UserAction& action) {
     case UserAction::Kind::kSelectPlan:
       return true;
     case UserAction::Kind::kSetBounds:
-      // User input: bound vectors must match the metric dimension, or
-      // every later range query would compare mismatched vectors.
+      // User input: bound vectors must match the metric dimension and
+      // hold no NaN, or every later range query would compare
+      // mismatched vectors or ignore the NaN metric.
       MOQO_CHECK(action.new_bounds.dims() == bounds_.dims());
+      MOQO_CHECK(!action.new_bounds.HasNaN());
       bounds_ = action.new_bounds;
       resolution_ = 0;  // Quickly show first results for the new bounds.
       return false;
@@ -61,7 +64,7 @@ bool IamaSession::ApplyAction(const UserAction& action) {
 }
 
 bool IamaSession::SetBounds(const CostVector& bounds) {
-  if (bounds.dims() != bounds_.dims()) return false;
+  if (bounds.dims() != bounds_.dims() || bounds.HasNaN()) return false;
   ApplyAction(UserAction::SetBounds(bounds));
   return true;
 }

@@ -130,7 +130,8 @@ class ScriptedPolicy : public InteractionPolicy {
 struct IamaOptions {
   /// The resolution (precision) schedule driving anytime refinement.
   ResolutionSchedule schedule = ResolutionSchedule::Moderate(5);
-  /// Default bounds (Algorithm 1 line 5); unset = unbounded.
+  /// Default bounds (Algorithm 1 line 5); unset = unbounded. Components
+  /// may be +infinity but not NaN.
   std::optional<CostVector> initial_bounds;
   /// Per-invocation optimizer knobs (pruning design, threading, pool,
   /// cross-query fragment sharing via OptimizerOptions::fragment_store /
@@ -173,7 +174,8 @@ class IamaSession {
   /// next Step() shows first results for the new bounds quickly, and all
   /// previously generated plans are reused (the incremental property:
   /// paper §4.2, bounds-change path). Returns false — changing nothing —
-  /// if `bounds` does not match the session's metric dimensionality.
+  /// if `bounds` does not match the session's metric dimensionality or
+  /// has a NaN component.
   bool SetBounds(const CostVector& bounds);
 
   /// Rebinds the session's optimizer to `pool` (null = every cell inline).

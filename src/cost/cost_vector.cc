@@ -22,6 +22,13 @@ bool CostVector::IsFinite() const {
   return true;
 }
 
+bool CostVector::HasNaN() const {
+  for (int i = 0; i < dims_; ++i) {
+    if (std::isnan(values_[i])) return true;
+  }
+  return false;
+}
+
 bool CostVector::IsNonNegative() const {
   for (int i = 0; i < dims_; ++i) {
     if (values_[i] < 0.0) return false;

@@ -55,14 +55,17 @@ class CostVector {
     return values_[i];
   }
   // The contiguous component array (dims() live values). Used to hand a
-  // vector to the batched kernel primitives without per-element calls;
-  // the mutable overload lets lane gathers fill a vector without
-  // per-element bounds checks.
+  // vector to the kernel's lane tests without per-element calls; the
+  // mutable overload lets lane gathers fill a vector without per-element
+  // bounds checks.
   const double* data() const { return values_; }
   double* data() { return values_; }
 
   // True if every component is finite.
   bool IsFinite() const;
+  // True if some component is NaN. Bounds must not be: every `>` test
+  // against a NaN bound is false, so a range query would ignore it.
+  bool HasNaN() const;
   // True if every component is >= 0 (cost values are never negative).
   bool IsNonNegative() const;
 
@@ -75,8 +78,8 @@ class CostVector {
 
   // "c ⪯ other": this vector dominates `other`, i.e. is lower-or-equal in
   // every component (paper §3: plan with cost c is at least as good).
-  // Inline and branch-light: this is the scalar reference the batched
-  // kernel primitives (pareto/kernel.h) are asserted bit-identical to.
+  // Inline and branch-light: CostBank::Dominates (pareto/kernel.h) makes
+  // the same test on a bank entry.
   bool Dominates(const CostVector& other) const {
     MOQO_DCHECK(dims_ == other.dims_);
     for (int i = 0; i < dims_; ++i) {

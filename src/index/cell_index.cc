@@ -18,6 +18,10 @@ CellIndex::CellIndex(int dims, double gamma, BankArena* arena)
   MOQO_CHECK(dims >= 1 && dims <= kMaxMetrics);
   MOQO_CHECK(gamma > 1.0);
   inv_log_gamma_ = 1.0 / std::log(gamma);
+  if (arena_ == nullptr) {
+    own_arena_ = std::make_unique<BankArena>();
+    arena_ = own_arena_.get();
+  }
 }
 
 int CellIndex::Bucket(double value) const {
@@ -157,7 +161,7 @@ CellIndex::Handle CellIndex::Insert(uint32_t id, const CostVector& cost,
   }
   cell.bank.PushBack(cost.data());
   if (MOQO_PREDICT_FALSE(cell.entries.capacity() < cell.bank.capacity())) {
-    // Keep the payload lane's growth in lockstep with the bank's padded
+    // Keep the payload lane's growth in lockstep with the bank's
     // doubling: one reallocation per growth step for both arrays.
     cell.entries.reserve(cell.bank.capacity());
   }
@@ -205,14 +209,9 @@ std::vector<CellIndex::Collected> CellIndex::Collect(const CostVector& bounds,
     if (n == 0) continue;
     const CellRelation rel = Classify(cell, bounds, max_res, kAnyOrder);
     if (rel == CellRelation::kOutside) continue;
-    const uint8_t* filter = nullptr;
-    if (rel == CellRelation::kBoundary) {
-      mask_buf_.resize(n);
-      FilterByBounds(cell.bank, bounds.data(), mask_buf_.data());
-      filter = mask_buf_.data();
-    }
+    const bool boundary = rel == CellRelation::kBoundary;
     for (size_t i = 0; i < n; ++i) {
-      if (filter != nullptr && filter[i] == 0) continue;
+      if (boundary && !cell.bank.Dominates(i, bounds.data())) continue;
       Payload& p = cell.entries[i];
       bool delta;
       if (p.last_visible == invocation) {
@@ -252,16 +251,13 @@ std::vector<CellIndex::Entry> CellIndex::Drain(const CostVector& bounds,
       size_ -= n;
       continue;
     }
-    mask_buf_.resize(n);
-    FilterByBounds(cell.bank, bounds.data(), mask_buf_.data());
-    // Swap-with-back compaction in the legacy entry order; the mask bit
-    // travels with the entry moved into the vacated slot.
+    // Swap-with-back compaction: the entry moved into a vacated slot is
+    // tested there next.
     size_t i = 0;
     while (i < n) {
-      if (mask_buf_[i]) {
+      if (cell.bank.Dominates(i, bounds.data())) {
         removed.push_back(MaterializeEntry(cell, i, &scratch));
         --n;
-        mask_buf_[i] = mask_buf_[n];
         cell.bank.SwapRemove(i);
         cell.entries[i] = cell.entries[n];
         cell.entries.pop_back();

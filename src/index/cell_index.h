@@ -16,15 +16,14 @@
 // 64-bit cell key to its slot — no per-node allocation, no pointer-chasing
 // bucket walks. Each cell keeps its entries in struct-of-arrays form: the
 // cost vectors live in a pareto/kernel.h CostBank (per-metric contiguous
-// double lanes, arena-bump-allocated when the owner supplies a
-// BankArena), with the plan id and Δ-visibility state in one parallel
-// payload array.
-// Boundary-cell filtering and dominance probes run the kernel's batched
-// primitives (FilterByBounds / FindDominating) over whole lanes instead of
-// per-entry CostVector comparisons. Iteration order — and therefore every
-// downstream insertion order — is a deterministic function of the
-// insertion history alone, which is what the bit-identity suites (serial
-// vs pooled, warm vs cold fragment seeding, remote vs in-process) rely on.
+// double lanes, bump-allocated from a BankArena), with the plan id and
+// Δ-visibility state in one parallel payload array. Boundary cells are
+// filtered entry by entry with CostBank::Dominates, and dominance probes
+// run FindDominating, the same early-exit test. Iteration order — and
+// therefore every downstream insertion order — is a deterministic
+// function of the insertion history alone, which is what the
+// bit-identity suites (serial vs pooled, warm vs cold fragment seeding,
+// remote vs in-process) rely on.
 //
 // The index additionally maintains per-entry *visibility stamps* used by
 // the optimizer's Δ-set logic (paper §4.2, function Fresh): Collect()
@@ -37,6 +36,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cost/cost_vector.h"
@@ -81,9 +81,9 @@ class CellIndex {
 
   // `dims` is the number of cost metrics; `gamma` the logarithmic cell
   // width (costs c and c' share a dimension bucket iff
-  // ⌊log_γ c⌋ = ⌊log_γ c'⌋). When `arena` is non-null the cells' cost
-  // lanes are bump-allocated from it (it must outlive the index);
-  // otherwise the index owns heap storage.
+  // ⌊log_γ c⌋ = ⌊log_γ c'⌋). The cells' cost lanes are bump-allocated
+  // from `arena`, which must outlive the index; without one the index
+  // owns its own.
   explicit CellIndex(int dims, double gamma = kCellGamma,
                      BankArena* arena = nullptr);
 
@@ -114,20 +114,14 @@ class CellIndex {
   template <typename F>
   void ForEachInRange(const CostVector& bounds, int max_res, F&& fn) const {
     MOQO_CHECK(bounds.dims() == dims_);
-    std::vector<uint8_t> mask;
     Entry scratch;
     for (const Cell& cell : cells_) {
       if (cell.size() == 0) continue;
       const CellRelation rel = Classify(cell, bounds, max_res, kAnyOrder);
       if (rel == CellRelation::kOutside) continue;
-      const uint8_t* filter = nullptr;
-      if (rel == CellRelation::kBoundary) {
-        mask.resize(cell.size());
-        FilterByBounds(cell.bank, bounds.data(), mask.data());
-        filter = mask.data();
-      }
+      const bool boundary = rel == CellRelation::kBoundary;
       for (size_t i = 0; i < cell.size(); ++i) {
-        if (filter != nullptr && filter[i] == 0) continue;
+        if (boundary && !cell.bank.Dominates(i, bounds.data())) continue;
         fn(MaterializeEntry(cell, i, &scratch));
       }
     }
@@ -158,10 +152,10 @@ class CellIndex {
 
   // Finds the first entry, in (cell creation, entry) order, with
   // resolution <= max_res, matching order tag, and cost ⪯ bounds; returns
-  // true and materializes it into `*out` (when non-null). The batched
-  // replacement of the old pointer-returning lookup: entries live in
-  // lanes, so there is no node to point at. `checked` counts the entries
-  // of boundary cells scanned; cells classified by their box cost none.
+  // true and materializes it into `*out` (when non-null); entries live
+  // in lanes, so there is no node to point at. `checked` counts the
+  // entries of boundary cells scanned; cells classified by their box
+  // cost none.
   bool FindInRange(const CostVector& bounds, int max_res, Entry* out,
                    uint64_t* checked = nullptr,
                    int required_order = kAnyOrder) const;
@@ -279,14 +273,13 @@ class CellIndex {
   int dims_;
   double inv_log_gamma_;
   size_t size_ = 0;
+  std::unique_ptr<BankArena> own_arena_;  // Set when no arena was given.
   BankArena* arena_ = nullptr;
   // Creation-order cell store. A fully drained cell stays as an empty
   // husk (and keeps its KeyMap slot) so a later re-insert reuses it; the
   // husk count is bounded by the number of distinct keys ever touched.
   std::vector<Cell> cells_;
   KeyMap map_;
-  // Scratch mask reused by the mutating range walks.
-  std::vector<uint8_t> mask_buf_;
 };
 
 }  // namespace moqo

@@ -6,15 +6,8 @@
 
 namespace moqo {
 
-// c(a) ⪯ c(b): a is at least as good as b in every metric.
-inline bool Dominates(const CostVector& a, const CostVector& b) {
-  return a.Dominates(b);
-}
-
-// c(a) ≺ c(b): dominates and strictly better in at least one metric.
-inline bool StrictlyDominates(const CostVector& a, const CostVector& b) {
-  return a.StrictlyDominates(b);
-}
+// Exact dominance, c(a) ⪯ c(b), is CostVector::Dominates;
+// CostVector::StrictlyDominates is c(a) ≺ c(b).
 
 // Approximate dominance: a ⪯ alpha * b, i.e. a approximates b with
 // precision factor alpha >= 1 (the comparison used by approximate Pareto

@@ -3,52 +3,33 @@
 namespace moqo {
 
 bool ParetoFrontier::Insert(const CostVector& cost, uint64_t payload) {
-  const size_t n = entries_.size();
-  if (n == 0) {
-    if (bank_.dims() != cost.dims()) bank_ = CostBank(cost.dims());
-  } else {
-    MOQO_DCHECK(cost.dims() == bank_.dims());
-    // Reject iff some member m has m ⪯ cost — the scalar loop's strict
-    // dominators and cost-equal representatives are exactly that mask.
-    if (FindDominating(bank_, cost.data()) != kKernelNpos) return false;
-    // Evict members the new entry strictly dominates. Since no member is
-    // ⪯ cost here, cost ⪯ m already implies m != cost, so the geq mask
-    // alone is the strict mask. Swap-with-back in the scalar order; the
-    // mask bit travels with the member moved into the vacated slot.
-    scratch_.resize(n);
-    DominatedMask(bank_, cost.data(), nullptr, scratch_.data());
-    size_t i = 0, end = n;
-    while (i < end) {
-      if (scratch_[i]) {
-        --end;
-        scratch_[i] = scratch_[end];
-        bank_.SwapRemove(i);
-        entries_[i] = entries_[end];
-        entries_.pop_back();
-      } else {
-        ++i;
-      }
+  // A member ⪯ cost rejects it: strict dominators and cost-equal
+  // duplicates alike, so the first payload wins.
+  if (IsDominated(cost)) return false;
+  for (size_t i = 0; i < entries_.size();) {
+    if (cost.StrictlyDominates(entries_[i].cost)) {
+      entries_[i] = entries_.back();
+      entries_.pop_back();
+    } else {
+      ++i;
     }
   }
-  bank_.PushBack(cost.data());
   entries_.push_back({cost, payload});
   return true;
 }
 
 bool ParetoFrontier::IsStrictlyDominated(const CostVector& cost) const {
-  const size_t n = entries_.size();
-  if (n == 0) return false;
-  scratch_.resize(n);
-  DominatedMask(bank_, cost.data(), scratch_.data(), nullptr);
-  for (size_t i = 0; i < n; ++i) {
-    if (scratch_[i] && !entries_[i].cost.Equals(cost)) return true;
+  for (const Entry& e : entries_) {
+    if (e.cost.StrictlyDominates(cost)) return true;
   }
   return false;
 }
 
 bool ParetoFrontier::IsDominated(const CostVector& cost) const {
-  if (entries_.empty()) return false;
-  return FindDominating(bank_, cost.data()) != kKernelNpos;
+  for (const Entry& e : entries_) {
+    if (e.cost.Dominates(cost)) return true;
+  }
+  return false;
 }
 
 }  // namespace moqo

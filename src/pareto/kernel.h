@@ -1,51 +1,42 @@
-// Data-oriented Pareto kernel: struct-of-arrays cost banks and batched
-// dominance primitives.
+// Pareto kernel: struct-of-arrays cost banks, the arena they draw
+// from, the one dominance probe, and the judge order.
 //
-// The enumeration/dominance inner loop is the service's per-step cost
-// wall (BENCH_service.json: ttff_p99 degrades ~5x as inflight grows at a
-// fixed worker budget). The classic layout — one heap node per indexed
-// plan holding a CostVector, compared entry-by-entry through checked
-// operator[] — is memory-bound: every dominance check walks 56-byte
-// structs to read 2-3 doubles. This kernel stores each cell's costs as
-// contiguous per-metric lanes ("cost banks") and compares one candidate
-// against a whole cell with flat, vectorizable loops.
+// Every CellIndex cell keeps its costs as contiguous per-metric lanes
+// (a "cost bank") bump-allocated from a BankArena, instead of one
+// CostVector per plan. Cells also carry min/max cost boxes
+// (index/cell_index.h), so a pruning probe scans only the cells its
+// bounds cut, and those hold few plans: over the four moqo_bench
+// workloads the probed banks held 2.4-2.6 entries on average and at
+// most 9. So dominance is one scalar early-exit loop per entry
+// (CostBank::Dominates, FindDominating); nothing is batched.
 //
 // Layout. A CostBank holds `dims` lanes of doubles. Lane d occupies
-// [d * capacity, d * capacity + size); capacities are padded to
-// kLanePad so lane loops can be unrolled/vectorized without scalar
-// tails. Entry i's cost vector is (lane_0[i], ..., lane_{dims-1}[i]).
-// Banks draw their storage from a BankArena when one is supplied — a
-// bump allocator (abandoned blocks are reclaimed wholesale when the
-// arena dies, never entry-by-entry) — and from the heap otherwise.
+// [d * capacity, d * capacity + size); capacities double from 4. Entry
+// i's cost vector is (lane_0[i], ..., lane_{dims-1}[i]).
 //
-// Contract. All primitives use exact IEEE-754 comparisons — the same
-// `<=` / `>=` the scalar CostVector::Dominates path performs, in the
-// same per-entry order for order-sensitive operations — so structures
-// built through the kernel are bit-identical to scalar-built ones
-// (asserted by kernel_test's randomized property suite and the
-// bench_dominance_kernel --verify CI smoke). Costs are finite (the
-// index checks on insert); query bounds may contain +infinity. NaNs are
-// never stored, so every comparison is total.
+// Contract. Dominance is the exact IEEE-754 `>` test
+// CostVector::Dominates makes, entry by entry in insertion order, so
+// structures built on the kernel are bit-identical to scalar-built ones
+// (asserted by kernel_test and bench_dominance_kernel --verify). Costs
+// are finite (the index checks on insert); query bounds may contain
+// +infinity but never NaN (IamaSession and OptimizerService reject NaN
+// bounds), so every comparison is total.
 //
-// See docs/KERNEL.md for the full layout and batching contract.
+// See docs/KERNEL.md for the layout and the invariants.
 #ifndef MOQO_PARETO_KERNEL_H_
 #define MOQO_PARETO_KERNEL_H_
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "util/common.h"
 
 namespace moqo {
 
-// Lane padding (doubles): lane starts are aligned to this many elements
-// so a 256-bit SIMD lane never straddles two logical lanes.
-inline constexpr size_t kLanePad = 4;
-
-// "Not found" result of the kernel search primitives.
+// "Not found" result of FindDominating (and of the index's slot lookups).
 inline constexpr uint32_t kKernelNpos = 0xFFFFFFFFu;
 
 // Bump allocator for cost-bank lane storage, shared by many indexes (the
@@ -83,23 +74,21 @@ class BankArena {
   size_t used_ = 0;        // Doubles consumed in chunks_.back().
 };
 
-// Struct-of-arrays cost storage for one cell (or one frontier): `dims`
-// contiguous double lanes, one per metric, padded to kLanePad. Movable,
-// not copyable (a bank may alias arena storage).
+// Struct-of-arrays cost storage for one cell: `dims` contiguous double
+// lanes, one per metric, drawn from a BankArena. Movable, not copyable
+// (a copy would alias the arena block).
 class CostBank {
  public:
   CostBank() = default;
-  // `arena` may be null: the bank then owns heap storage. A non-null
-  // arena must outlive the bank.
-  explicit CostBank(int dims, BankArena* arena = nullptr)
-      : dims_(dims), arena_(arena) {
+  // `arena` must be non-null and outlive the bank.
+  CostBank(int dims, BankArena* arena) : dims_(dims), arena_(arena) {
     MOQO_CHECK(dims >= 1);
+    MOQO_CHECK(arena != nullptr);
   }
 
   CostBank(CostBank&& other) noexcept { *this = std::move(other); }
   CostBank& operator=(CostBank&& other) noexcept {
     lanes_ = other.lanes_;
-    heap_ = std::move(other.heap_);
     size_ = other.size_;
     capacity_ = other.capacity_;
     dims_ = other.dims_;
@@ -130,18 +119,28 @@ class CostBank {
     return Lane(d)[i];
   }
 
+  // Entry i ⪯ c (`dims()` doubles): no component of the entry exceeds
+  // c's, the `>` test CostVector::Dominates makes.
+  bool Dominates(size_t i, const double* c) const {
+    MOQO_DCHECK(i < size_);
+    for (int d = 0; d < dims_; ++d) {
+      if (lanes_[static_cast<size_t>(d) * capacity_ + i] > c[d]) return false;
+    }
+    return true;
+  }
+
   // Appends one cost vector (`dims()` doubles).
   void PushBack(const double* cost) {
-    if (MOQO_PREDICT_FALSE(size_ == capacity_)) Grow(size_ + 1);
+    if (MOQO_PREDICT_FALSE(size_ == capacity_)) Grow();
     for (int d = 0; d < dims_; ++d) {
       lanes_[static_cast<size_t>(d) * capacity_ + size_] = cost[d];
     }
     ++size_;
   }
 
-  // Removes entry i by moving the last entry into its place (the
-  // index/frontier eviction order — callers replicate the same move on
-  // their payload lanes).
+  // Removes entry i by moving the last entry into its place (the index's
+  // eviction order; callers replicate the same move on their payload
+  // lanes).
   void SwapRemove(size_t i) {
     MOQO_DCHECK(i < size_);
     const size_t last = size_ - 1;
@@ -156,44 +155,24 @@ class CostBank {
   void Clear() { size_ = 0; }
 
  private:
-  void Grow(size_t min_capacity);
+  // Doubles the capacity (4 when empty) into a fresh arena block.
+  void Grow();
 
   double* lanes_ = nullptr;  // Lane-major block of dims_ * capacity_.
-  std::unique_ptr<double[]> heap_;  // Owns lanes_ when arena_ == null.
   size_t size_ = 0;
   size_t capacity_ = 0;
   int dims_ = 0;
   BankArena* arena_ = nullptr;
 };
 
-// --- Batched dominance primitives -----------------------------------------
-//
-// All masks are byte masks: out[i] is 1/0 for entry i. Callers provide
-// scratch of at least bank.size() bytes. The loops are written so the
-// compiler vectorizes them (per-lane streaming compares folded with &).
-
-// DominatedMask: compares every entry against candidate `c`
-// (`bank.dims()` doubles) in one pass over the lanes.
-//   leq[i] = 1 iff entry_i ⪯ c  (the entry dominates the candidate)
-//   geq[i] = 1 iff c ⪯ entry_i  (the candidate dominates the entry)
-// Either output may be null when only one side is needed. Equality is
-// leq & geq; strict dominance is one side minus the intersection.
-void DominatedMask(const CostBank& bank, const double* c, uint8_t* leq,
-                   uint8_t* geq);
-
 // First entry (in insertion order) whose cost is ⪯ `bounds`, or
-// kKernelNpos. Early-exits block-wise; the batched form of "is anything
-// in this cell inside the query box" (pruning's dominance probe).
-// `scanned`, when non-null, receives the number of entries examined
-// (instrumentation for Counters::dominance_checks).
+// kKernelNpos: pruning's "is some plan of this cell inside the query
+// box" probe, one early-exit CostBank::Dominates test per entry.
+// `scanned`, when non-null, is advanced by the entries tested (the
+// hit's index + 1, or all of them on a miss), which
+// Counters::dominance_checks sums.
 uint32_t FindDominating(const CostBank& bank, const double* bounds,
                         size_t* scanned = nullptr);
-
-// FilterByBounds: mask[i] = 1 iff entry_i ⪯ bounds. Returns the number
-// of matching entries. The batched form of boundary-cell filtering in
-// range queries (Collect/Drain/ForEachInRange).
-size_t FilterByBounds(const CostBank& bank, const double* bounds,
-                      uint8_t* mask);
 
 // --- Judge order ----------------------------------------------------------
 //

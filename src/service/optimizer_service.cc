@@ -259,6 +259,10 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
     return Status::InvalidArgument(
         "initial_bounds dimension does not match the service metric schema");
   }
+  if (request.iama.initial_bounds.has_value() &&
+      request.iama.initial_bounds->HasNaN()) {
+    return Status::InvalidArgument("initial_bounds must not contain NaN");
+  }
   if (request.iama.optimizer.pool != nullptr) {
     return Status::InvalidArgument(
         "optimizer.pool is owned by the service; do not inject one");
@@ -509,6 +513,9 @@ Status OptimizerService::ApplyBounds(QueryId id, const CostVector& bounds) {
   if (bounds.dims() != options_.schema.dims()) {
     return Status::InvalidArgument(
         "bounds dimension does not match the service metric schema");
+  }
+  if (bounds.HasNaN()) {
+    return Status::InvalidArgument("bounds must not contain NaN");
   }
   RunState* run = it->second->run;
   // Applied by the stepping shard at the next turn boundary; several
@@ -865,8 +872,8 @@ void OptimizerService::SchedulerLoop(size_t shard) {
       // single-caller.
       run->session->RebindPool(pools_[shard].get());
       if (pending.has_value()) {
-        // Dimensions were validated by ApplyBounds against the service
-        // schema, which every session shares.
+        // ApplyBounds validated the dimensions against the service
+        // schema, which every session shares, and rejected NaN.
         MOQO_CHECK(run->session->SetBounds(*pending));
       }
     }

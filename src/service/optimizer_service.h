@@ -297,7 +297,7 @@ class OptimizerService {
   /// riders and its final frontier never enters the cache. Returns
   /// NotFound for unknown/finished ids (including cache-hit submissions,
   /// which finish instantly) and InvalidArgument when `bounds` does not
-  /// match the service metric schema.
+  /// match the service metric schema or has a NaN component.
   Status ApplyBounds(QueryId id, const CostVector& bounds);
 
   /// Blocks until the query finishes (done, cancelled, or expired) and

@@ -254,6 +254,96 @@ TEST(CellIndexProperty2, DrainMatchesBruteForce) {
   EXPECT_EQ(drained_total, expected);
 }
 
+// One boundary cell: ForEachInRange and Collect visit its matches in
+// entry order, and each Drain removes them by swap-with-back (the moved-in
+// entry is tested in place next), in the order a mirror vector gives,
+// leaving the survivors in that order too.
+TEST(CellIndexProperty2, BoundaryCellKeepsEntryOrder) {
+  Rng rng(4711);
+  size_t boundary_walks = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    const int dims = 1 + trial % 3;
+    CellIndex index(dims, 2.0);
+    // Costs in [1, 2)^dims share one γ = 2 cell; a coarse grid makes
+    // ties with the bounds common.
+    std::vector<BruteEntry> mirror;
+    const int n = 2 + static_cast<int>(rng.Uniform(40));
+    for (uint32_t i = 0; i < static_cast<uint32_t>(n); ++i) {
+      CostVector c(dims);
+      for (int d = 0; d < dims; ++d) {
+        c[d] = 1.0 + 0.125 * static_cast<double>(rng.UniformInt(0, 7));
+      }
+      index.Insert(i, c, 0, 1);
+      mirror.push_back({i, c, 0});
+    }
+    ASSERT_EQ(index.NumCells(), 1u);
+    CostVector hi(dims, 1.0);
+    for (const BruteEntry& e : mirror) hi = hi.Max(e.cost);
+    for (int round = 0; round < 3 && !mirror.empty(); ++round) {
+      // Bounds inside the surviving entries' range: none is below the
+      // cell's box, which drains never shrink. They cut it unless they
+      // reach its top in every metric (a cell wholly in range is drained
+      // in entry order instead).
+      CostVector bounds(dims);
+      for (int d = 0; d < dims; ++d) {
+        bounds[d] = mirror[rng.Uniform(mirror.size())].cost[d];
+      }
+      bool boundary = false;
+      for (int d = 0; d < dims; ++d) boundary |= bounds[d] < hi[d];
+      if (!boundary) continue;
+      ++boundary_walks;
+
+      std::vector<uint32_t> matches;
+      for (const BruteEntry& e : mirror) {
+        if (e.cost.Dominates(bounds)) matches.push_back(e.id);
+      }
+      std::vector<uint32_t> visited;
+      index.ForEachInRange(bounds, 0, [&](const CellIndex::Entry& e) {
+        visited.push_back(e.id);
+      });
+      EXPECT_EQ(visited, matches) << "trial " << trial << " round " << round;
+      std::vector<uint32_t> collected;
+      for (const CellIndex::Collected& c :
+           index.Collect(bounds, 0, static_cast<uint32_t>(round + 2))) {
+        collected.push_back(c.id);
+      }
+      EXPECT_EQ(collected, matches) << "trial " << trial << " round " << round;
+
+      std::vector<uint32_t> expect_drained;
+      for (size_t i = 0; i < mirror.size();) {
+        if (mirror[i].cost.Dominates(bounds)) {
+          expect_drained.push_back(mirror[i].id);
+          mirror[i] = mirror.back();
+          mirror.pop_back();
+        } else {
+          ++i;
+        }
+      }
+      std::vector<uint32_t> drained;
+      for (const CellIndex::Entry& e : index.Drain(bounds, 0)) {
+        drained.push_back(e.id);
+      }
+      EXPECT_EQ(drained, expect_drained)
+          << "trial " << trial << " round " << round;
+      std::vector<BruteEntry> survivors;
+      index.ForEachEntry(0, [&](uint32_t id, const CostBank& bank, size_t i,
+                                int, int) {
+        CostVector c(dims);
+        for (int d = 0; d < dims; ++d) c[d] = bank.At(i, d);
+        survivors.push_back({id, c, 0});
+      });
+      ASSERT_EQ(survivors.size(), mirror.size())
+          << "trial " << trial << " round " << round;
+      for (size_t i = 0; i < mirror.size(); ++i) {
+        EXPECT_EQ(survivors[i].id, mirror[i].id) << "trial " << trial;
+        EXPECT_TRUE(survivors[i].cost.Equals(mirror[i].cost))
+            << "trial " << trial;
+      }
+    }
+  }
+  EXPECT_GT(boundary_walks, 2000u);
+}
+
 // --- Property test: box classification against the log-bucket one. ---
 
 // Frozen copy of how CellIndex classified cells before they carried cost

@@ -1,3 +1,4 @@
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,6 +116,22 @@ TEST(IamaSessionTest, InitialBoundsOptionRestrictsFirstSnapshot) {
   for (const auto& e : snap.plans) {
     EXPECT_LE(e.cost[1], 1.0);
   }
+}
+
+// SetBounds refuses bounds the range queries cannot honour: a dimension
+// mismatch, or a NaN component (every `>` test against it is false).
+TEST(IamaSessionTest, SetBoundsRejectsNaNAndWrongDimensions) {
+  RandomWorld world = MakeRandomWorld(65, 3, /*sampling=*/true);
+  IamaSession session(*world.factory, SmallOptions());
+  session.Step();
+  session.ApplyAction(UserAction::Continue());
+  CostVector nan_bounds = CostVector::Infinite(3);
+  nan_bounds[0] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(session.SetBounds(nan_bounds));
+  EXPECT_FALSE(session.SetBounds(CostVector::Infinite(2)));
+  EXPECT_EQ(session.resolution(), 1);  // Unchanged: nothing was applied.
+  EXPECT_TRUE(session.SetBounds(CostVector::Infinite(3)));
+  EXPECT_EQ(session.resolution(), 0);
 }
 
 TEST(IamaSessionTest, SteppingFarPastMaxResolutionStaysClamped) {

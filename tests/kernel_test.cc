@@ -1,9 +1,8 @@
-// Randomized property suite for the data-oriented Pareto kernel
-// (pareto/kernel.h): the batched primitives must be *bit-identical* to
-// the scalar reference paths they replaced. The reference frontier below
-// is a frozen copy of the pre-kernel scalar ParetoFrontier::Insert; the
-// rewritten ParetoFrontier is checked against it, decision by decision
-// and byte by byte.
+// Randomized property suite for the Pareto kernel (pareto/kernel.h) and
+// ParetoFrontier: both must be *bit-identical* to the scalar reference
+// paths. The reference frontier below is a frozen copy of the scalar
+// ParetoFrontier::Insert; ParetoFrontier is checked against it, decision
+// by decision and byte by byte.
 //
 // Cost values are drawn from a small discrete grid so exact duplicates,
 // component ties, and mutual non-dominance all occur constantly — the
@@ -111,51 +110,16 @@ TEST(KernelPropertyTest, InsertBitIdenticalToScalarFrontier) {
   EXPECT_GE(trials, 10000u);
 }
 
-// DominatedMask against per-entry scalar Dominates, 10k+ random
-// (bank, candidate) pairs including infinities in the candidate.
-TEST(KernelPropertyTest, DominatedMaskMatchesScalarDominates) {
-  size_t trials = 0;
-  for (uint64_t seed = 0; seed < 400; ++seed) {
-    Rng rng(seed * 104729 + 3);
-    const int dims = 2 + static_cast<int>(seed % 3);
-    CostBank bank(dims);
-    std::vector<CostVector> mirror;
-    const int n = 1 + static_cast<int>(rng.Uniform(60));
-    for (int i = 0; i < n; ++i) {
-      const CostVector c = RandomCost(rng, dims);
-      bank.PushBack(c.data());
-      mirror.push_back(c);
-    }
-    for (int probe = 0; probe < 30; ++probe) {
-      CostVector c = RandomCost(rng, dims);
-      if (rng.Bernoulli(0.2)) {
-        c[static_cast<int>(rng.Uniform(dims))] =
-            std::numeric_limits<double>::infinity();
-      }
-      std::vector<uint8_t> leq(bank.size()), geq(bank.size());
-      DominatedMask(bank, c.data(), leq.data(), geq.data());
-      for (size_t i = 0; i < bank.size(); ++i) {
-        ASSERT_EQ(leq[i] != 0, mirror[i].Dominates(c))
-            << "leq mask wrong at " << i;
-        ASSERT_EQ(geq[i] != 0, c.Dominates(mirror[i]))
-            << "geq mask wrong at " << i;
-        ++trials;
-      }
-    }
-  }
-  EXPECT_GE(trials, 10000u);
-}
-
 // FindDominating = index of the first entry ⪯ bounds in insertion order,
 // and the `scanned` instrumentation counts entries up to and including
 // the hit (all of them on a miss) — the scalar early-exit loop's count.
 TEST(KernelPropertyTest, FindDominatingMatchesLinearScan) {
+  BankArena arena;
   Rng rng(42);
   for (int trial = 0; trial < 2000; ++trial) {
     const int dims = 2 + trial % 3;
-    CostBank bank(dims);
+    CostBank bank(dims, &arena);
     std::vector<CostVector> mirror;
-    // Cross the block size sometimes (kSearchBlock = 256 internally).
     const int n = static_cast<int>(rng.Uniform(trial % 7 == 0 ? 600 : 40));
     for (int i = 0; i < n; ++i) {
       const CostVector c = RandomCost(rng, dims);
@@ -176,33 +140,6 @@ TEST(KernelPropertyTest, FindDominatingMatchesLinearScan) {
     size_t scanned = 0;
     EXPECT_EQ(FindDominating(bank, bounds.data(), &scanned), expect);
     EXPECT_EQ(scanned, expect_scanned);
-  }
-}
-
-TEST(KernelPropertyTest, FilterByBoundsMatchesLinearScan) {
-  Rng rng(7);
-  for (int trial = 0; trial < 1000; ++trial) {
-    const int dims = 2 + trial % 3;
-    CostBank bank(dims);
-    std::vector<CostVector> mirror;
-    const int n = static_cast<int>(rng.Uniform(80));
-    for (int i = 0; i < n; ++i) {
-      const CostVector c = RandomCost(rng, dims);
-      bank.PushBack(c.data());
-      mirror.push_back(c);
-    }
-    const CostVector bounds = rng.Bernoulli(0.2)
-                                  ? CostVector::Infinite(dims)
-                                  : RandomCost(rng, dims);
-    std::vector<uint8_t> mask(bank.size());
-    const size_t count = FilterByBounds(bank, bounds.data(), mask.data());
-    size_t expect_count = 0;
-    for (size_t i = 0; i < mirror.size(); ++i) {
-      const bool in = mirror[i].Dominates(bounds);
-      EXPECT_EQ(mask[i] != 0, in) << "mask wrong at " << i;
-      expect_count += in;
-    }
-    EXPECT_EQ(count, expect_count);
   }
 }
 
@@ -227,35 +164,32 @@ TEST(KernelPropertyTest, DuplicateCostTieBreakKeepsFirstPayload) {
   EXPECT_EQ(pf.entries()[0].payload, 11u);
 }
 
-// Arena-backed banks behave exactly like heap-backed ones across growth.
+// Arena-backed banks hold exactly what an array-of-structs mirror holds
+// across growth and swap-with-back removals.
 TEST(KernelPropertyTest, ArenaAndHeapBanksAgree) {
   BankArena arena;
   Rng rng(123);
   for (int trial = 0; trial < 50; ++trial) {
     const int dims = 2 + trial % 3;
-    CostBank heap(dims);
     CostBank banked(dims, &arena);
     const int n = 1 + static_cast<int>(rng.Uniform(300));
     std::vector<CostVector> mirror;
     for (int i = 0; i < n; ++i) {
       const CostVector c = RandomCost(rng, dims);
-      heap.PushBack(c.data());
       banked.PushBack(c.data());
       mirror.push_back(c);
     }
     // Some interleaved removals, mirrored on both.
-    for (int r = 0; r < 10 && heap.size() > 1; ++r) {
-      const size_t i = rng.Uniform(heap.size());
-      heap.SwapRemove(i);
+    for (int r = 0; r < 10 && banked.size() > 1; ++r) {
+      const size_t i = rng.Uniform(banked.size());
       banked.SwapRemove(i);
       mirror[i] = mirror.back();
       mirror.pop_back();
     }
-    ASSERT_EQ(heap.size(), banked.size());
-    for (size_t i = 0; i < heap.size(); ++i) {
+    ASSERT_EQ(banked.size(), mirror.size());
+    for (size_t i = 0; i < banked.size(); ++i) {
       for (int d = 0; d < dims; ++d) {
-        ASSERT_TRUE(SameBits(heap.At(i, d), banked.At(i, d)));
-        ASSERT_TRUE(SameBits(heap.At(i, d), mirror[i].at(d)));
+        ASSERT_TRUE(SameBits(banked.At(i, d), mirror[i].at(d)));
       }
     }
   }

@@ -14,7 +14,7 @@ namespace {
 TEST(DominanceTest, ApproxDominates) {
   CostVector a{10.0, 10.0};
   CostVector b{9.0, 9.0};
-  EXPECT_FALSE(Dominates(a, b));
+  EXPECT_FALSE(a.Dominates(b));
   EXPECT_TRUE(ApproxDominates(a, b, 1.2));   // 10 <= 1.2 * 9.
   EXPECT_FALSE(ApproxDominates(a, b, 1.05));
   EXPECT_TRUE(ApproxDominates(b, a, 1.0));

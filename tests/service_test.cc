@@ -402,6 +402,22 @@ TEST(OptimizerServiceTest, RejectsInvalidSubmissions) {
   EXPECT_EQ(service.stats().submitted, 0u);
 }
 
+// Every `>` test against a NaN bound is false, so a NaN component would
+// make the pruning probe ignore that metric and discard plans that are
+// beaten only on the others. Submit rejects it at admission.
+TEST(OptimizerServiceTest, RejectsNaNInitialBounds) {
+  const Workload w = MakeWorkload(/*num_random=*/0);
+  OptimizerService service(w.catalog, SmallServiceOptions(1));
+  SubmitRequest request = SmallRequest(w.queries.front());
+  CostVector bounds = CostVector::Infinite(3);
+  bounds[0] = std::numeric_limits<double>::quiet_NaN();
+  request.iama.initial_bounds = bounds;
+  const StatusOr<SubmitResponse> rejected = service.Submit(std::move(request));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.stats().submitted, 0u);
+}
+
 TEST(OptimizerServiceTest, MaxIterationsLimitBoundsRunLength) {
   const Workload w = MakeWorkload(/*num_random=*/0);
   ServiceOptions options = SmallServiceOptions(1);
@@ -918,6 +934,29 @@ TEST(OptimizerServiceApplyBoundsTest, RejectsUnknownIdsAndBadDimensions) {
   service.Wait(done);
   EXPECT_EQ(service.ApplyBounds(done, CostVector::Infinite(3)).code(),
             StatusCode::kNotFound);
+}
+
+// A NaN component is rejected while the query is live, and the run goes
+// on unbounded as if the call had not happened.
+TEST(OptimizerServiceApplyBoundsTest, RejectsNaNBounds) {
+  const Workload w = MakeWorkload(/*num_random=*/1, /*random_tables=*/4);
+  CoalescingRig rig(w);
+  const QueryId id = rig.service.Submit(rig.submit).value().id;
+  CostVector bounds = CostVector::Infinite(3);
+  bounds[1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(rig.service.ApplyBounds(id, bounds).code(),
+            StatusCode::kInvalidArgument);
+
+  rig.ReleaseAndFinishBlocker();
+  const QueryResult r = rig.service.Wait(id);
+  EXPECT_EQ(r.state, QueryState::kDone);
+  EXPECT_EQ(r.iterations, rig.iterations);
+  const FrontierSnapshot reference =
+      SequentialFinalSnapshot(w.queries.front(), w.catalog,
+                              SmallServiceOptions(1), rig.submit.iama,
+                              rig.iterations);
+  ASSERT_EQ(FrontierSignature(r.frontier.plans),
+            FrontierSignature(reference.plans));
 }
 
 TEST(OptimizerServiceApplyBoundsTest, TightensInFlightRunAndSkipsCache) {
