@@ -42,6 +42,9 @@
 //                      (fdatasync on a periodic tick of the write-behind
 //                      thread), always (fdatasync every append)
 //
+// A numeric flag must be a whole number in its range (threads and shards
+// >= 1, port <= 65535, the others >= 0; --shed-hint-ms may be
+// fractional). Like an unknown flag, a bad value exits 2 naming the flag.
 
 // Prints exactly one line "optimizerd: listening on HOST:PORT" once
 // serving (scripts parse it; see tests/optimizerd_smoke.sh), then blocks.
@@ -50,25 +53,65 @@
 // clients, then the process exits 0 with a stats summary.
 #include <signal.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "catalog/tpch.h"
 #include "net/server.h"
 #include "service/optimizer_service.h"
+#include "util/str.h"
 
 using namespace moqo;
 
 namespace {
 
-// Parses "MAX" or "MAX:WEIGHT" into a TenantQuota.
-TenantQuota ParseQuota(const char* spec) {
+constexpr long long kIntMax = std::numeric_limits<int>::max();
+constexpr long long kSizeMax = static_cast<long long>(
+    std::min<unsigned long long>(std::numeric_limits<size_t>::max(),
+                                 std::numeric_limits<long long>::max()));
+
+// The value `text` of numeric flag `flag`: all of it must parse (strtod
+// for a double flag, strtoll otherwise) to a number in [lo, hi].
+// Anything else exits 2 naming the flag, as an unknown flag does.
+template <typename T>
+T NumericFlag(const std::string& flag, const std::string& text, T lo, T hi) {
+  static_assert(std::is_same_v<T, long long> || std::is_same_v<T, double>);
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  T value;
+  std::string range;
+  if constexpr (std::is_same_v<T, double>) {
+    value = std::strtod(begin, &end);
+    range = StrFormat("a number in [%g, %g]", lo, hi);
+  } else {
+    value = std::strtoll(begin, &end, 10);
+    range = StrFormat("an integer in [%lld, %lld]", lo, hi);
+  }
+  if (end == begin || *end != '\0' || errno == ERANGE || !(value >= lo) ||
+      !(value <= hi)) {
+    std::fprintf(stderr, "%s wants %s, got '%s'\n", flag.c_str(),
+                 range.c_str(), begin);
+    std::exit(2);
+  }
+  return value;
+}
+
+// Parses flag `flag`'s value "MAX" or "MAX:WEIGHT" into a TenantQuota.
+TenantQuota ParseQuota(const std::string& flag, const std::string& spec) {
+  const size_t colon = spec.find(':');
   TenantQuota q;
-  q.max_inflight = std::atoi(spec);
-  const char* colon = std::strchr(spec, ':');
-  if (colon != nullptr) q.weight = std::atoi(colon + 1);
+  q.max_inflight =
+      static_cast<int>(NumericFlag(flag, spec.substr(0, colon), 0LL, kIntMax));
+  if (colon != std::string::npos) {
+    q.weight = static_cast<int>(
+        NumericFlag(flag, spec.substr(colon + 1), 0LL, kIntMax));
+  }
   return q;
 }
 
@@ -92,42 +135,49 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The ranges keep every cast below exact (and << 20 from wrapping).
+    auto integer = [&](long long lo, long long hi) {
+      return NumericFlag(arg, next(), lo, hi);
+    };
     if (arg == "--port") {
-      server_options.port = static_cast<uint16_t>(std::atoi(next()));
+      server_options.port = static_cast<uint16_t>(integer(0, 65535));
     } else if (arg == "--host") {
       server_options.host = next();
     } else if (arg == "--threads") {
-      service_options.num_threads = std::atoi(next());
+      service_options.num_threads = static_cast<int>(integer(1, kIntMax));
     } else if (arg == "--shards") {
-      service_options.num_shards = std::atoi(next());
+      service_options.num_shards = static_cast<int>(integer(1, kIntMax));
     } else if (arg == "--max-inflight") {
       service_options.max_inflight_runs =
-          static_cast<size_t>(std::atoll(next()));
+          static_cast<size_t>(integer(0, kSizeMax));
     } else if (arg == "--max-iterations") {
-      service_options.max_iterations_limit = std::atoi(next());
+      service_options.max_iterations_limit =
+          static_cast<int>(integer(0, kIntMax));
     } else if (arg == "--shed-hint-ms") {
-      service_options.shed_retry_hint_ms = std::atof(next());
+      // At most an hour: the hint is a retry delay, not a ban.
+      service_options.shed_retry_hint_ms = NumericFlag(arg, next(), 0.0, 3.6e6);
     } else if (arg == "--quota") {
-      const char* spec = next();
-      const char* eq = std::strchr(spec, '=');
-      if (eq == nullptr) {
+      const std::string spec = next();
+      const size_t eq = spec.find('=');
+      if (eq == std::string::npos) {
         std::fprintf(stderr, "--quota wants TENANT=MAX[:WEIGHT]\n");
         return 2;
       }
-      service_options.tenant_quotas[std::string(spec, eq)] =
-          ParseQuota(eq + 1);
+      service_options.tenant_quotas[spec.substr(0, eq)] =
+          ParseQuota(arg, spec.substr(eq + 1));
     } else if (arg == "--default-quota") {
-      service_options.default_quota = ParseQuota(next());
+      service_options.default_quota = ParseQuota(arg, next());
     } else if (arg == "--max-connections") {
-      server_options.max_connections = static_cast<size_t>(std::atoll(next()));
+      server_options.max_connections =
+          static_cast<size_t>(integer(0, kSizeMax));
     } else if (arg == "--fragment-cache-mb") {
       service_options.fragment_cache_bytes =
-          static_cast<size_t>(std::atoll(next())) << 20;
+          static_cast<size_t>(integer(0, kSizeMax >> 20)) << 20;
     } else if (arg == "--store-path") {
       service_options.fragment_store_path = next();
     } else if (arg == "--store-budget-mb") {
       service_options.fragment_cold_budget_bytes =
-          static_cast<size_t>(std::atoll(next())) << 20;
+          static_cast<size_t>(integer(0, kSizeMax >> 20)) << 20;
     } else if (arg == "--fsync") {
       const std::string mode = next();
       if (mode == "none") {
@@ -164,11 +214,10 @@ int main(int argc, char** argv) {
     const FragmentStoreStats fs = service.fragment_store()->Stats();
     const Status cold = service.fragment_store()->cold_status();
     std::printf(
-        "optimizerd: fragment store %s: replayed %llu fragments, epoch %llu, "
+        "optimizerd: fragment store %s: replayed %llu fragments, "
         "torn bytes %llu, decode errors %llu%s%s\n",
         service_options.fragment_store_path.c_str(),
         static_cast<unsigned long long>(fs.replayed_fragments),
-        static_cast<unsigned long long>(service.fragment_store()->epoch()),
         static_cast<unsigned long long>(fs.replay_torn_bytes),
         static_cast<unsigned long long>(fs.cold_decode_errors),
         cold.ok() ? "" : ", DEGRADED: ", cold.ok() ? "" : cold.ToString().c_str());

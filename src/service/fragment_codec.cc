@@ -68,8 +68,6 @@ std::string EncodeFragmentRecord(const FragmentRecord& record,
   MOQO_CHECK(record.resolution_complete >= 0);
   net::Writer w;
   w.PutU8(kFragmentCodecVersion);
-  w.PutVarint(record.epoch);
-  w.PutVarint(record.catalog_version);
   w.PutVarint(static_cast<uint64_t>(record.resolution_complete));
   w.PutStr(record.key);
   w.PutVarint(fragment.plans.size());
@@ -85,8 +83,6 @@ Status DecodeFragmentRecord(const std::string& bytes, FragmentRecord* record,
   if (version != kFragmentCodecVersion) {
     return Corrupt("unsupported fragment codec version");
   }
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&record->epoch));
-  MOQO_RETURN_IF_ERROR(r.GetVarint(&record->catalog_version));
   uint64_t resolution_complete = 0;
   MOQO_RETURN_IF_ERROR(r.GetVarint(&resolution_complete));
   if (resolution_complete > kMaxResolutionComplete) {
@@ -108,25 +104,6 @@ Status DecodeFragmentRecord(const std::string& bytes, FragmentRecord* record,
     fragment->plans.push_back(plan);
   }
   if (!r.AtEnd()) return Corrupt("trailing bytes after fragment record");
-  return Status::OK();
-}
-
-std::string EncodeEpochRecord(uint64_t epoch) {
-  net::Writer w;
-  w.PutU8(kFragmentCodecVersion);
-  w.PutVarint(epoch);
-  return w.bytes();
-}
-
-Status DecodeEpochRecord(const std::string& bytes, uint64_t* epoch) {
-  net::Reader r(bytes);
-  uint8_t version = 0;
-  MOQO_RETURN_IF_ERROR(r.GetU8(&version));
-  if (version != kFragmentCodecVersion) {
-    return Corrupt("unsupported fragment codec version");
-  }
-  MOQO_RETURN_IF_ERROR(r.GetVarint(epoch));
-  if (!r.AtEnd()) return Corrupt("trailing bytes after epoch record");
   return Status::OK();
 }
 

@@ -2,9 +2,10 @@
 /// Versioned binary serialization of fragment-store snapshots.
 ///
 /// The codec turns one published fragment — canonical sub-join-graph key,
-/// store epoch, catalog version, and the cell's result plans in the
-/// donor index's order — into a self-contained byte string, and frames such
-/// payloads into the FragmentStore's append-only persistence log. It is
+/// the finest resolution the donor completed, and the cell's result
+/// plans in the donor index's order — into a self-contained byte string,
+/// and frames such payloads into the FragmentStore's append-only
+/// persistence log. It is
 /// the byte layer under the cold tier of the tiered fragment store:
 /// fragments the DRAM budget cannot hold live on as compact serialized
 /// records, decoded back on demand.
@@ -55,15 +56,10 @@ inline constexpr uint32_t kMaxFragmentRecordBytes = 64u << 20;
 /// key plus everything Lookup needs to serve it without consulting the
 /// donor process again.
 struct FragmentRecord {
-  /// Canonical sub-join-graph key (FragmentQueryBinding encoding). The
-  /// key embeds the store epoch textually; the binary `epoch` field
-  /// below is what the store's lazy invalidation checks at decode time.
+  /// Canonical sub-join-graph key (FragmentQueryBinding encoding). It
+  /// names everything the frontier depends on, the catalog fingerprint
+  /// included, so a record is valid wherever its key is looked up.
   std::string key;
-  /// Store epoch the fragment was published under.
-  uint64_t epoch = 0;
-  /// Catalog version of the publishing run (diagnostics; the epoch is
-  /// the invalidation authority).
-  uint64_t catalog_version = 0;
   /// Finest resolution level the donor run completed for the cell.
   int resolution_complete = 0;
 };
@@ -84,19 +80,16 @@ std::string EncodeFragmentRecord(const FragmentRecord& record,
 Status DecodeFragmentRecord(const std::string& bytes, FragmentRecord* record,
                             StoredFragment* fragment);
 
-/// Record type tag inside the persistence log.
+/// Record type tag inside the persistence log. Replay skips any other
+/// type as dead bytes, which compaction then reclaims.
+///
+/// Types 1-4 are retired. Never reuse them, so that a record from an
+/// older log is never read under a new meaning: 1 and 2 were fragments
+/// and store-epoch bumps keyed by a process-local epoch, 3 and 4 the
+/// distributed tier's.
 enum class LogRecordType : uint8_t {
-  kFragment = 1,  ///< EncodeFragmentRecord payload.
-  kEpoch = 2,     ///< EncodeEpochRecord payload (store epoch bump).
+  kFragment = 5,  ///< EncodeFragmentRecord payload.
 };
-
-/// Encodes an epoch-bump payload (version byte + varint epoch). Epoch
-/// records make BumpEpoch durable: replay recovers the exact epoch, so
-/// fragments invalidated before a crash stay invalidated after it.
-std::string EncodeEpochRecord(uint64_t epoch);
-
-/// Decodes an epoch-bump payload.
-Status DecodeEpochRecord(const std::string& bytes, uint64_t* epoch);
 
 /// Frames `payload` as one log record — little-endian u32 length
 /// (covering the type byte and payload), u32 CRC-32 over the same

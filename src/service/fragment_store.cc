@@ -90,13 +90,12 @@ bool ReadRecordAt(int fd, size_t offset, size_t avail, std::string* framed) {
 // index over the live fragment records. All fields are guarded by `mu`
 // after construction (OpenAndReplay runs single-threaded in the ctor).
 // The background worker is the only appender; Lookup only reads record
-// bytes and drops stale entries.
+// bytes and drops records that no longer decode.
 struct FragmentStore::Cold {
   struct Entry {
     size_t offset = 0;   // Framed record start within the log.
     size_t bytes = 0;    // Framed record size (header included).
     int resolution = 0;  // resolution_complete, for coarse-skip checks.
-    uint64_t epoch = 0;  // Publish epoch, for staleness checks.
   };
 
   mutable std::mutex mu;
@@ -105,13 +104,11 @@ struct FragmentStore::Cold {
   size_t used = 0;     // Log length == append offset.
   bool dirty = false;  // Bytes appended since the last fdatasync.
   std::unordered_map<std::string, Entry> index;
-  size_t dead_bytes = 0;  // Superseded/stale/skipped framed bytes.
-  size_t last_epoch_record_bytes = 0;  // Latest epoch record (live bytes).
+  size_t dead_bytes = 0;  // Superseded/dropped/skipped framed bytes.
   // Gauged/monotonic cold counters (reported via Stats()).
   uint64_t appends = 0;
   uint64_t compactions = 0;
   uint64_t decode_errors = 0;
-  uint64_t stale_dropped = 0;
   uint64_t replayed = 0;
   size_t torn_bytes = 0;
   uint64_t budget_dropped = 0;  // Live entries dropped by the byte budget.
@@ -210,27 +207,20 @@ std::shared_ptr<const StoredFragment> FragmentStore::Lookup(
   // Hot miss: consult the cold tier. Record bytes are read under the
   // cold mutex (compaction may swap the file underneath) and decoded
   // outside it.
-  const uint64_t current_epoch = epoch_.load(std::memory_order_relaxed);
   std::string payload;
   size_t entry_offset = 0;
   bool have_record = false;
   if (cold_ != nullptr) {
     std::lock_guard<std::mutex> lock(cold_->mu);
     auto it = cold_->index.find(key);
-    if (it != cold_->index.end() && cold_->status.ok()) {
+    if (it != cold_->index.end() && cold_->status.ok() &&
+        it->second.resolution >= min_resolution) {
       const Cold::Entry& e = it->second;
-      if (e.epoch != current_epoch) {
-        // Raced past the bump sweep: lazily invalidate now.
-        cold_->dead_bytes += e.bytes;
-        cold_->stale_dropped += 1;
-        cold_->index.erase(it);
-      } else if (e.resolution >= min_resolution) {
-        payload.resize(e.bytes - kLogHeaderBytes);
-        entry_offset = e.offset;
-        have_record = TransferAll(::pread, cold_->fd, &payload[0],
-                                  payload.size(), e.offset + kLogHeaderBytes);
-        if (!have_record) FailColdLocked("pread", options_.store_path);
-      }
+      payload.resize(e.bytes - kLogHeaderBytes);
+      entry_offset = e.offset;
+      have_record = TransferAll(::pread, cold_->fd, &payload[0],
+                                payload.size(), e.offset + kLogHeaderBytes);
+      if (!have_record) FailColdLocked("pread", options_.store_path);
     }
   }
   if (!have_record) {
@@ -239,18 +229,13 @@ std::shared_ptr<const StoredFragment> FragmentStore::Lookup(
   }
   FragmentRecord record;
   auto fragment = std::make_shared<StoredFragment>();
-  const Status decode = DecodeFragmentRecord(payload, &record, fragment.get());
-  if (!decode.ok() || record.epoch != current_epoch) {
+  if (!DecodeFragmentRecord(payload, &record, fragment.get()).ok()) {
     std::lock_guard<std::mutex> lock(cold_->mu);
     auto it = cold_->index.find(key);
     // Only drop the entry we actually read (compaction moves offsets).
     if (it != cold_->index.end() && it->second.offset == entry_offset) {
       cold_->dead_bytes += it->second.bytes;
-      if (!decode.ok()) {
-        cold_->decode_errors += 1;
-      } else {
-        cold_->stale_dropped += 1;
-      }
+      cold_->decode_errors += 1;
       cold_->index.erase(it);
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -274,21 +259,7 @@ void FragmentStore::Publish(const std::string& key,
   // log already holds at equal-or-finer resolution appends nothing.
   if ((inserted || options_.capacity_bytes == 0) &&
       cold_active_.load(std::memory_order_acquire)) {
-    WriteTask task;
-    task.epoch = epoch_.load(std::memory_order_relaxed);
-    task.key = key;
-    task.fragment = std::move(fragment);
-    EnqueueTask(std::move(task));
-  }
-}
-
-void FragmentStore::BumpEpoch() {
-  const uint64_t next = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (cold_active_.load(std::memory_order_acquire)) {
-    WriteTask task;
-    task.is_epoch = true;
-    task.epoch = next;
-    EnqueueTask(std::move(task));
+    EnqueueTask(WriteTask{key, std::move(fragment)});
   }
 }
 
@@ -345,15 +316,10 @@ void FragmentStore::WorkerLoop() {
       queue_.pop_front();
       worker_busy_ = true;
     }
-    if (task.is_epoch) {
-      std::lock_guard<std::mutex> lock(cold_->mu);
-      if (cold_->status.ok()) AppendEpochLocked(task.epoch);
-    } else {
+    {
       // Encode outside the cold mutex; readers keep serving meanwhile.
       FragmentRecord record;
       record.key = task.key;
-      record.epoch = task.epoch;
-      record.catalog_version = catalog_version_.load(std::memory_order_relaxed);
       record.resolution_complete = task.fragment->resolution_complete;
       const std::string payload =
           EncodeFragmentRecord(record, *task.fragment);
@@ -376,11 +342,8 @@ void FragmentStore::WorkerLoop() {
 
 void FragmentStore::AppendFragmentLocked(const WriteTask& task,
                                          const std::string& payload) {
-  // A publish that raced an epoch bump is already invisible (its key
-  // embeds the old epoch); don't persist it.
-  if (task.epoch != epoch_.load(std::memory_order_relaxed)) return;
   auto it = cold_->index.find(task.key);
-  if (it != cold_->index.end() && it->second.epoch == task.epoch &&
+  if (it != cold_->index.end() &&
       it->second.resolution >= task.fragment->resolution_complete) {
     return;  // The log already holds an equal-or-finer record.
   }
@@ -390,7 +353,6 @@ void FragmentStore::AppendFragmentLocked(const WriteTask& task,
   entry.offset = cold_->used;
   entry.bytes = framed.size();
   entry.resolution = task.fragment->resolution_complete;
-  entry.epoch = task.epoch;
   if (!AppendRawLocked(framed)) return;
   if (it != cold_->index.end()) {
     cold_->dead_bytes += it->second.bytes;
@@ -400,31 +362,6 @@ void FragmentStore::AppendFragmentLocked(const WriteTask& task,
   }
   cold_->appends += 1;
   EnforceColdBudgetLocked();
-  MaybeCompactLocked();
-  if (options_.fsync_mode == FragmentFsyncMode::kAlways) SyncColdLocked();
-}
-
-void FragmentStore::AppendEpochLocked(uint64_t new_epoch) {
-  std::string framed;
-  AppendLogRecord(&framed, LogRecordType::kEpoch,
-                  EncodeEpochRecord(new_epoch));
-  if (!AppendRawLocked(framed)) return;
-  // The previous epoch record is now history; the new one is live.
-  cold_->dead_bytes += cold_->last_epoch_record_bytes;
-  cold_->last_epoch_record_bytes = framed.size();
-  cold_->appends += 1;
-  // Sweep entries invalidated by the bump into dead bytes. A concurrent
-  // publish under the new epoch is not yet in the index (this worker
-  // appends it later), so the sweep cannot drop live data.
-  for (auto it = cold_->index.begin(); it != cold_->index.end();) {
-    if (it->second.epoch < new_epoch) {
-      cold_->dead_bytes += it->second.bytes;
-      cold_->stale_dropped += 1;
-      it = cold_->index.erase(it);
-    } else {
-      ++it;
-    }
-  }
   MaybeCompactLocked();
   if (options_.fsync_mode == FragmentFsyncMode::kAlways) SyncColdLocked();
 }
@@ -453,8 +390,8 @@ void FragmentStore::FailColdLocked(const char* op, const std::string& path) {
 }
 
 // The cold live-byte budget: while live bytes (used minus dead) exceed
-// it, demote the oldest live fragment — smallest (epoch, offset), the
-// least recently (re)published record — to dead bytes. Demotion-to-drop
+// it, demote the oldest live fragment — smallest offset, the least
+// recently (re)published record — to dead bytes. Demotion-to-drop
 // rather than demotion-to-somewhere: there is no colder tier, so the
 // fragment simply stops being servable and compaction reclaims the
 // space. Linear victim scans are fine at this call rate (one append per
@@ -463,15 +400,11 @@ void FragmentStore::EnforceColdBudgetLocked() {
   if (options_.cold_budget_bytes == 0) return;
   while (!cold_->index.empty() &&
          cold_->used - cold_->dead_bytes > options_.cold_budget_bytes) {
-    auto victim = cold_->index.begin();
-    for (auto it = std::next(cold_->index.begin()); it != cold_->index.end();
-         ++it) {
-      if (it->second.epoch < victim->second.epoch ||
-          (it->second.epoch == victim->second.epoch &&
-           it->second.offset < victim->second.offset)) {
-        victim = it;
-      }
-    }
+    auto victim = std::min_element(
+        cold_->index.begin(), cold_->index.end(),
+        [](const auto& a, const auto& b) {
+          return a.second.offset < b.second.offset;
+        });
     cold_->dead_bytes += victim->second.bytes;
     cold_->budget_dropped += 1;
     cold_->index.erase(victim);
@@ -497,9 +430,9 @@ void FragmentStore::MaybeCompactLocked() {
     return;
   }
   // Rewrite the live records (offset order preserves replay chronology)
-  // plus one fresh epoch record into a sibling file, sync it under any
-  // fsync policy, then swap it in by rename. A crash anywhere in between
-  // leaves either the old or the new log — both complete.
+  // into a sibling file, sync it under any fsync policy, then swap it in
+  // by rename. A crash anywhere in between leaves either the old or the
+  // new log — both complete.
   std::vector<std::pair<const std::string*, Cold::Entry*>> live;
   live.reserve(cold_->index.size());
   for (auto& kv : cold_->index) live.emplace_back(&kv.first, &kv.second);
@@ -508,9 +441,6 @@ void FragmentStore::MaybeCompactLocked() {
               return a.second->offset < b.second->offset;
             });
   std::string out;
-  AppendLogRecord(&out, LogRecordType::kEpoch,
-                  EncodeEpochRecord(epoch_.load(std::memory_order_relaxed)));
-  const size_t epoch_record_bytes = out.size();
   std::vector<size_t> new_offsets(live.size());
   for (size_t i = 0; i < live.size(); ++i) {
     new_offsets[i] = out.size();
@@ -546,7 +476,6 @@ void FragmentStore::MaybeCompactLocked() {
   cold_->fd = tmp_fd;
   cold_->used = out.size();
   cold_->dead_bytes = 0;
-  cold_->last_epoch_record_bytes = epoch_record_bytes;
   for (size_t i = 0; i < live.size(); ++i) {
     live[i].second->offset = new_offsets[i];
   }
@@ -577,7 +506,6 @@ void FragmentStore::OpenAndReplay() {
   // frames but fail payload decode (a future codec version, isolated
   // corruption under a valid CRC) are skipped individually: framing
   // makes them safely skippable.
-  uint64_t max_epoch = 0;
   size_t offset = 0;
   std::string framed;
   while (offset < size) {
@@ -598,12 +526,10 @@ void FragmentStore::OpenAndReplay() {
         cold_->decode_errors += 1;
         cold_->dead_bytes += record_bytes;
       } else {
-        max_epoch = std::max(max_epoch, record.epoch);
         Cold::Entry entry;
         entry.offset = offset;
         entry.bytes = record_bytes;
         entry.resolution = record.resolution_complete;
-        entry.epoch = record.epoch;
         auto it = cold_->index.find(record.key);
         if (it == cold_->index.end()) {
           cold_->index.emplace(std::move(record.key), entry);
@@ -614,18 +540,9 @@ void FragmentStore::OpenAndReplay() {
           cold_->dead_bytes += record_bytes;
         }
       }
-    } else if (type == static_cast<uint8_t>(LogRecordType::kEpoch)) {
-      uint64_t epoch = 0;
-      if (DecodeEpochRecord(payload, &epoch).ok()) {
-        max_epoch = std::max(max_epoch, epoch);
-        cold_->dead_bytes += cold_->last_epoch_record_bytes;
-        cold_->last_epoch_record_bytes = record_bytes;
-      } else {
-        cold_->decode_errors += 1;
-        cold_->dead_bytes += record_bytes;
-      }
     } else {
-      // Unknown record type (future format): framing lets us skip it.
+      // A retired or future record type: framing lets us skip it, and
+      // compaction reclaims its bytes.
       cold_->dead_bytes += record_bytes;
     }
     offset += record_bytes;
@@ -640,19 +557,6 @@ void FragmentStore::OpenAndReplay() {
       ::ftruncate(cold_->fd, static_cast<off_t>(offset)) != 0) {
     FailColdLocked("ftruncate", options_.store_path);
     return;
-  }
-
-  // Drop entries superseded by the final epoch; without this, a crash
-  // after a bump's sweep but before compaction would resurrect them.
-  epoch_.store(max_epoch, std::memory_order_relaxed);
-  for (auto it = cold_->index.begin(); it != cold_->index.end();) {
-    if (it->second.epoch < max_epoch) {
-      cold_->dead_bytes += it->second.bytes;
-      cold_->stale_dropped += 1;
-      it = cold_->index.erase(it);
-    } else {
-      ++it;
-    }
   }
   cold_->replayed = cold_->index.size();
   // A budget tighter than the recovered live set applies immediately —
@@ -683,7 +587,6 @@ FragmentStoreStats FragmentStore::Stats() const {
     out.cold_bytes = cold_->used;
     out.cold_dead_bytes = cold_->dead_bytes;
     out.cold_decode_errors = cold_->decode_errors;
-    out.cold_stale_dropped = cold_->stale_dropped;
     out.replayed_fragments = cold_->replayed;
     out.replay_torn_bytes = cold_->torn_bytes;
     out.cold_budget_dropped = cold_->budget_dropped;
@@ -730,11 +633,51 @@ void AppendFrontierOptions(std::string* key, const MetricSchema& schema,
   *key += opt.sorted_pruning ? ":1" : ":0";
 }
 
+uint64_t FragmentCatalogFingerprint(const CatalogSnapshot& catalog,
+                                    const CostModelParams& cost_params,
+                                    const OperatorOptions& operator_options) {
+  // FNV-1a over each field's raw bits rather than a text rendering: the
+  // service hashes its whole catalog at construction and on refresh, and
+  // catalogs can hold tens of thousands of tables.
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const auto& field) {
+    unsigned char bytes[sizeof(field)];
+    std::memcpy(bytes, &field, sizeof(field));
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ull;
+    }
+  };
+  // A field added to any of the three structs must fail to compile here
+  // until it is hashed: the bindings name every field, and the size
+  // check covers CostModelParams, whose bytes are exactly its 17 doubles.
+  // Table names are display-only.
+  for (TableId id = 0; id < catalog.NumTables(); ++id) {
+    const auto& [name, cardinality, row_bytes, has_index] = catalog.Get(id);
+    mix(cardinality);
+    mix(row_bytes);
+    mix(has_index);
+  }
+  static_assert(sizeof(CostModelParams) == 17 * sizeof(double));
+  mix(cost_params);
+  const auto& [max_workers, max_sampling_rates, index_scans, sort_merge,
+               nested_loop, interesting_orders, nested_loop_max_inner_rows] =
+      operator_options;
+  mix(max_workers);
+  mix(max_sampling_rates);
+  mix(index_scans);
+  mix(sort_merge);
+  mix(nested_loop);
+  mix(interesting_orders);
+  mix(nested_loop_max_inner_rows);
+  return h;
+}
+
 FragmentQueryBinding::FragmentQueryBinding(const Query& query,
                                            const MetricSchema& schema,
                                            const IamaOptions& iama,
                                            bool orders_enabled,
-                                           uint64_t epoch)
+                                           uint64_t catalog_fingerprint)
     : tables_(query.tables),
       joins_(query.joins),
       orders_enabled_(orders_enabled) {
@@ -746,11 +689,12 @@ FragmentQueryBinding::FragmentQueryBinding(const Query& query,
   // The shared key prefix: everything per-service or per-submission that
   // the per-cell frontier depends on beyond the sub-join-graph itself.
   // The leading version names the enumeration that produced the stored
-  // frontiers; bump it whenever a cell's frontier for the same inputs
-  // changes, so a log written by an older build seeds nothing. f2: each
-  // unordered split and sub-plan pair is enumerated once.
-  context_ = "f2;e=";
-  context_ += std::to_string(epoch);
+  // frontiers and the key layout; bump it whenever a cell's frontier for
+  // the same inputs changes, so a log written by an older build seeds
+  // nothing. f2: each unordered split and sub-plan pair is enumerated
+  // once. f3: the catalog fingerprint replaces a process-local epoch.
+  context_ = StrFormat("f3;c=%016llx",
+                       static_cast<unsigned long long>(catalog_fingerprint));
   AppendFrontierOptions(&context_, schema, iama);
   context_ += orders_enabled_ ? ":1" : ":0";
 }
@@ -889,26 +833,15 @@ void FragmentQueryBinding::OrdersToLocal(TableSet cell,
 
 // --- FragmentStoreProvider --------------------------------------------------
 
-namespace {
-
-// Null-checks `store` before the member-init list touches it (the
-// default-epoch path reads store->epoch() before the ctor body runs).
-uint64_t ResolveEpoch(FragmentStore* store,
-                      std::optional<uint64_t> pinned_epoch) {
-  MOQO_CHECK(store != nullptr);
-  return pinned_epoch.has_value() ? *pinned_epoch : store->epoch();
-}
-
-}  // namespace
-
 FragmentStoreProvider::FragmentStoreProvider(
     FragmentStore* store, const Query& query, const MetricSchema& schema,
     const IamaOptions& iama, bool orders_enabled, int min_tables,
-    std::optional<uint64_t> pinned_epoch)
+    uint64_t catalog_fingerprint)
     : store_(store),
-      binding_(query, schema, iama, orders_enabled,
-               ResolveEpoch(store, pinned_epoch)),
-      min_tables_(std::max(2, min_tables)) {}
+      binding_(query, schema, iama, orders_enabled, catalog_fingerprint),
+      min_tables_(std::max(2, min_tables)) {
+  MOQO_CHECK(store_ != nullptr);
+}
 
 std::optional<FragmentSeed> FragmentStoreProvider::Lookup(
     TableSet cell, int needed_resolution) {

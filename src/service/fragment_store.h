@@ -21,14 +21,17 @@
 /// predicates (canonical endpoints + selectivity, sequence preserved —
 /// predicate indices feed the interesting-order tags), each table's
 /// scan-order signature (whether an index scan's order tag refers to an
-/// internal predicate, an external one, or none), the metric set, the
-/// catalog epoch, and the result-affecting session options (schedule,
-/// bounds, cell gamma, pruning flags). Thread counts are excluded — the
-/// parallel engine is frontier-equivalent. Order tags are translated to
-/// a fragment-relative canonical encoding on publish and back to the
-/// consumer's local tags on lookup, so queries that number their tables
-/// or predicates differently still share (order-preserving renumberings
-/// collide onto one key; others conservatively miss).
+/// internal predicate, an external one, or none), the metric set, a
+/// fingerprint of the catalog statistics and the service's cost model
+/// and operator options (FragmentCatalogFingerprint), and the result-
+/// affecting session options (schedule, bounds, cell gamma, pruning
+/// flags). A stored frontier is therefore valid wherever its key is
+/// looked up, in this process or a later one. Thread counts are
+/// excluded — the parallel engine is frontier-equivalent. Order tags are
+/// translated to a fragment-relative canonical encoding on publish and
+/// back to the consumer's local tags on lookup, so queries that number
+/// their tables or predicates differently still share (order-preserving
+/// renumberings collide onto one key; others conservatively miss).
 ///
 /// **Concurrency & memory.** The store is one LRU list bounded by a
 /// byte budget, behind one mutex. Values are immutable, refcounted
@@ -45,16 +48,15 @@
 /// pread: the *cold* tier. Hot eviction is then a demotion (the entry
 /// stays servable from the log), a hot miss falls through to the cold
 /// index and a cold hit decodes + promotes the fragment back into the
-/// hot tier, and superseded or epoch-stale records accumulate as dead
-/// bytes until compaction rewrites the log.
+/// hot tier, and superseded records accumulate as dead bytes until
+/// compaction rewrites the log.
 /// On construction the store replays the log — cutting the torn tail of
 /// a crash mid-append — so a restarted service warm-starts with
 /// frontiers bit-identical to the previous process's (the codec round
 /// trips IEEE-754 doubles exactly and keeps each fragment's plan
-/// order). Epoch bumps are made durable through the same log.
-/// I/O failure, a full disk included, is never fatal: the cold tier
-/// records a sticky Status (cold_status()) and disables itself, leaving
-/// the hot tier serving.
+/// order). I/O failure, a full disk included, is never fatal: the cold
+/// tier records a sticky Status (cold_status()) and disables itself,
+/// leaving the hot tier serving.
 /// See docs/FRAGMENT_PERSISTENCE.md.
 #ifndef MOQO_SERVICE_FRAGMENT_STORE_H_
 #define MOQO_SERVICE_FRAGMENT_STORE_H_
@@ -72,10 +74,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "core/fragment.h"
 #include "core/iama.h"
 #include "core/incremental_optimizer.h"
 #include "cost/metric.h"
+#include "plan/cost_model.h"
+#include "plan/operators.h"
 #include "query/query.h"
 #include "util/status.h"
 
@@ -133,13 +138,10 @@ struct FragmentStoreStats {
   uint64_t cold_appends = 0;   ///< Records appended to the log.
   uint64_t cold_entries = 0;   ///< Current live cold-index fragments.
   uint64_t cold_bytes = 0;     ///< Current log bytes in use (live + dead).
-  uint64_t cold_dead_bytes = 0;  ///< Superseded/stale bytes awaiting
-                                 ///< compaction.
+  uint64_t cold_dead_bytes = 0;  ///< Superseded, dropped or skipped
+                                 ///< bytes awaiting compaction.
   uint64_t cold_decode_errors = 0;  ///< Cold records dropped because they
                                     ///< no longer decode (corruption).
-  uint64_t cold_stale_dropped = 0;  ///< Cold entries invalidated by an
-                                    ///< epoch bump (sweep or lazily at
-                                    ///< decode time).
   uint64_t replayed_fragments = 0;  ///< Live fragments recovered by the
                                     ///< boot replay.
   uint64_t replay_torn_bytes = 0;   ///< Bytes cut at boot after the last
@@ -176,9 +178,9 @@ class FragmentStore {
     size_t compact_min_bytes = 256 * 1024;
     /// Cold-tier *live*-byte budget: after every append, while the log's
     /// live bytes (used minus dead) exceed this, the oldest live
-    /// fragment — smallest (epoch, offset), i.e. least recently
-    /// published — is demoted to dead bytes and dropped from the cold
-    /// index (compaction then reclaims the space). Bounds the disk
+    /// fragment — smallest offset, i.e. least recently published — is
+    /// demoted to dead bytes and dropped from the cold index
+    /// (compaction then reclaims the space). Bounds the disk
     /// footprint a long-running service can pin. 0 = unlimited.
     size_t cold_budget_bytes = 0;
     /// When the appended log bytes are pushed to stable storage.
@@ -190,8 +192,8 @@ class FragmentStore {
 
   /// Creates the store with a hot budget of `options.capacity_bytes`.
   /// With a store_path, opens (creating if absent) and replays the
-  /// persistence log before returning — on return epoch() and the cold
-  /// index reflect the recovered state — and starts the write-behind
+  /// persistence log before returning — on return the cold index
+  /// reflects the recovered state — and starts the write-behind
   /// thread. Replay tolerates a torn tail (a crash mid-append): scanning
   /// stops at the first incomplete or CRC-invalid record, the tail is
   /// cut from the file, and its bytes show up in
@@ -211,10 +213,9 @@ class FragmentStore {
   /// is at least `min_resolution` (and touches its LRU position), else
   /// nullptr. A hot miss falls through to the cold tier: a live cold
   /// record of sufficient resolution is decoded, promoted into the hot
-  /// tier, and returned (a cold record that is epoch-stale or no longer
-  /// decodes is dropped instead and counts as a miss). The returned
-  /// snapshot stays valid after eviction — readers hold their own
-  /// reference.
+  /// tier, and returned (a cold record that no longer decodes is
+  /// dropped instead and counts as a miss). The returned snapshot stays
+  /// valid after eviction — readers hold their own reference.
   std::shared_ptr<const StoredFragment> Lookup(const std::string& key,
                                                int min_resolution);
 
@@ -230,31 +231,9 @@ class FragmentStore {
   void Publish(const std::string& key,
                std::shared_ptr<const StoredFragment> fragment);
 
-  /// Current epoch, folded into every canonical key built against this
-  /// store. Starts at 0, except that a replayed log restores the epoch
-  /// it recorded (keys embed the epoch, so recovering it is what makes
-  /// warm hits possible — and pre-crash invalidations permanent).
-  uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
-  /// Invalidates every resident fragment logically by advancing the
-  /// epoch: keys built afterwards (FragmentQueryBinding) never match
-  /// entries published under the old epoch, which age out via LRU. The
-  /// hook for catalog/statistics refresh. With the cold tier enabled the
-  /// bump is made durable (an epoch record enters the write-behind
-  /// queue) and stale cold entries are swept to dead bytes; any record
-  /// racing past the sweep is dropped lazily at decode time.
-  void BumpEpoch();
-
-  /// Stamps the catalog version recorded (as provenance) in every
-  /// subsequently appended cold record. Purely diagnostic — the epoch is
-  /// the invalidation authority.
-  void SetCatalogVersion(uint64_t version) {
-    catalog_version_.store(version, std::memory_order_relaxed);
-  }
-
   /// Blocks until the write-behind queue is empty and the appender is
-  /// idle: every Publish/BumpEpoch that happened-before the call is in
-  /// the log (or dropped with cold_status() set). No-op without a cold
-  /// tier.
+  /// idle: every Publish that happened-before the call is in the log
+  /// (or dropped with cold_status() set). No-op without a cold tier.
   void Flush();
 
   /// OK while the cold tier is healthy (or absent). The first I/O
@@ -272,12 +251,8 @@ class FragmentStore {
 
  private:
   struct Cold;
-  // One write-behind work item: either a fragment append or an epoch
-  // record (exactly one of the two shapes; FIFO order is what makes a
-  // bump durable *after* the publishes it invalidates).
+  // One write-behind work item: a fragment to append under its key.
   struct WriteTask {
-    bool is_epoch = false;
-    uint64_t epoch = 0;  // Fragment: publish epoch. Epoch task: new value.
     std::string key;
     std::shared_ptr<const StoredFragment> fragment;
   };
@@ -294,7 +269,6 @@ class FragmentStore {
   void EnqueueTask(WriteTask task);
   void WorkerLoop();
   void AppendFragmentLocked(const WriteTask& task, const std::string& payload);
-  void AppendEpochLocked(uint64_t new_epoch);
   bool AppendRawLocked(const std::string& framed);
   void FailColdLocked(const char* op, const std::string& path);
   void EnforceColdBudgetLocked();
@@ -303,8 +277,6 @@ class FragmentStore {
   void OpenAndReplay();
 
   Options options_;
-  std::atomic<uint64_t> epoch_{0};
-  std::atomic<uint64_t> catalog_version_{0};
 
   // Hot tier: one LRU (front = most recently used), guarded by hot_mu_.
   mutable std::mutex hot_mu_;
@@ -349,9 +321,22 @@ class FragmentStore {
 void AppendFrontierOptions(std::string* key, const MetricSchema& schema,
                            const IamaOptions& iama);
 
-/// Canonicalizes one query's sub-join-graphs against a fragment store
-/// epoch: builds per-cell keys and translates interesting-order tags
-/// between the query's local predicate numbering and the fragment-
+/// Fingerprints everything outside a fragment key's own fields that a
+/// cell's frontier depends on: every table's statistics (cardinality,
+/// row width, index availability) in `catalog`, and every field of the
+/// service-wide `cost_params` and `operator_options`. FNV-1a over the
+/// raw bits, so it costs O(tables) and changes whenever any of them
+/// does. Fragment keys name it (FragmentQueryBinding), so a store —
+/// or a log replayed by a later process — never seeds a frontier
+/// computed on other statistics, and serves it again once the
+/// statistics return to the state it was computed on.
+uint64_t FragmentCatalogFingerprint(const CatalogSnapshot& catalog,
+                                    const CostModelParams& cost_params,
+                                    const OperatorOptions& operator_options);
+
+/// Canonicalizes one query's sub-join-graphs against a catalog
+/// fingerprint: builds per-cell keys and translates interesting-order
+/// tags between the query's local predicate numbering and the fragment-
 /// relative canonical encoding. Built once per run (it copies what it
 /// needs from the query); not thread-safe — each run owns its binding.
 class FragmentQueryBinding {
@@ -359,10 +344,10 @@ class FragmentQueryBinding {
   /// Captures the key ingredients: the query's tables/predicates, the
   /// metric set, the result-affecting options of `iama` (schedule,
   /// bounds, optimizer flags), `orders_enabled` (operator options), and
-  /// the store `epoch`.
+  /// the `catalog_fingerprint` (FragmentCatalogFingerprint).
   FragmentQueryBinding(const Query& query, const MetricSchema& schema,
                        const IamaOptions& iama, bool orders_enabled,
-                       uint64_t epoch);
+                       uint64_t catalog_fingerprint);
 
   /// False when the query cannot participate in fragment sharing at all
   /// (interesting-order tag domain exhausted: >= 255 join predicates).
@@ -400,7 +385,7 @@ class FragmentQueryBinding {
   // Copies (not references): publishing outlives the run's Query.
   std::vector<TableRef> tables_;
   std::vector<JoinPredicate> joins_;
-  std::string context_;  // Shared key prefix: epoch, metrics, options.
+  std::string context_;  // Shared key prefix: fingerprint, options.
   bool orders_enabled_ = false;
   bool shareable_ = true;
   std::unordered_map<uint32_t, CellInfo> cells_;
@@ -416,15 +401,15 @@ class FragmentStoreProvider : public FragmentProvider {
   /// Binds `store` (which must outlive the provider) to one run's query
   /// and options. Cells with fewer than `min_tables` tables are ignored
   /// in both directions; `min_tables` is clamped to >= 2.
-  /// `pinned_epoch` fixes the store epoch the binding keys under —
-  /// serving layers pass the epoch observed at query *admission*, so a
-  /// catalog refresh between admission and the run's first step cannot
-  /// cross catalog generations (the run neither reads nor writes
-  /// post-refresh fragments). Defaults to the store's current epoch.
+  /// `catalog_fingerprint` (FragmentCatalogFingerprint of the statistics
+  /// and cost configuration the run optimizes on) goes into every key.
+  /// Serving layers pass the fingerprint of the snapshot a run pinned at
+  /// admission; callers that use one catalog for the store's whole
+  /// life may leave it at 0.
   FragmentStoreProvider(FragmentStore* store, const Query& query,
                         const MetricSchema& schema, const IamaOptions& iama,
                         bool orders_enabled, int min_tables,
-                        std::optional<uint64_t> pinned_epoch = std::nullopt);
+                        uint64_t catalog_fingerprint = 0);
 
   /// FragmentProvider hook: store lookup + order-tag localization.
   std::optional<FragmentSeed> Lookup(TableSet cell,

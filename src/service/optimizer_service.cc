@@ -139,12 +139,11 @@ struct OptimizerService::RunState {
   // so reading it needs no lock once set.
   std::shared_ptr<const CatalogSnapshot> catalog;
   uint64_t catalog_version = 0;  // == catalog->version(), for results.
-  // Fragment-store epoch observed at admission (in the same mu_
-  // critical section that a RefreshCatalog would use to stop this run
-  // sharing): the run's fragment keys are built against this epoch, so
-  // a refresh between admission and the first turn cannot make the run
-  // read or write fragments of the new catalog generation.
-  uint64_t fragment_epoch = 0;
+  // FragmentCatalogFingerprint of `catalog` and the service's cost
+  // configuration, pinned with it: the run's fragment keys name the
+  // statistics it optimizes on, whatever the service serves by the
+  // time it steps.
+  uint64_t catalog_fingerprint = 0;
   // The queries riding this run, in admission order. A run ends when it
   // completes or when its last rider is gone.
   std::vector<QueryId> riders;
@@ -198,10 +197,10 @@ OptimizerService::OptimizerService(const Catalog& catalog,
     store_options.cold_budget_bytes = options_.fragment_cold_budget_bytes;
     store_options.fsync_mode = options_.fragment_fsync;
     // With a store_path this replays the persistence log before any
-    // query is admitted: the recovered epoch and cold index are in
-    // place when the first lookup happens.
+    // query is admitted: the cold index is in place when the first
+    // lookup happens.
     fragment_store_ = std::make_unique<FragmentStore>(store_options);
-    fragment_store_->SetCatalogVersion(catalog_snapshot_->version());
+    catalog_fingerprint_ = FingerprintOf(*catalog_snapshot_);
   }
   const std::vector<int> partition =
       PartitionThreads(options_.num_threads, options_.num_shards);
@@ -436,12 +435,11 @@ StatusOr<SubmitResponse> OptimizerService::Submit(SubmitRequest request) {
         run->iama = request.iama;
         run->max_iterations = max_iterations;
         // Pin the admission-time catalog generation: the snapshot the
-        // session will optimize on and the fragment epoch its keys are
-        // built against (see the RunState field comments).
+        // session will optimize on and the fingerprint its fragment keys
+        // name (see the RunState field comments).
         run->catalog = snapshot;
         run->catalog_version = snapshot->version();
-        run->fragment_epoch =
-            fragment_store_ != nullptr ? fragment_store_->epoch() : 0;
+        run->catalog_fingerprint = catalog_fingerprint_;
         run->tenant = request.tenant;
         run->home_shard = static_cast<size_t>(
             Fnv1a64(key) % static_cast<uint64_t>(options_.num_shards));
@@ -527,22 +525,24 @@ Status OptimizerService::ApplyBounds(QueryId id, const CostVector& bounds) {
 }
 
 uint64_t OptimizerService::RefreshCatalog() {
-  std::lock_guard<std::mutex> lock(mu_);
+  // The snapshot and its O(tables) fingerprint are taken outside mu_.
+  // Catalog versions are monotonic, so a snapshot no newer than the one
+  // serving (no mutation since, or a concurrent refresh got further)
+  // changes nothing.
   std::shared_ptr<const CatalogSnapshot> fresh = catalog_.Snapshot();
-  if (fresh->version() == catalog_snapshot_->version()) {
+  const uint64_t fingerprint = FingerprintOf(*fresh);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (fresh->version() <= catalog_snapshot_->version()) {
     // Nothing changed since the last pin: invalidating would only
-    // throw away valid cache entries and fragments.
+    // throw away valid cache entries.
     return catalog_snapshot_->version();
   }
   catalog_snapshot_ = std::move(fresh);
-  // Old-generation fragments become unreachable (fragment keys embed
-  // the epoch) and age out of the store via LRU; cold-tier entries are
-  // swept (and the bump made durable) by the store's write-behind
-  // thread, with decode-time staleness checks covering the race.
-  if (fragment_store_ != nullptr) {
-    fragment_store_->BumpEpoch();
-    fragment_store_->SetCatalogVersion(catalog_snapshot_->version());
-  }
+  // Runs admitted from here on key their fragments by the new
+  // statistics, so they never seed a fragment computed on other ones.
+  // The store needs no call: old-statistics fragments stay valid under
+  // their own keys.
+  catalog_fingerprint_ = fingerprint;
   // Whole-query cache: every resident key embeds a dead catalog version
   // and can never be hit again — drop the entries now instead of
   // letting them squat in the LRU until capacity pushes them out.
@@ -682,11 +682,18 @@ void OptimizerService::BuildRun(RunState* run) {
     run->fragment_provider = std::make_unique<FragmentStoreProvider>(
         fragment_store_.get(), run->query, options_.schema, run->iama,
         options_.operator_options.enable_interesting_orders,
-        options_.fragment_min_tables, run->fragment_epoch);
+        options_.fragment_min_tables, run->catalog_fingerprint);
     iama.optimizer.fragment_store = run->fragment_provider.get();
     iama.optimizer.fragment_publish = true;
   }
   run->session = std::make_unique<IamaSession>(*run->factory, iama);
+}
+
+uint64_t OptimizerService::FingerprintOf(
+    const CatalogSnapshot& snapshot) const {
+  if (fragment_store_ == nullptr) return 0;
+  return FragmentCatalogFingerprint(snapshot, options_.cost_params,
+                                    options_.operator_options);
 }
 
 void OptimizerService::RecordResultLocked(StoredResult stored) {

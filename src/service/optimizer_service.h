@@ -75,15 +75,17 @@
 /// **Catalog refresh.** Statistics drift; serving frontiers computed
 /// from dead cardinalities is a correctness bug, not a staleness
 /// nuisance. Every run pins an immutable CatalogSnapshot at admission
-/// and optimizes on it for its whole lifetime; RefreshCatalog()
+/// and optimizes on it for its whole lifetime; its fragment keys name a
+/// fingerprint of those statistics (FragmentCatalogFingerprint), so no
+/// run seeds a fragment computed on other ones. RefreshCatalog()
 /// republishes the live catalog's current state: it re-pins the
-/// service's admission snapshot, bumps the fragment-store epoch,
-/// drops the whole-query cache (whose keys are version-guarded via
-/// CanonicalQueryKey anyway), and stops every in-flight run sharing —
-/// those runs finish normally on their pinned snapshot (their riders
-/// get exactly the frontier a cold run on the old catalog would
-/// produce) but accept no new riders and never publish to the cache or
-/// the fragment store, as a re-bounded run does.
+/// service's admission snapshot and fingerprint, drops the whole-query
+/// cache (whose keys are version-guarded via CanonicalQueryKey anyway),
+/// and stops every in-flight run sharing — those runs finish normally
+/// on their pinned snapshot (their riders get exactly the frontier a
+/// cold run on the old catalog would produce) but accept no new riders
+/// and never publish to the cache or the fragment store, as a
+/// re-bounded run does.
 /// Each QueryResult carries the catalog version it was computed under.
 /// See docs/CATALOG_REFRESH.md for the full protocol and its
 /// guarantees.
@@ -307,18 +309,19 @@ class OptimizerService {
 
   /// Publishes the live catalog's current state to the service — the
   /// statistics-refresh protocol (docs/CATALOG_REFRESH.md). Atomically
-  /// (under the service mutex): re-pins the admission snapshot, bumps
-  /// the fragment-store epoch so stored fragments from the old
-  /// generation can never be seeded again, drops the whole-query
-  /// frontier cache (its keys are version-guarded regardless — dropping
-  /// just frees the dead entries now), and stops every in-flight run
-  /// sharing. Those runs finish on the snapshot they pinned at admission
-  /// — bit-identical to a cold run on the old catalog — but accept no
-  /// new riders and never publish to the cache or fragment store.
-  /// Submissions admitted after RefreshCatalog returns optimize on the
-  /// new statistics and provably re-optimize (cache and fragment keys
-  /// cannot match any pre-refresh entry). A refresh that observes no
-  /// version change is a no-op. Returns the catalog version now serving
+  /// (under the service mutex): re-pins the admission snapshot and the
+  /// catalog fingerprint that new runs' fragment keys name, drops the
+  /// whole-query frontier cache (its keys are version-guarded regardless
+  /// — dropping just frees the dead entries now), and stops every
+  /// in-flight run sharing. Those runs finish on the snapshot they
+  /// pinned at admission — bit-identical to a cold run on the old
+  /// catalog — but accept no new riders and never publish to the cache
+  /// or fragment store. Submissions admitted after RefreshCatalog
+  /// returns optimize on the new statistics: they never hit a pre-
+  /// refresh cache entry, never seed a fragment computed on other
+  /// statistics, and reuse fragments if the statistics return to a
+  /// state they were computed on. A refresh that observes no version
+  /// change is a no-op. Returns the catalog version now serving
   /// admissions. Thread-safe; may race Submit/Cancel/Wait freely.
   uint64_t RefreshCatalog();
 
@@ -348,8 +351,8 @@ class OptimizerService {
   int shards() const { return options_.num_shards; }
   /// The cross-query fragment store shared by all shards, or nullptr
   /// when disabled (ServiceOptions::fragment_cache_bytes == 0). Thread-
-  /// safe; exposed for diagnostics and for epoch bumps on catalog
-  /// refresh (FragmentStore::BumpEpoch).
+  /// safe; exposed for diagnostics (Stats, cold_status, Flush). Catalog
+  /// refresh needs no store call: fragment keys name the statistics.
   FragmentStore* fragment_store() const { return fragment_store_.get(); }
   /// Threads currently blocked inside Wait() (diagnostics; also lets
   /// tests establish that a waiter is registered before racing it).
@@ -394,6 +397,9 @@ class OptimizerService {
   // Builds the run's factory + IamaSession (at admission, before the run
   // is first enqueued).
   void BuildRun(RunState* run);
+  // FragmentCatalogFingerprint of `snapshot` under the service's cost
+  // configuration; 0 without a fragment store, which has no keys.
+  uint64_t FingerprintOf(const CatalogSnapshot& snapshot) const;
   // Stores a terminal result, evicting the oldest beyond
   // result_retention, and wakes waiters. Requires mu_ held.
   void RecordResultLocked(StoredResult stored);
@@ -421,6 +427,9 @@ class OptimizerService {
   // RefreshCatalog. Runs keep their own reference, so replacing it
   // never invalidates an in-flight session.
   std::shared_ptr<const CatalogSnapshot> catalog_snapshot_;
+  // FingerprintOf(*catalog_snapshot_), replaced with it (guarded by
+  // mu_); new runs pin it for their fragment keys.
+  uint64_t catalog_fingerprint_ = 0;
   // Per-shard worker pools (null where the partition size is 1). A
   // stepping shard rebinds the run's session to its own pool, so each
   // pool has exactly one ParallelFor caller at any time.

@@ -100,8 +100,6 @@ StoredFragment RandomFragment(Rng* rng, FragmentRecord* record) {
   record->key = "f1;e=" + std::to_string(rng->Uniform(100)) + ";k=" +
                 std::to_string(rng->Uniform(1u << 30));
   if (rng->Uniform(8) == 0) record->key.clear();  // Hostile-ish: empty key.
-  record->epoch = rng->Uniform(1u << 20);
-  record->catalog_version = rng->Uniform(1u << 20);
   record->resolution_complete = fragment.resolution_complete;
   return fragment;
 }
@@ -134,8 +132,6 @@ TEST(FragmentCodecPropertyTest, TenThousandRoundTripsBitIdentical) {
     ASSERT_TRUE(DecodeFragmentRecord(bytes, &decoded_record, &decoded).ok())
         << "trial " << trial;
     EXPECT_EQ(decoded_record.key, record.key);
-    EXPECT_EQ(decoded_record.epoch, record.epoch);
-    EXPECT_EQ(decoded_record.catalog_version, record.catalog_version);
     EXPECT_EQ(decoded_record.resolution_complete, record.resolution_complete);
     ASSERT_EQ(decoded.plans.size(), fragment.plans.size());
     EXPECT_EQ(decoded.resolution_complete, fragment.resolution_complete);
@@ -153,8 +149,6 @@ TEST(FragmentCodecPropertyTest, TenThousandRoundTripsBitIdentical) {
 TEST(FragmentCodecPropertyTest, EmptyFrontierRoundTrips) {
   FragmentRecord record;
   record.key = "empty";
-  record.epoch = 7;
-  record.catalog_version = 3;
   record.resolution_complete = 5;
   StoredFragment fragment;
   fragment.resolution_complete = 5;
@@ -165,17 +159,6 @@ TEST(FragmentCodecPropertyTest, EmptyFrontierRoundTrips) {
   EXPECT_TRUE(out.plans.empty());
   EXPECT_EQ(out.resolution_complete, 5);
   EXPECT_EQ(EncodeFragmentRecord(out_record, out), bytes);
-}
-
-TEST(FragmentCodecPropertyTest, EpochRecordRoundTrips) {
-  for (uint64_t epoch : {0ull, 1ull, 127ull, 128ull, 1ull << 40,
-                         ~0ull}) {
-    const std::string bytes = EncodeEpochRecord(epoch);
-    uint64_t out = 0;
-    ASSERT_TRUE(DecodeEpochRecord(bytes, &out).ok());
-    EXPECT_EQ(out, epoch);
-    EXPECT_EQ(EncodeEpochRecord(out), bytes);
-  }
 }
 
 // --- Hostile bytes: every decoder returns Status, never crashes. ---
@@ -230,8 +213,6 @@ TEST(FragmentCodecHostileTest, OutOfRangeDimsRejected) {
   // find it by re-encoding the prefix.
   net::Writer prefix;
   prefix.PutU8(kFragmentCodecVersion);
-  prefix.PutVarint(record.epoch);
-  prefix.PutVarint(record.catalog_version);
   prefix.PutVarint(static_cast<uint64_t>(record.resolution_complete));
   prefix.PutStr(record.key);
   prefix.PutVarint(fragment.plans.size());
@@ -251,8 +232,6 @@ TEST(FragmentCodecHostileTest, HugePlanCountRejectedBeforeAllocation) {
   // payload-capacity check, not die in a reserve() of terabytes.
   net::Writer w;
   w.PutU8(kFragmentCodecVersion);
-  w.PutVarint(0);  // epoch
-  w.PutVarint(0);  // catalog_version
   w.PutVarint(0);  // resolution_complete
   w.PutStr("k");
   w.PutVarint(uint64_t{1} << 40);  // plan count
@@ -295,8 +274,6 @@ TEST(FragmentCodecHostileTest, PureGarbageNeverCrashes) {
     FragmentRecord out_record;
     StoredFragment out;
     (void)DecodeFragmentRecord(bytes, &out_record, &out);
-    uint64_t epoch = 0;
-    (void)DecodeEpochRecord(bytes, &epoch);
   }
 }
 
@@ -344,7 +321,7 @@ TEST(FragmentCodecVarintTest, BoundaryValuesRoundTrip) {
 TEST(FragmentLogFramingTest, RecordRoundTrips) {
   std::string log;
   AppendLogRecord(&log, LogRecordType::kFragment, "payload-bytes");
-  AppendLogRecord(&log, LogRecordType::kEpoch, "");
+  AppendLogRecord(&log, LogRecordType::kFragment, "");
   uint8_t type = 0;
   std::string payload;
   size_t advance = 0;
@@ -356,7 +333,7 @@ TEST(FragmentLogFramingTest, RecordRoundTrips) {
   ASSERT_EQ(ParseLogRecord(log.data() + first, log.size() - first, &type,
                            &payload, &advance),
             LogParse::kRecord);
-  EXPECT_EQ(type, static_cast<uint8_t>(LogRecordType::kEpoch));
+  EXPECT_EQ(type, static_cast<uint8_t>(LogRecordType::kFragment));
   EXPECT_EQ(payload, "");
   EXPECT_EQ(first + advance, log.size());
 }

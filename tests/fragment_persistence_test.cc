@@ -1,13 +1,13 @@
 // Tiered fragment-store persistence tests: the cold tier must make
 // restarts invisible to results. A store reopened on the same log serves
-// the fragments the previous process published — bit-identical, epoch
-// included — through the whole service stack; a log torn mid-append
-// loses at most the final partial record; a record that no longer
-// decodes is skipped, not fatal; compaction reclaims superseded bytes
-// without changing what replays (and keeps one sync per append under
-// fsync always); a full disk degrades the cold tier to DRAM-only instead
-// of failing the store; epoch bumps outlive the process that
-// issued them; and the hot tier's byte accounting never drifts past its
+// the fragments the previous process published — bit-identical —
+// through the whole service stack; a restart on other statistics than
+// the log's seeds none of them; a log torn mid-append loses at most the
+// final partial record; a record that no longer decodes is skipped, not
+// fatal; compaction reclaims superseded bytes without changing what
+// replays (and keeps one sync per append under fsync always); a full
+// disk degrades the cold tier to DRAM-only instead of failing the
+// store; and the hot tier's byte accounting never drifts past its
 // budget under same-key republish (the regression the tiering rewrite
 // guards with an explicit release-before-charge).
 #include <sys/stat.h>
@@ -214,7 +214,6 @@ TEST(FragmentPersistenceTest, UndecodableRecordSkippedNotFatal) {
   std::string log;
   FragmentRecord rec;
   rec.key = "good1";
-  rec.epoch = 0;
   rec.resolution_complete = 2;
   AppendLogRecord(&log, LogRecordType::kFragment,
                   EncodeFragmentRecord(rec, *MakeFragment(2, 3)));
@@ -235,26 +234,6 @@ TEST(FragmentPersistenceTest, UndecodableRecordSkippedNotFatal) {
   EXPECT_EQ(stats.cold_decode_errors, 1u);
   EXPECT_NE(store.Lookup("good1", 2), nullptr);
   EXPECT_NE(store.Lookup("good2", 2), nullptr);
-}
-
-TEST(FragmentPersistenceTest, EpochBumpSurvivesRestart) {
-  TempDir dir;
-  {
-    FragmentStore store(TieredOptions(dir.LogPath()));
-    store.Publish("old", MakeFragment(2, 3));
-    store.BumpEpoch();
-    store.Publish("new", MakeFragment(2, 3));
-    store.Flush();
-    EXPECT_EQ(store.epoch(), 1u);
-  }
-  FragmentStore store(TieredOptions(dir.LogPath()));
-  EXPECT_EQ(store.epoch(), 1u);  // The bump is durable.
-  const FragmentStoreStats stats = store.Stats();
-  // Only the post-bump fragment replays live; the pre-bump one stays
-  // invalidated across the restart.
-  EXPECT_EQ(stats.replayed_fragments, 1u);
-  EXPECT_EQ(store.Lookup("old", 0), nullptr);
-  EXPECT_NE(store.Lookup("new", 0), nullptr);
 }
 
 TEST(FragmentPersistenceTest, CompactionReclaimsSupersededBytes) {
@@ -422,13 +401,11 @@ TEST(FragmentPersistenceTest, FsyncAlwaysSyncsEveryAppend) {
   for (int i = 0; i < 8; ++i) {
     store.Publish("k" + std::to_string(i), MakeFragment(2, 4));
   }
-  store.Flush();  // Before the bump: a bump makes queued publishes stale.
-  store.BumpEpoch();
   store.Flush();
   const FragmentStoreStats stats = store.Stats();
   EXPECT_TRUE(store.cold_status().ok());
   EXPECT_EQ(stats.cold_syncs, stats.cold_appends);
-  EXPECT_GE(stats.cold_syncs, 9u);  // 8 fragments + 1 epoch record.
+  EXPECT_GE(stats.cold_syncs, 8u);  // One per fragment.
 }
 
 TEST(FragmentPersistenceTest, CompactionUnderFsyncAlways) {
@@ -546,6 +523,27 @@ ServiceOptions PersistentServiceOptions(const std::string& store_path) {
   return options;
 }
 
+// The final frontier of `submit` on `catalog` from a service without a
+// fragment store: the reference a restarted store must reproduce.
+std::vector<std::vector<double>> StorelessSignature(
+    const Catalog& catalog, const SubmitRequest& submit) {
+  ServiceOptions options = PersistentServiceOptions("");
+  options.fragment_cache_bytes = 0;
+  OptimizerService service(catalog, options);
+  const QueryResult result = service.Wait(service.Submit(submit).value().id);
+  EXPECT_EQ(result.state, QueryState::kDone);
+  return FrontierSignature(result.frontier.plans);
+}
+
+// Statistics drift on a chain table (as in the refresh tests).
+void DriftOrders(Catalog* catalog) {
+  ASSERT_TRUE(
+      catalog
+          ->UpdateStats(TpchTable::kOrders,
+                        catalog->Get(TpchTable::kOrders).cardinality * 16.0)
+          .ok());
+}
+
 TEST(FragmentPersistenceServiceTest, WarmRestartBitIdenticalToColdRun) {
   const Catalog catalog = MakeTpchCatalog();
   // Request template; each submission fills in its query.
@@ -618,12 +616,11 @@ TEST(FragmentPersistenceServiceTest, RefreshCatalogInvalidationIsDurable) {
     // Publishing happens on the shard thread after the result is
     // waitable; destruction is the only barrier that covers *all* of a
     // run's publishes (waiting on the publish counter only proves the
-    // first one happened — a later publish racing the bump below would
-    // persist under the new epoch and make this test flake).
+    // first one happened).
   }
   {
-    // Statistics drift, then refresh: the epoch bump that invalidates
-    // every published fragment must be durable across the restart.
+    // Statistics drift, then refresh: the published fragments must stay
+    // unreachable on the new statistics across the restart.
     OptimizerService service(catalog,
                              PersistentServiceOptions(dir.LogPath()));
     ASSERT_NE(service.fragment_store(), nullptr);
@@ -637,13 +634,48 @@ TEST(FragmentPersistenceServiceTest, RefreshCatalogInvalidationIsDurable) {
   }
   OptimizerService service(catalog, PersistentServiceOptions(dir.LogPath()));
   ASSERT_NE(service.fragment_store(), nullptr);
-  EXPECT_GE(service.fragment_store()->epoch(), 1u);
-  // Pre-bump fragments stay invalidated: the replay keeps none of them.
-  EXPECT_EQ(service.fragment_store()->Stats().replayed_fragments, 0u);
-  // And a fresh run is still correct (publishes under the new epoch).
+  // The replayed fragments name the old statistics: a run on the
+  // refreshed ones seeds none of them and matches a store-less run.
   const QueryResult result = service.Wait(service.Submit(submit).value().id);
   EXPECT_EQ(result.state, QueryState::kDone);
   EXPECT_EQ(service.stats().fragment_cold_hits, 0u);
+  EXPECT_EQ(FrontierSignature(result.frontier.plans),
+            StorelessSignature(catalog, submit));
+}
+
+// A log written on other statistics seeds nothing after a restart,
+// whether its donor booted on them or refreshed to them; the restarted
+// run enumerates every cell and matches a store-less run.
+TEST(FragmentPersistenceServiceTest, RestartOnOtherStatisticsSeedsNothing) {
+  SubmitRequest submit;
+  submit.query = ChainQuery();
+  submit.iama.schedule = ResolutionSchedule(4, 1.02, 0.3);
+  for (const bool donor_refreshes : {false, true}) {
+    SCOPED_TRACE(donor_refreshes ? "donor refreshes to drifted statistics"
+                                 : "donor boots on drifted statistics");
+    TempDir dir;
+    {
+      Catalog drifted = MakeTpchCatalog();
+      if (!donor_refreshes) DriftOrders(&drifted);
+      OptimizerService donor(drifted, PersistentServiceOptions(dir.LogPath()));
+      if (donor_refreshes) {
+        DriftOrders(&drifted);
+        donor.RefreshCatalog();
+      }
+      const QueryResult result = donor.Wait(donor.Submit(submit).value().id);
+      ASSERT_EQ(result.state, QueryState::kDone);
+      // Destruction drains every publish to the log.
+    }
+    const Catalog catalog = MakeTpchCatalog();
+    OptimizerService service(catalog, PersistentServiceOptions(dir.LogPath()));
+    ASSERT_GT(service.fragment_store()->Stats().replayed_fragments, 0u);
+    const QueryResult result = service.Wait(service.Submit(submit).value().id);
+    ASSERT_EQ(result.state, QueryState::kDone);
+    EXPECT_EQ(service.stats().fragment_cold_hits, 0u);
+    EXPECT_GT(result.pairs_generated, 0u);
+    EXPECT_EQ(FrontierSignature(result.frontier.plans),
+              StorelessSignature(catalog, submit));
+  }
 }
 
 }  // namespace

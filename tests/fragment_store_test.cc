@@ -1,6 +1,7 @@
 // Cross-query fragment sharing tests: canonical sub-join-graph keys must
 // collide exactly for order-preserving renumberings of the same fragment
-// (and miss otherwise, epoch included); seeding from a warm store must
+// (and miss otherwise, catalog fingerprint included), and the fingerprint
+// must cover every statistic and cost option; seeding from a warm store must
 // leave every frontier bit-identical to a cold sequential run — at every
 // iteration, for serial and pooled phase 2, and through the sharded
 // service for shard counts {1, 2, 4} — while measurably cutting the
@@ -12,8 +13,10 @@
 // reader holds (hammered under TSan in CI).
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -245,7 +248,8 @@ TEST(FragmentKeyTest, OrderPreservingRenumberingsCollide) {
   const MetricSchema schema = MetricSchema::Standard3();
   const IamaOptions iama = SmallIama();
   FragmentQueryBinding core_binding(core, schema, iama,
-                                    /*orders_enabled=*/false, /*epoch=*/0);
+                                    /*orders_enabled=*/false,
+                                    /*catalog_fingerprint=*/0);
   FragmentQueryBinding shifted_binding(shifted, schema, iama, false, 0);
 
   // The core chain occupies locals {0..3} in `core` and {1..4} in
@@ -266,16 +270,18 @@ TEST(FragmentKeyTest, OrderPreservingRenumberingsCollide) {
   EXPECT_NE(*lead, *core_binding.KeyFor(TableSet(0b0011)));
 }
 
-TEST(FragmentKeyTest, SelectivityEpochAndOptionsChangeTheKey) {
+TEST(FragmentKeyTest, SelectivityFingerprintAndOptionsChangeTheKey) {
   const Query core = CoreQuery();
   Query tweaked = CoreQuery();
   tweaked.tables[1].predicate_selectivity = 0.75;
   const MetricSchema schema = MetricSchema::Standard3();
   const IamaOptions iama = SmallIama();
 
-  FragmentQueryBinding base(core, schema, iama, false, /*epoch=*/0);
+  FragmentQueryBinding base(core, schema, iama, false,
+                            /*catalog_fingerprint=*/0);
   FragmentQueryBinding sel(tweaked, schema, iama, false, 0);
-  FragmentQueryBinding epoch(core, schema, iama, false, /*epoch=*/1);
+  FragmentQueryBinding fingerprint(core, schema, iama, false,
+                                   /*catalog_fingerprint=*/1);
   IamaOptions other_schedule = SmallIama(/*levels=*/5);
   FragmentQueryBinding sched(core, schema, other_schedule, false, 0);
   FragmentQueryBinding orders(core, schema, iama, /*orders_enabled=*/true, 0);
@@ -283,11 +289,81 @@ TEST(FragmentKeyTest, SelectivityEpochAndOptionsChangeTheKey) {
   const TableSet cell(0b1111);
   const std::string key = *base.KeyFor(cell);
   EXPECT_NE(key, *sel.KeyFor(cell));
-  EXPECT_NE(key, *epoch.KeyFor(cell));
+  EXPECT_NE(key, *fingerprint.KeyFor(cell));
   EXPECT_NE(key, *sched.KeyFor(cell));
   EXPECT_NE(key, *orders.KeyFor(cell));
   // Singletons never participate.
   EXPECT_EQ(base.KeyFor(TableSet(0b0001)), nullptr);
+}
+
+// The catalog fingerprint moves with every input a cell's frontier
+// reads outside its key: any table statistic, any cost-model parameter,
+// any operator option. Catalogs built alike agree, and table names,
+// which are display-only, do not count.
+TEST(FragmentKeyTest, CatalogFingerprintCoversStatisticsAndCostOptions) {
+  const Catalog catalog = MakeTpchCatalog();
+  const CostModelParams params;
+  const OperatorOptions ops;
+  const auto fingerprint = [](const Catalog& c, const CostModelParams& p,
+                              const OperatorOptions& o) {
+    return FragmentCatalogFingerprint(*c.Snapshot(), p, o);
+  };
+  const uint64_t base = fingerprint(catalog, params, ops);
+  EXPECT_EQ(fingerprint(MakeTpchCatalog(), params, ops), base);
+
+  const std::vector<std::function<void(TableDef*)>> table_changes = {
+      [](TableDef* t) { t->cardinality += 1.0; },
+      [](TableDef* t) { t->row_bytes += 1.0; },
+      [](TableDef* t) { t->has_index = !t->has_index; },
+  };
+  for (TableId id = 0; id < catalog.NumTables(); ++id) {
+    for (size_t c = 0; c < table_changes.size(); ++c) {
+      Catalog changed = MakeTpchCatalog();
+      TableDef def = changed.Get(id);
+      table_changes[c](&def);
+      ASSERT_TRUE(changed.ReplaceTable(id, def).ok());
+      EXPECT_NE(fingerprint(changed, params, ops), base)
+          << "table " << id << " change " << c;
+    }
+    Catalog renamed = MakeTpchCatalog();
+    TableDef def = renamed.Get(id);
+    def.name += "_renamed";
+    ASSERT_TRUE(renamed.ReplaceTable(id, def).ok());
+    EXPECT_EQ(fingerprint(renamed, params, ops), base) << "table " << id;
+  }
+
+  // CostModelParams is all doubles: perturb each one by one ulp.
+  constexpr size_t kParams = sizeof(CostModelParams) / sizeof(double);
+  static_assert(sizeof(CostModelParams) == kParams * sizeof(double));
+  for (size_t i = 0; i < kParams; ++i) {
+    double fields[kParams];
+    std::memcpy(fields, &params, sizeof(params));
+    fields[i] = std::nextafter(fields[i], 1e300);
+    CostModelParams changed;
+    std::memcpy(&changed, fields, sizeof(changed));
+    EXPECT_NE(fingerprint(catalog, changed, ops), base)
+        << "CostModelParams field " << i;
+  }
+
+  const std::vector<std::function<void(OperatorOptions*)>> op_changes = {
+      [](OperatorOptions* o) { o->max_workers += 1; },
+      [](OperatorOptions* o) { o->max_sampling_rates_per_table += 1; },
+      [](OperatorOptions* o) { o->enable_index_scans = !o->enable_index_scans; },
+      [](OperatorOptions* o) { o->enable_sort_merge = !o->enable_sort_merge; },
+      [](OperatorOptions* o) {
+        o->enable_nested_loop = !o->enable_nested_loop;
+      },
+      [](OperatorOptions* o) {
+        o->enable_interesting_orders = !o->enable_interesting_orders;
+      },
+      [](OperatorOptions* o) { o->nested_loop_max_inner_rows += 1.0; },
+  };
+  for (size_t c = 0; c < op_changes.size(); ++c) {
+    OperatorOptions changed = ops;
+    op_changes[c](&changed);
+    EXPECT_NE(fingerprint(catalog, params, changed), base)
+        << "OperatorOptions change " << c;
+  }
 }
 
 // --- Core-level seeding: bit-identity and work savings ----------------------
@@ -689,30 +765,12 @@ TEST(OptimizerServiceFragmentTest, TinyBudgetEvictsButStaysCorrect) {
   EXPECT_GT(service.stats().fragment_evictions, 0u);
 }
 
-// Bumping the store epoch invalidates every resident fragment: the next
-// identical submission pays full price again.
-TEST(OptimizerServiceFragmentTest, EpochBumpInvalidatesStore) {
-  const Catalog catalog = MakeTpchCatalog();
-  const SubmitRequest submit = FragmentRequest(CoreQuery());
-  ServiceOptions service_opts =
-      FragmentServiceOptions(1, /*fragment_bytes=*/16 << 20);
-  OptimizerService service(catalog, service_opts);
-  const QueryResult first = service.Wait(service.Submit(submit).value().id);
-  ASSERT_EQ(first.state, QueryState::kDone);
-  ASSERT_NE(service.fragment_store(), nullptr);
-  service.fragment_store()->BumpEpoch();
-  const QueryResult second = service.Wait(service.Submit(submit).value().id);
-  ASSERT_EQ(second.state, QueryState::kDone);
-  EXPECT_EQ(second.pairs_generated, first.pairs_generated);
-  EXPECT_GT(second.pairs_generated, 0u);
-}
-
 // The service-level refresh protocol, fragment side, for shard counts
 // {1, 2, 4}: after RefreshCatalog, a resubmitted identical query must
-// miss every pre-refresh fragment (epoch in the key) and pay the full
-// enumeration price on the NEW statistics — matching a cold run on the
-// new catalog bit for bit — and then re-warm the store under the new
-// epoch. Runs admitted before the refresh publish nothing.
+// miss every pre-refresh fragment (catalog fingerprint in the key) and
+// pay the full enumeration price on the NEW statistics — matching a cold
+// run on the new catalog bit for bit — and then re-warm the store under
+// the new fingerprint. Runs admitted before the refresh publish nothing.
 TEST(OptimizerServiceFragmentTest, RefreshCatalogInvalidatesFragments) {
   const SubmitRequest submit = FragmentRequest(CoreQuery());
   const int iterations = submit.iama.schedule.NumLevels();
@@ -746,7 +804,7 @@ TEST(OptimizerServiceFragmentTest, RefreshCatalogInvalidatesFragments) {
     const uint64_t v1 = service.RefreshCatalog();
     EXPECT_EQ(service.catalog_version(), v1);
 
-    // Full price again: every pre-refresh fragment is epoch-unreachable.
+    // Full price again: every pre-refresh fragment names other statistics.
     const uint64_t publishes_before_recold =
         service.stats().fragment_publishes;
     const QueryResult recold =
@@ -764,7 +822,7 @@ TEST(OptimizerServiceFragmentTest, RefreshCatalogInvalidatesFragments) {
       std::this_thread::yield();
     }
 
-    // The store re-warms under the new epoch.
+    // The store re-warms under the new fingerprint.
     const QueryResult rewarm =
         service.Wait(service.Submit(submit).value().id);
     ASSERT_EQ(rewarm.state, QueryState::kDone);

@@ -23,6 +23,9 @@
 # tier, drain to exit 0 on SIGTERM, and report the degraded cold tier
 # on its drain store line.
 #
+# Before the legs: a numeric flag out of range (--threads 0) must exit 2
+# with a message, as an unknown flag does, instead of aborting.
+#
 # Usage: optimizerd_smoke.sh <build-dir> [store-dir]
 # store-dir defaults to a fresh mktemp -d; CI's Release leg passes a
 # tmpfs path (/dev/shm) to keep the crash leg off spinning disks.
@@ -66,6 +69,10 @@ wait_for_port() {
   done
   [ -n "$PORT" ] || { cat "$_log"; echo "FAIL: no listening line"; exit 1; }
 }
+
+STATUS=0
+"$BUILD_DIR/optimizerd" --threads 0 > /dev/null 2>&1 || STATUS=$?
+[ "$STATUS" -eq 2 ] || { echo "FAIL: optimizerd --threads 0 exited $STATUS, want 2"; exit 1; }
 
 # --- Leg 1: quotas + graceful drain (no store) ------------------------------
 
