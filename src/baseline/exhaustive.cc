@@ -69,66 +69,74 @@ ExactParetoResult RunExactPareto(const PlanFactory& factory,
 
 namespace {
 
-// Recursively enumerates all plan nodes for `q`, memoized per mask.
-// Returns materialized PlanNode values (costs + cardinalities) — ids are
-// not needed for coverage checks.
-const std::vector<PlanNode>& AllPlans(
-    const PlanFactory& factory, TableSet q,
-    std::vector<std::vector<PlanNode>>& memo,
-    std::vector<bool>& computed) {
-  std::vector<PlanNode>& out = memo[q.mask()];
-  if (computed[q.mask()]) return out;
-  computed[q.mask()] = true;
+using PlanMemo = std::vector<std::vector<PlanNode>>;
 
+const std::vector<PlanNode>& AllPlans(const PlanFactory& factory, TableSet q,
+                                      PlanMemo& memo,
+                                      std::vector<bool>& computed);
+
+// Calls fn(node) for every plan joining exactly `q`: the scans of a single
+// table, else every join alternative of every sub-plan pair of every
+// split, the sub-plans taken from AllPlans. Nodes carry costs,
+// cardinalities and orders; ids and structure are not needed for
+// coverage checks.
+void ForEachPlan(const PlanFactory& factory, TableSet q, PlanMemo& memo,
+                 std::vector<bool>& computed,
+                 const std::function<void(const PlanNode&)>& fn) {
+  PlanNode node;
+  node.tables = q;
+  const auto emit = [&](const OperatorDesc& op, const OpCost& oc) {
+    node.op = op;
+    node.cost = oc.cost;
+    node.output_cardinality = oc.output_rows;
+    node.order = oc.order;
+    fn(node);
+  };
   if (q.Count() == 1) {
-    const int t = q.Lowest();
-    factory.ForEachScan(t, [&](const OperatorDesc& op, const OpCost& oc) {
-      PlanNode node;
-      node.tables = q;
-      node.op = op;
-      node.cost = oc.cost;
-      node.output_cardinality = oc.output_rows;
-      node.order = oc.order;
-      out.push_back(node);
-    });
-    return out;
+    factory.ForEachScan(q.Lowest(), emit);
+    return;
   }
-
   factory.ForEachSplit(q, [&](TableSet q1, TableSet q2) {
     const std::vector<PlanNode>& p1 = AllPlans(factory, q1, memo, computed);
     const std::vector<PlanNode>& p2 = AllPlans(factory, q2, memo, computed);
     for (const PlanNode& a : p1) {
       for (const PlanNode& b : p2) {
-        factory.ForEachJoin(a, b,
-                            [&](const OperatorDesc& op, const OpCost& oc,
-                                bool /*a_left*/) {
-                              PlanNode node;
-                              node.tables = q;
-                              node.left = 0;  // Structure not tracked here.
-                              node.right = 0;
-                              node.op = op;
-                              node.cost = oc.cost;
-                              node.output_cardinality = oc.output_rows;
-                              node.order = oc.order;
-                              out.push_back(node);
-                            });
+        factory.ForEachJoin(
+            a, b, [&](const OperatorDesc& op, const OpCost& oc, bool) {
+              emit(op, oc);
+            });
       }
     }
   });
+}
+
+// All plan nodes for `q`, memoized per mask.
+const std::vector<PlanNode>& AllPlans(const PlanFactory& factory, TableSet q,
+                                      PlanMemo& memo,
+                                      std::vector<bool>& computed) {
+  std::vector<PlanNode>& out = memo[q.mask()];
+  if (computed[q.mask()]) return out;
+  computed[q.mask()] = true;
+  ForEachPlan(factory, q, memo, computed,
+              [&](const PlanNode& node) { out.push_back(node); });
   return out;
 }
 
 }  // namespace
 
+void ForEachPlanCost(const PlanFactory& factory, TableSet q,
+                     const std::function<void(const CostVector&)>& fn) {
+  PlanMemo memo(size_t{1} << factory.NumTables());
+  std::vector<bool> computed(memo.size(), false);
+  ForEachPlan(factory, q, memo, computed,
+              [&](const PlanNode& node) { fn(node.cost); });
+}
+
 std::vector<CostVector> EnumerateAllPlanCosts(const PlanFactory& factory,
                                               TableSet q) {
-  std::vector<std::vector<PlanNode>> memo(
-      size_t{1} << factory.NumTables());
-  std::vector<bool> computed(size_t{1} << factory.NumTables(), false);
-  const std::vector<PlanNode>& plans = AllPlans(factory, q, memo, computed);
   std::vector<CostVector> costs;
-  costs.reserve(plans.size());
-  for (const PlanNode& p : plans) costs.push_back(p.cost);
+  ForEachPlanCost(factory, q,
+                  [&](const CostVector& cost) { costs.push_back(cost); });
   return costs;
 }
 

@@ -12,6 +12,7 @@
 #ifndef MOQO_BASELINE_EXHAUSTIVE_H_
 #define MOQO_BASELINE_EXHAUSTIVE_H_
 
+#include <functional>
 #include <vector>
 
 #include "cost/cost_vector.h"
@@ -42,6 +43,12 @@ ExactParetoResult RunExactPareto(const PlanFactory& factory,
 // intended for queries with <= 4 tables and reduced operator options.
 std::vector<CostVector> EnumerateAllPlanCosts(const PlanFactory& factory,
                                               TableSet q);
+
+// Calls fn(cost) for every plan EnumerateAllPlanCosts lists, in the same
+// order, storing only the plans of q's proper subsets: a 5-table query's
+// tens of millions of plans can stream into a frontier.
+void ForEachPlanCost(const PlanFactory& factory, TableSet q,
+                     const std::function<void(const CostVector&)>& fn);
 
 }  // namespace moqo
 

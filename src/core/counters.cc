@@ -7,6 +7,7 @@ namespace moqo {
 void Counters::AddCounts(const Counters& other) {
   plans_generated += other.plans_generated;
   pairs_generated += other.pairs_generated;
+  pairs_skipped += other.pairs_skipped;
   pairs_rejected_stale += other.pairs_rejected_stale;
   candidate_retrievals += other.candidate_retrievals;
   prune_calls += other.prune_calls;
@@ -24,11 +25,13 @@ void Counters::AddCounts(const Counters& other) {
 
 std::string Counters::ToString() const {
   return StrFormat(
-      "plans=%llu pairs=%llu stale_pairs=%llu cand_retrievals=%llu "
+      "plans=%llu pairs=%llu skipped_pairs=%llu stale_pairs=%llu "
+      "cand_retrievals=%llu "
       "prunes=%llu res_ins=%llu cand_ins=%llu discarded=%llu "
       "unstored=%llu dom_checks=%llu frag_cells=%llu frag_plans=%llu",
       static_cast<unsigned long long>(plans_generated),
       static_cast<unsigned long long>(pairs_generated),
+      static_cast<unsigned long long>(pairs_skipped),
       static_cast<unsigned long long>(pairs_rejected_stale),
       static_cast<unsigned long long>(candidate_retrievals),
       static_cast<unsigned long long>(prune_calls),

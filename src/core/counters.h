@@ -21,6 +21,12 @@ struct Counters {
   // all of its join plans, hash joins in both orientations
   // (PlanFactory::ForEachJoin). Lemma 6: each pair at most once.
   uint64_t pairs_generated = 0;
+  // Pairs among pairs_generated that were never costed: a result plan of
+  // their cell already covered their join lower bound
+  // (CostModel::JoinLowerBound) within α_rM, so pruning would discard
+  // every alternative they yield (core/pruning.h). Their alternatives
+  // count in neither plans_generated nor prune_calls.
+  uint64_t pairs_skipped = 0;
   // Pairs rejected by IsFresh (should stay 0 in Δ-exact invocation series).
   uint64_t pairs_rejected_stale = 0;
   // Candidate entries retrieved (drained) for re-consideration.
@@ -36,7 +42,10 @@ struct Counters {
   // arena().size() + joins_discarded_unstored
   //     == plans_generated + fragment_plans_seeded.
   uint64_t joins_discarded_unstored = 0;
-  // Dominance comparisons performed inside Prune.
+  // Entries of boundary cells (index/cell_index.h) that the pruning
+  // probes tested against their query box: the discard probe, the
+  // min-α* park walk and the pair-skip probe. Entries of cells whose
+  // cost box decides them whole are not counted.
   uint64_t dominance_checks = 0;
   // Cross-query fragment sharing (core/fragment.h): cells whose result
   // set was seeded from a FragmentProvider hit (and sealed against

@@ -12,7 +12,7 @@
 /// result set is *seeded* with the stored frontier and *sealed* — phase-2
 /// enumeration never runs for it — and on completion the optimizer's
 /// per-cell result sets can be published back through the serving layer
-/// (`IncrementalOptimizer::TakePublishableFragments`).
+/// (`IncrementalOptimizer::PublishableFragments`).
 ///
 /// This header is deliberately service-agnostic: the canonical cross-
 /// query keying, the concurrent LRU store, and the interesting-order tag

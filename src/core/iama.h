@@ -195,11 +195,11 @@ class IamaSession {
 
   /// The underlying incremental optimizer (live counters, plan arena).
   const IncrementalOptimizer& optimizer() const { return optimizer_; }
-  /// Mutable access to the optimizer, for serving layers that harvest
-  /// cross-query fragment publications after a completed run
-  /// (IncrementalOptimizer::TakePublishableFragments). Same threading
-  /// contract as Step(): only the thread driving the session, only
-  /// between invocations.
+  /// Mutable access to the optimizer, for serving layers that re-probe
+  /// the fragment store before a run's first step
+  /// (IncrementalOptimizer::ReprobeFragments). Same threading contract
+  /// as Step(): only the thread driving the session, only between
+  /// invocations.
   IncrementalOptimizer* mutable_optimizer() { return &optimizer_; }
   /// The bounds the next Step() will optimize under.
   const CostVector& bounds() const { return bounds_; }

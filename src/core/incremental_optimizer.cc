@@ -29,34 +29,45 @@ struct BatchEntry {
 
 // The positions of `batch` in the order Prune judges them: cheap plans
 // first when `sorted` (OptimizerOptions::sorted_pruning), arrival order
-// otherwise. The score is a positive-weighted sum of the cost components
-// (normalized by the batch mean per metric), which is monotone w.r.t.
-// dominance: if a dominates b then score(a) <= score(b), so dominating
-// plans enter the result set before the plans they suppress. This keeps
-// the append-only result sets close to minimal. Score ties go to the
-// smaller id, so the judge order is total (JudgeOrder in pareto/kernel.h).
+// otherwise. The score is a positive-weighted sum of the cost components,
+// each metric weighted by `*scale`, which is monotone w.r.t. dominance:
+// if a dominates b then score(a) <= score(b), so dominating plans enter
+// the result set before the plans they suppress. This keeps the
+// append-only result sets close to minimal. Score ties go to the smaller
+// id, so the judge order is total (JudgeOrder in pareto/kernel.h).
+//
+// `*scale` is the cell's: empty until the cell's first non-empty batch,
+// which fixes it at the inverse of that batch's mean per metric (0 for a
+// metric the batch sums to 0), and kept for every later batch. A plan's
+// score is then a function of its cost and its cell alone, so a plan the
+// judge never sees (a skipped pair's, a discarded candidate) cannot
+// reorder the others. The first batch is judged before the cell has any
+// result plan, so nothing is ever discarded or skipped from it.
 void JudgeOrderOf(const std::vector<BatchEntry>& batch, bool sorted,
-                  std::vector<uint32_t>* order) {
+                  CostVector* scale, std::vector<uint32_t>* order) {
   const size_t n = batch.size();
+  if (sorted && n > 0 && scale->dims() == 0) {
+    const int dims = batch[0].cost.dims();
+    *scale = CostVector(dims, 0.0);
+    for (const BatchEntry& e : batch) {
+      for (int i = 0; i < dims; ++i) (*scale)[i] += e.cost.at(i);
+    }
+    for (int i = 0; i < dims; ++i) {
+      (*scale)[i] = (*scale)[i] > 0.0 ? n / (*scale)[i] : 0.0;
+    }
+  }
   if (!sorted || n < 2) {
     order->resize(n);
     std::iota(order->begin(), order->end(), 0u);
     return;
   }
-  const int dims = batch[0].cost.dims();
-  CostVector scale(dims, 0.0);
-  for (const BatchEntry& e : batch) {
-    for (int i = 0; i < dims; ++i) scale[i] += e.cost.at(i);
-  }
-  for (int i = 0; i < dims; ++i) {
-    scale[i] = scale[i] > 0.0 ? n / scale[i] : 0.0;
-  }
+  const int dims = scale->dims();
   std::vector<double> scores(n);
   std::vector<uint32_t> ids(n);
   for (size_t pos = 0; pos < n; ++pos) {
     const BatchEntry& e = batch[pos];
     double score = 0.0;
-    for (int i = 0; i < dims; ++i) score += e.cost.at(i) * scale.at(i);
+    for (int i = 0; i < dims; ++i) score += e.cost.at(i) * scale->at(i);
     scores[pos] = score;
     ids[pos] = e.id;
   }
@@ -148,7 +159,7 @@ size_t IncrementalOptimizer::NumCandidateEntries() const {
 // stored plans become opaque arena leaves and are inserted into the
 // cell's result index in the donor index's order (cost cells in creation
 // order, each cell's entries in insertion order; see
-// TakePublishableFragments), each keeping its original resolution stamp.
+// PublishableFragments), each keeping its original resolution stamp.
 // Replay order matters — the index's cells and entries (and hence
 // Collect's iteration order) then match a cold run's bit for bit, since
 // result sets never lose an entry. Entries are inserted with
@@ -208,7 +219,7 @@ void IncrementalOptimizer::UnsealForBoundsChange() {
 // the invocation it entered at, so the plans stamped <= r are the cell's
 // state after resolution r (docs/FRAGMENT_SHARING.md).
 std::vector<IncrementalOptimizer::PublishableFragment>
-IncrementalOptimizer::TakePublishableFragments() {
+IncrementalOptimizer::PublishableFragments() const {
   std::vector<PublishableFragment> out;
   if (!options_.fragment_publish || !publish_valid_ || last_resolution_ < 0) {
     return out;
@@ -346,18 +357,46 @@ void IncrementalOptimizer::StepCell(const CostVector& bounds, int resolution,
   // combinable subsets, enumerate only sub-plan pairs with at least one
   // Δ member that were never combined, and join each pair once per join
   // alternative (both orientations for hash joins, one for symmetric
-  // joins). Cheapest first, before any superset consumes the cell.
-  EnumerateFreshPairs(work);
+  // joins) unless its join lower bound is already covered. Cheapest
+  // first, before any superset consumes the cell.
+  EnumerateFreshPairs(bounds, resolution, work);
   JudgeBatch(bounds, resolution, /*fresh_joins=*/true, work);
 }
 
-void IncrementalOptimizer::EnumerateFreshPairs(CellWork* work) const {
+void IncrementalOptimizer::EnumerateFreshPairs(const CostVector& bounds,
+                                               int resolution,
+                                               CellWork* work) const {
   FreshPairRegistry& fresh = work->cell->fresh;
+  const CellIndex& res = work->cell->res;
+  const CostModel& model = factory_.cost_model();
+  // The pair skip rides on the discard probe, which the paper-literal
+  // judge does not run.
+  const bool skip_covered = !options_.park_next_level_only;
+  const double alpha_max = schedule_.Alpha(schedule_.MaxResolution());
+  const int compare_resolution = CompareResolution(resolution);
+  uint64_t* checks = &work->counters.dominance_checks;
   factory_.ForEachSplit(work->cell->set, [&](TableSet q1, TableSet q2) {
     const std::vector<CellIndex::Collected>& p1 = Find(q1)->collected;
     if (p1.empty()) return;
     const std::vector<CellIndex::Collected>& p2 = Find(q2)->collected;
     if (p2.empty()) return;
+    // Hash and nested-loop joins yield order tag 0; a sort-merge join
+    // yields the split's merge order (0 with orders off).
+    const int merge_order = factory_.operator_options().enable_sort_merge
+                                ? factory_.MergeOrder(q1, q2)
+                                : 0;
+
+    // True when a result plan of the cell, in range under the discard
+    // probe's box around the pair's join lower bound, covers every order
+    // tag the pair can yield: the judge would discard each alternative.
+    auto covered = [&](const PlanNode& a, const PlanNode& b) {
+      if (!skip_covered || res.size() == 0) return false;
+      const CostVector box =
+          model.JoinLowerBound(a, b).Scaled(alpha_max).Min(bounds);
+      return res.AnyInRange(box, compare_resolution, checks, 0) &&
+             (merge_order == 0 ||
+              res.AnyInRange(box, compare_resolution, checks, merge_order));
+    };
 
     // `a` comes from q1 and `b` from q2, so (a.id, b.id) is the pair's
     // one canonical key in the cell's fresh registry.
@@ -370,9 +409,14 @@ void IncrementalOptimizer::EnumerateFreshPairs(CellWork* work) const {
       ++work->counters.pairs_generated;
       // References are stable: the arena is not appended to while the
       // level's workers run.
+      const PlanNode& na = arena_.at(a.id);
+      const PlanNode& nb = arena_.at(b.id);
+      if (covered(na, nb)) {
+        ++work->counters.pairs_skipped;
+        return;
+      }
       factory_.ForEachJoin(
-          arena_.at(a.id), arena_.at(b.id),
-          [&](const OperatorDesc& op, const OpCost& oc, bool a_left) {
+          na, nb, [&](const OperatorDesc& op, const OpCost& oc, bool a_left) {
             const uint32_t index = static_cast<uint32_t>(work->joins.size());
             work->joins.push_back({a_left ? a.id : b.id, a_left ? b.id : a.id,
                                    op, oc.output_rows});
@@ -401,7 +445,8 @@ void IncrementalOptimizer::JudgeBatch(const CostVector& bounds,
                                       int resolution, bool fresh_joins,
                                       CellWork* work) {
   std::vector<uint32_t> order;
-  JudgeOrderOf(work->batch, options_.sorted_pruning, &order);
+  JudgeOrderOf(work->batch, options_.sorted_pruning,
+               &work->cell->score_scale, &order);
   const int compare_resolution = CompareResolution(resolution);
   Cell& cell = *work->cell;
   for (const uint32_t pos : order) {

@@ -16,7 +16,9 @@
 // each unordered split of q once (PlanFactory::ForEachSplit) and
 // combining only sub-plan pairs that were not combined before, each into
 // every join alternative once (PlanFactory::ForEachJoin: hash joins in
-// both orientations, symmetric joins in one). After the call,
+// both orientations, symmetric joins in one), except the pairs whose
+// join lower bound a result plan of q already covers (core/pruning.h),
+// which are never costed. After the call,
 // Res^q[0..b, 0..r] is an α_r^|q|-approximate b-bounded Pareto plan set
 // for every table subset q (Theorems 1 and 2).
 #ifndef MOQO_CORE_INCREMENTAL_OPTIMIZER_H_
@@ -49,16 +51,19 @@ struct OptimizerOptions {
   // this switch the intermediate-resolution guarantee (Theorem 2 for
   // r < rM) no longer holds — only the final resolution's does.
   bool prune_against_all_resolutions = false;
-  // Ablation switch: paper-literal candidate parking at resolution r+1
-  // instead of skip-ahead parking (see pruning.h). Skip-ahead avoids
-  // re-examining strictly dominated plans at every resolution level.
+  // Ablation switch: the paper-literal judge, which parks a covered plan
+  // at resolution r+1 and runs neither the discard probe, the min-α*
+  // skip-ahead parking nor the pair skip (see pruning.h). Those avoid
+  // storing, re-examining and costing plans that can never enter a
+  // result set.
   bool park_next_level_only = false;
   // Prune plans within a batch (per table set and invocation phase) in
-  // ascending cost order. Because result plans are never discarded,
-  // arrival order determines how many redundant near-duplicates enter the
-  // result sets; sorted insertion keeps them close to minimal. The
-  // guarantees are order-independent, so this is purely a performance
-  // lever (ablated in bench_prune_design).
+  // ascending score order: a weighted cost sum whose per-metric weights
+  // each cell fixes at its first batch. Because result plans are never
+  // discarded, arrival order determines how many redundant
+  // near-duplicates enter the result sets; sorted insertion keeps them
+  // close to minimal. The guarantees are order-independent, so this is
+  // purely a performance lever (ablated in bench_prune_design).
   bool sorted_pruning = true;
   // Externally owned pool for the per-cell work of Optimize; null (the
   // default) runs it inline on the calling thread. Callers can share one
@@ -97,7 +102,7 @@ struct OptimizerOptions {
   // diverged at the same point). Must outlive the optimizer.
   FragmentProvider* fragment_store = nullptr;
   // Let a completed run export its cells' result sets for publication
-  // through the serving layer (TakePublishableFragments). Costs nothing
+  // through the serving layer (PublishableFragments). Costs nothing
   // while the run steps: the export reads the result indexes.
   bool fragment_publish = false;
 };
@@ -168,7 +173,12 @@ class IncrementalOptimizer {
   // 0,1,2,...,R (trailing repeats of R allowed) — exactly the invocation
   // sequence a no-interaction session produces. Sealed (seeded) cells
   // are never re-published; their content already lives in the store.
-  std::vector<PublishableFragment> TakePublishableFragments();
+  std::vector<PublishableFragment> PublishableFragments() const;
+  // The same list under its old name, which bench/e2e/layers.cc still
+  // calls; bench/e2e changes only with the benchmark.
+  std::vector<PublishableFragment> TakePublishableFragments() const {
+    return PublishableFragments();
+  }
 
   // True when `cell`'s result set was seeded from the fragment provider
   // and Optimize skips it.
@@ -207,6 +217,9 @@ class IncrementalOptimizer {
     // Seeded from the fragment provider: Optimize skips the cell, whose
     // candidate set stays empty.
     bool sealed = false;
+    // The sorted judge's per-metric score weights, fixed by the cell's
+    // first non-empty batch (JudgeOrderOf in the .cc); empty until then.
+    CostVector score_scale;
   };
   // One cell's task at one level, and the judge's batch (defined in the
   // .cc).
@@ -240,9 +253,15 @@ class IncrementalOptimizer {
   // Enumerates the fresh sub-plan pairs of the work's cell against the
   // collected sub-plan sets, one unordered split and one canonical
   // (q1-side, q2-side) orientation per pair, marks them in the cell's
-  // registry and buffers their join alternatives into the batch. Writes
-  // only `work` and the registry it points to.
-  void EnumerateFreshPairs(CellWork* work) const;
+  // registry and buffers their join alternatives into the batch. A pair
+  // whose join lower bound (CostModel::JoinLowerBound) a result plan of
+  // the cell already covers within min(α_rM·LB, b), for every order tag
+  // the pair can yield, is counted in pairs_skipped and never costed:
+  // result sets only grow until the batch is judged, so the judge's
+  // discard probe would throw away each of its alternatives (see
+  // core/pruning.h). Writes only `work` and the registry it points to.
+  void EnumerateFreshPairs(const CostVector& bounds, int resolution,
+                           CellWork* work) const;
   // The one judge of scans, candidates and fresh joins (Algorithm 3):
   // judges the work's batch in JudgeOrderOf's order against the cell's
   // result set and files each plan where its verdict says. Scans and
@@ -286,7 +305,7 @@ class IncrementalOptimizer {
   // of R.
   int last_resolution_ = -1;
   // False once the invocation history stops matching a fixed-bounds
-  // no-interaction run; TakePublishableFragments then returns nothing.
+  // no-interaction run; PublishableFragments then returns nothing.
   bool publish_valid_ = true;
 };
 

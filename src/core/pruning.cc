@@ -1,6 +1,6 @@
 #include "core/pruning.h"
 
-#include <algorithm>
+#include <limits>
 
 #include "pareto/dominance.h"
 
@@ -27,47 +27,48 @@ PruneVerdict JudgePlan(const CellIndex& result_set, const CostVector& bounds,
                        bool park_next_level_only, Counters* counters) {
   if (counters != nullptr) ++counters->prune_calls;
   const int max_resolution = schedule.MaxResolution();
-  const double alpha_r = schedule.Alpha(resolution);
-
-  // ∃ pA ∈ Res[0..b, 0..r] : c(pA) ⪯ α_r · c(p)? Both conditions fold
-  // into a single range query with the component-wise minimum of the
-  // bounds and the scaled cost.
-  const CostVector approx_box = cost.Scaled(alpha_r).Min(bounds);
   uint64_t* checks =
       counters != nullptr ? &counters->dominance_checks : nullptr;
-  CellIndex::Entry dominator;
-  if (result_set.FindInRange(approx_box, compare_resolution, &dominator,
-                             checks, /*required_order=*/order)) {
-    // Approximated at the current resolution: keep as candidate for a
-    // finer resolution, or discard when no resolution can need it.
-    int park_level = -1;
-    if (park_next_level_only) {
-      // Paper-literal behavior: always park at r+1.
-      park_level = resolution < max_resolution ? resolution + 1 : -1;
-    } else {
-      // Skip-ahead: the plan stays covered while α_r' >= α*, where α* is
-      // the exact factor with which the found dominator covers it.
-      double alpha_star = 0.0;
-      for (int i = 0; i < cost.dims(); ++i) {
-        if (cost.at(i) > 0.0) {
-          alpha_star =
-              std::max(alpha_star, dominator.cost.at(i) / cost.at(i));
+  const auto discard = [&]() -> PruneVerdict {
+    if (counters != nullptr) ++counters->plans_discarded;
+    return {PruneOutcome::kDiscarded, -1};
+  };
+
+  // ∃ pA ∈ Res[0..b, 0..r] : c(pA) ⪯ α·c(p)? Both conditions fold into
+  // a single range query with the component-wise minimum of the bounds
+  // and the scaled cost.
+  if (park_next_level_only) {
+    // Paper-literal behavior: approximated at the current resolution,
+    // keep as candidate for resolution r+1; discard at rM.
+    if (result_set.AnyInRange(cost.Scaled(schedule.Alpha(resolution))
+                                  .Min(bounds),
+                              compare_resolution, checks, order)) {
+      if (resolution == max_resolution) return discard();
+      return {PruneOutcome::kParkedForHigherResolution, resolution + 1};
+    }
+  } else {
+    // Discard probe: covered within α_rM, covered at every resolution.
+    if (result_set.AnyInRange(
+            cost.Scaled(schedule.Alpha(max_resolution)).Min(bounds),
+            compare_resolution, checks, order)) {
+      return discard();
+    }
+    // Skip-ahead parking from the smallest α* over every in-range
+    // result plan that covers p within α_r. At rM the discard probe
+    // already asked this question.
+    if (resolution < max_resolution) {
+      const double alpha_star = result_set.MinCoverFactor(
+          cost.Scaled(schedule.Alpha(resolution)).Min(bounds),
+          compare_resolution, cost, checks, order);
+      if (alpha_star < std::numeric_limits<double>::infinity()) {
+        for (int level = resolution + 1; level <= max_resolution; ++level) {
+          if (schedule.Alpha(level) < alpha_star) {
+            return {PruneOutcome::kParkedForHigherResolution, level};
+          }
         }
-        // cost[i] == 0 implies dominator.cost[i] == 0 (it passed the
-        // range query against α_r * 0): no constraint from this metric.
-      }
-      for (int level = resolution + 1; level <= max_resolution; ++level) {
-        if (schedule.Alpha(level) < alpha_star) {
-          park_level = level;
-          break;
-        }
+        return discard();
       }
     }
-    if (park_level < 0) {
-      if (counters != nullptr) ++counters->plans_discarded;
-      return {PruneOutcome::kDiscarded, -1};
-    }
-    return {PruneOutcome::kParkedForHigherResolution, park_level};
   }
 
   if (!RespectsBounds(cost, bounds)) {

@@ -15,18 +15,50 @@
 // dominance check only consults Res[0..b, 0..r] (never higher-resolution
 // result plans), and result plans are never discarded.
 //
-// Skip-ahead parking (an implementation refinement over the paper's
-// "park at r+1"): the dominating result plan pA yields the exact factor
-// α* = max_i c_i(pA)/c_i(p) with which it covers p. While α_r' >= α*, pA
-// keeps covering p, so p cannot enter the result set; we therefore park p
-// directly at the first resolution whose precision factor drops below α*,
-// and discard it immediately when even α_rM >= α* (in particular whenever
-// pA dominates p outright, α* <= 1). This is sound for arbitrary later
-// bounds: whenever p must be covered under bounds b' (α c(p) ⪯ b'), the
-// dominator satisfies c(pA) ⪯ α* c(p) ⪯ α c(p) ⪯ b', i.e. pA is itself
-// inside the queried range — the same argument the paper's Theorem 1 proof
-// uses. The paper-literal behavior remains available via
-// `park_next_level_only` (ablated in bench_prune_design).
+// Three implementation refinements over the paper's "park at r+1" make
+// the verdict depend only on which result plans are in range (never on
+// the index's order) and cut the plans that are stored, parked, re-judged
+// and costed. The paper-literal judge remains available via
+// `park_next_level_only` (ablated in bench_prune_design), which runs none
+// of them.
+//
+// Skip-ahead parking from the smallest α*. A result plan pA that covers
+// p within α_r yields the exact factor α*(pA) = max_i c_i(pA)/c_i(p).
+// While α_r' >= α*(pA), pA keeps covering p, so p cannot enter the result
+// set; p is therefore parked directly at the first resolution whose
+// precision factor drops below the smallest α* over *all* in-range result
+// plans that cover it (CellIndex::MinCoverFactor), and discarded when even
+// α_rM is not below it.
+//
+// Discard probe. Before that walk, one range probe asks whether some
+// result plan in Res[0..b, 0..r] with p's order tag has
+// c ⪯ min(α_rM·c(p), b); if so, p is discarded on arrival. Such a plan
+// covers p at every resolution, so under fixed bounds p could never enter
+// a result set. At r = rM this probe is the α_r probe, so the judge asks
+// nothing more.
+//
+// Pair skip (IncrementalOptimizer::EnumerateFreshPairs). Every join
+// alternative of a sub-plan pair costs at least the pair's join lower
+// bound LB (CostModel::JoinLowerBound), and α_rM·LB ⪯ α_rM·c in IEEE
+// arithmetic. If a result plan of the cell has c ⪯ min(α_rM·LB, b) for
+// every order tag the pair can yield (0, plus the merge order when
+// sort-merge is on), the discard probe would throw away each alternative,
+// so the pair is never costed (Counters::pairs_skipped). Enumeration ends
+// before the cell's batch is judged and result sets only grow, so the
+// cover is still in range when the judge would have run.
+//
+// Soundness, for arbitrary later bounds (the argument the paper's
+// Theorem 1 proof uses): let pA be the cover a verdict rests on, so
+// c(pA) ⪯ α*(pA)·c(p). Whenever p must be covered under bounds b' at a
+// resolution whose factor α >= α*(pA) (α·c(p) ⪯ b') — any resolution
+// for a discarded p, any level below its park level for a parked one —
+// c(pA) ⪯ α·c(p) ⪯ b': pA is itself inside the queried range, at a
+// resolution <= r, and covers p. Under fixed bounds the rules
+// move no frontier at all: a plan they discard or park later is covered
+// at every level where the paper's rule would re-judge it (the cover
+// stays in range and α only shrinks toward α_rM), and the sorted judge's
+// score scale is fixed per cell (see JudgeOrderOf), so a plan that never
+// enters a result set cannot reorder the others.
 #ifndef MOQO_CORE_PRUNING_H_
 #define MOQO_CORE_PRUNING_H_
 
@@ -73,8 +105,9 @@ PruneOutcome Prune(CellIndex& result_set, CellIndex& candidate_set,
                    const CostVector& cost, int order, uint32_t invocation,
                    bool park_next_level_only, Counters* counters);
 
-// The decision half of Prune: the dominance probe and the park level.
-// Reads the result set only. Counts prune_calls, dominance_checks and
+// The decision half of Prune: the discard probe, the min-α* park level
+// (or, with `park_next_level_only`, the paper-literal probe). Reads the
+// result set only. Counts prune_calls, dominance_checks and
 // plans_discarded.
 PruneVerdict JudgePlan(const CellIndex& result_set, const CostVector& bounds,
                        int resolution, int compare_resolution,

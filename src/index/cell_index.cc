@@ -199,6 +199,33 @@ bool CellIndex::FindInRange(const CostVector& bounds, int max_res,
   return false;
 }
 
+double CellIndex::MinCoverFactor(const CostVector& bounds, int max_res,
+                                 const CostVector& cost, uint64_t* checked,
+                                 int required_order) const {
+  MOQO_CHECK(bounds.dims() == dims_ && cost.dims() == dims_);
+  double best = std::numeric_limits<double>::infinity();
+  for (const Cell& cell : cells_) {
+    if (cell.size() == 0) continue;
+    const CellRelation rel = Classify(cell, bounds, max_res, required_order);
+    if (rel == CellRelation::kOutside) continue;
+    const bool boundary = rel == CellRelation::kBoundary;
+    if (boundary && checked != nullptr) *checked += cell.size();
+    for (size_t i = 0; i < cell.size(); ++i) {
+      if (boundary && !cell.bank.Dominates(i, bounds.data())) continue;
+      double factor = 0.0;
+      for (int d = 0; d < dims_; ++d) {
+        // A metric on which cost is 0 constrains nothing: inside a box
+        // scaled from cost, the entry is 0 there too.
+        if (cost.at(d) > 0.0) {
+          factor = std::max(factor, cell.bank.At(i, d) / cost.at(d));
+        }
+      }
+      best = std::min(best, factor);
+    }
+  }
+  return best;
+}
+
 std::vector<CellIndex::Collected> CellIndex::Collect(const CostVector& bounds,
                                                      int max_res,
                                                      uint32_t invocation) {

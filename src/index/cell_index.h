@@ -160,6 +160,18 @@ class CellIndex {
                    uint64_t* checked = nullptr,
                    int required_order = kAnyOrder) const;
 
+  // The smallest cover factor of `cost` over the entries FindInRange
+  // could return for the same query (resolution <= max_res, matching
+  // order tag, cost ⪯ bounds): min over those entries e of
+  // α*(e) = max_i e_i / cost_i over the metrics with cost_i > 0 (0 when
+  // cost is all zeros); +infinity when no entry is in range. Unlike
+  // FindInRange it visits every entry in range, so the result does not
+  // depend on the index's order. `checked` counts the entries of
+  // boundary cells scanned.
+  double MinCoverFactor(const CostVector& bounds, int max_res,
+                        const CostVector& cost, uint64_t* checked = nullptr,
+                        int required_order = kAnyOrder) const;
+
   // Retrieves all entries in range for optimizer invocation `invocation`,
   // updating visibility stamps: an entry's Δ flag is true iff it was not
   // visible during invocation-1 (or was inserted/classified Δ earlier in

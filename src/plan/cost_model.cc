@@ -180,6 +180,32 @@ OpCost CostModel::JoinCost(const PlanNode& left, const PlanNode& right,
   return result;
 }
 
+CostVector CostModel::JoinLowerBound(const PlanNode& left,
+                                     const PlanNode& right) const {
+  const int dims = schema_.dims();
+  CostVector bound(dims);
+  for (int i = 0; i < dims; ++i) {
+    const double lc = left.cost[i];
+    const double rc = right.cost[i];
+    switch (schema_.metric(i)) {
+      case MetricId::kCores:
+        bound[i] = std::max({lc, rc, 1.0});
+        break;
+      case MetricId::kPrecisionError:
+        bound[i] = std::min(
+            1.0, params_.join_error_inflation * std::max(lc, rc));
+        break;
+      case MetricId::kTime:
+      case MetricId::kFees:
+      case MetricId::kEnergy:
+      case MetricId::kIo:
+        bound[i] = lc + rc;
+        break;
+    }
+  }
+  return bound;
+}
+
 PlanFactory::PlanFactory(const Query& query, const Catalog& catalog,
                          MetricSchema schema, CostModelParams cost_params,
                          OperatorOptions op_options)

@@ -85,6 +85,16 @@ class CostModel {
                   double join_selectivity, const OperatorDesc& op,
                   int merge_order = 0) const;
 
+  // The two sub-plans aggregated with a zero operator cost: time, fees,
+  // energy and io sum the children, cores is max(c_l, c_r, 1) (every
+  // join runs at least one worker) and error is JoinCost's own
+  // min(1, inflation * max(e_l, e_r)). Every join alternative of the
+  // pair costs at least this in every metric, in either orientation and
+  // in IEEE arithmetic (JoinCost adds non-negative operator terms to the
+  // same child sum, and rounding is monotone).
+  CostVector JoinLowerBound(const PlanNode& left,
+                            const PlanNode& right) const;
+
  private:
   // Assembles a cost vector from per-metric ingredients.
   CostVector Assemble(double time, double cores, double error, double fees,
@@ -165,6 +175,15 @@ class PlanFactory {
     }
   }
 
+  // The interesting-order tag of the join key a sort-merge join of `a`
+  // and `b` merges on and produces; 0 when orders are disabled (or the
+  // tag domain is exhausted). Every other join alternative produces 0.
+  int MergeOrder(TableSet a, TableSet b) const {
+    if (!orders_enabled()) return 0;
+    const int order = 1 + graph_.FirstPredicateBetween(a, b);
+    return order > 255 ? 0 : order;
+  }
+
   // Invokes fn(op, op_cost, a_left) once per join alternative of the
   // unordered sub-plan pair {a, b} (their table sets must satisfy
   // CanCombine): every hash join in both orientations (build on a, then
@@ -175,11 +194,7 @@ class PlanFactory {
   void ForEachJoin(const PlanNode& a, const PlanNode& b, F&& fn) const {
     const double selectivity =
         graph_.SelectivityBetween(a.tables, b.tables);
-    int merge_order = 0;
-    if (orders_enabled()) {
-      merge_order = 1 + graph_.FirstPredicateBetween(a.tables, b.tables);
-      if (merge_order > 255) merge_order = 0;  // Tag domain exhausted.
-    }
+    const int merge_order = MergeOrder(a.tables, b.tables);
     // JoinAlternatives adds the nested-loop variant when either input is
     // small enough; both possible lists are built once.
     const double small = op_options_.nested_loop_max_inner_rows;

@@ -693,7 +693,9 @@ FragmentQueryBinding::FragmentQueryBinding(const Query& query,
   // the same inputs changes, so a log written by an older build seeds
   // nothing. f2: each unordered split and sub-plan pair is enumerated
   // once. f3: the catalog fingerprint replaces a process-local epoch.
-  context_ = StrFormat("f3;c=%016llx",
+  // f4: the sorted judge scores each cell's plans on a scale fixed by
+  // the cell's first batch.
+  context_ = StrFormat("f4;c=%016llx",
                        static_cast<unsigned long long>(catalog_fingerprint));
   AppendFrontierOptions(&context_, schema, iama);
   context_ += orders_enabled_ ? ":1" : ":0";

@@ -416,7 +416,7 @@ class FragmentStoreProvider : public FragmentProvider {
                                      int needed_resolution) override;
 
   /// Publishes a completed run's cells
-  /// (IncrementalOptimizer::TakePublishableFragments output). Cells that
+  /// (IncrementalOptimizer::PublishableFragments output). Cells that
   /// were seeded, are too small, or fail canonicalization are skipped.
   void PublishAll(std::vector<IncrementalOptimizer::PublishableFragment>
                       fragments);

@@ -972,7 +972,7 @@ void OptimizerService::SchedulerLoop(size_t shard) {
     for (const LateDelivery& d : deliveries) d.observer(d.id, *d.frontier);
     if (publish) {
       ended->fragment_provider->PublishAll(
-          ended->session->mutable_optimizer()->TakePublishableFragments());
+          ended->session->optimizer().PublishableFragments());
     }
     ended.reset();  // Frees the arena and plan indexes outside mu_.
     lock.lock();

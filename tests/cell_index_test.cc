@@ -217,6 +217,24 @@ TEST_P(CellIndexProperty, MatchesBruteForce) {
     });
     EXPECT_EQ(got, expected) << "trial " << trial;
     EXPECT_EQ(index.AnyInRange(bounds, max_res), !expected.empty());
+    // MinCoverFactor: the smallest max_d e_d / cost_d (metrics with
+    // cost_d > 0) over the same entries, +inf when there are none.
+    CostVector cost(dims);
+    for (int d = 0; d < dims; ++d) {
+      cost[d] = rng.Bernoulli(0.1) ? 0.0
+                                   : std::pow(10.0, rng.UniformDouble(-4, 7));
+    }
+    double want = std::numeric_limits<double>::infinity();
+    for (const BruteEntry& e : brute) {
+      if (expected.count(e.id) == 0) continue;
+      double factor = 0.0;
+      for (int d = 0; d < dims; ++d) {
+        if (cost[d] > 0.0) factor = std::max(factor, e.cost[d] / cost[d]);
+      }
+      want = std::min(want, factor);
+    }
+    EXPECT_EQ(index.MinCoverFactor(bounds, max_res, cost), want)
+        << "trial " << trial;
   }
 }
 

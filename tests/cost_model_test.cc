@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "catalog/catalog.h"
 #include "catalog/tpch.h"
 #include "plan/cost_model.h"
 #include "query/generator.h"
@@ -468,6 +469,89 @@ TEST(JoinCostTest, SymmetricJoinsIgnoreInputOrderBitForBit) {
     EXPECT_GT(symmetric_checked, 0);
     EXPECT_GT(hash_asymmetric, 0);
   }
+}
+
+// CostModel::JoinLowerBound is ⪯ every alternative ForEachJoin yields
+// for the pair, in both orientations, and every alternative carries order
+// tag 0 or the split's MergeOrder: the optimizer skips a pair whose bound
+// is covered for both tags, so a wrong bound or a third tag would drop
+// plans the judge keeps. Sub-plans are real plans of random 5-table
+// queries (scans, then random joins of them, level by level), for three
+// schemas with sampling and interesting orders on and off.
+TEST(JoinCostTest, JoinLowerBoundIsBelowEveryAlternative) {
+  int checked = 0;
+  int ordered = 0;
+  for (const MetricSchema& schema : {MetricSchema::Standard3(),
+                                     MetricSchema::Cloud2(),
+                                     MetricSchema::Full6()}) {
+    for (const bool sampling : {false, true}) {
+      for (const bool orders : {false, true}) {
+        Rng rng(77 + checked);
+        Catalog catalog;
+        GeneratorOptions gen;
+        gen.num_tables = 5;
+        const Query query = RandomQuery(rng, gen, &catalog);
+        OperatorOptions op_options;
+        op_options.max_workers = 4;
+        op_options.max_sampling_rates_per_table = sampling ? 2 : 0;
+        op_options.enable_interesting_orders = orders;
+        const PlanFactory factory(query, catalog, schema, CostModelParams{},
+                                  op_options);
+        const CostModel& model = factory.cost_model();
+        // Up to 64 random plans per connected subset, smallest first.
+        std::vector<std::vector<PlanNode>> plans(size_t{1} << 5);
+        for (int t = 0; t < 5; ++t) {
+          factory.ForEachScan(t, [&](const OperatorDesc&, const OpCost& oc) {
+            PlanNode node;
+            node.tables = TableSet::Singleton(t);
+            node.cost = oc.cost;
+            node.output_cardinality = oc.output_rows;
+            node.order = oc.order;
+            plans[node.tables.mask()].push_back(node);
+          });
+        }
+        for (int k = 2; k <= 5; ++k) {
+          for (uint32_t mask = 1; mask < 32; ++mask) {
+            const TableSet q(mask);
+            if (q.Count() != k || !factory.graph().IsConnected(q)) continue;
+            factory.ForEachSplit(q, [&](TableSet q1, TableSet q2) {
+              const std::vector<PlanNode>& p1 = plans[q1.mask()];
+              const std::vector<PlanNode>& p2 = plans[q2.mask()];
+              const int merge_order = factory.MergeOrder(q1, q2);
+              for (int trial = 0; trial < 16; ++trial) {
+                const PlanNode& a = p1[rng.Uniform(p1.size())];
+                const PlanNode& b = p2[rng.Uniform(p2.size())];
+                const CostVector bound = model.JoinLowerBound(a, b);
+                ++checked;
+                factory.ForEachJoin(a, b, [&](const OperatorDesc& op,
+                                              const OpCost& oc, bool) {
+                  ASSERT_TRUE(bound.Dominates(oc.cost))
+                      << "bound " << bound.ToString() << " alternative "
+                      << oc.cost.ToString() << " op " << op.ToString();
+                  ASSERT_TRUE(oc.order == 0 || oc.order == merge_order)
+                      << "order " << int{oc.order};
+                  ordered += oc.order != 0 ? 1 : 0;
+                  std::vector<PlanNode>& out = plans[q.mask()];
+                  PlanNode node;
+                  node.tables = q;
+                  node.cost = oc.cost;
+                  node.output_cardinality = oc.output_rows;
+                  node.order = oc.order;
+                  if (out.size() < 64) {
+                    out.push_back(node);
+                  } else {
+                    out[rng.Uniform(out.size())] = node;
+                  }
+                });
+              }
+            });
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000);
+  EXPECT_GT(ordered, 0);
 }
 
 }  // namespace

@@ -148,7 +148,7 @@ std::vector<std::vector<std::vector<double>>> WarmStore(
                                  op_options.enable_interesting_orders,
                                  /*min_tables=*/2);
   provider.PublishAll(
-      session.mutable_optimizer()->TakePublishableFragments());
+      session.optimizer().PublishableFragments());
   return trajectory;
 }
 
@@ -436,7 +436,7 @@ TEST(FragmentSeedingTest, OverlappingQueriesStayBitIdenticalAndSaveWork) {
     EXPECT_LT(counters.pairs_generated, cold_pairs) << query.name;
     // Later variants may reuse this one's non-shared cells too.
     provider.PublishAll(
-        warm.mutable_optimizer()->TakePublishableFragments());
+        warm.optimizer().PublishableFragments());
   }
 }
 
@@ -566,7 +566,7 @@ TEST(FragmentSeedingTest, DivergedSeededRunStaysCorrectAndNeverPublishes) {
 
   // Diverged runs export nothing.
   EXPECT_TRUE(
-      session.mutable_optimizer()->TakePublishableFragments().empty());
+      session.optimizer().PublishableFragments().empty());
 }
 
 // Seeding is exact only if a seeded cell's index walks its plans in the
@@ -608,7 +608,7 @@ TEST(FragmentSeedingTest, SeededCellsKeepTheDonorIndexOrder) {
     IamaSession donor(factory, donor_iama);
     RunTrajectory(&donor, iama.schedule.NumLevels());
     provider.PublishAll(
-        donor.mutable_optimizer()->TakePublishableFragments());
+        donor.optimizer().PublishableFragments());
 
     IamaOptions seeded_iama = iama;
     seeded_iama.optimizer.fragment_store = &provider;

@@ -54,6 +54,7 @@ void ExpectIdenticalCounters(const IncrementalOptimizer& reference,
   const Counters& b = parallel.counters();
   EXPECT_EQ(a.plans_generated, b.plans_generated) << context;
   EXPECT_EQ(a.pairs_generated, b.pairs_generated) << context;
+  EXPECT_EQ(a.pairs_skipped, b.pairs_skipped) << context;
   EXPECT_EQ(a.pairs_rejected_stale, b.pairs_rejected_stale) << context;
   EXPECT_EQ(a.result_insertions, b.result_insertions) << context;
   EXPECT_EQ(a.candidate_insertions, b.candidate_insertions) << context;
@@ -196,7 +197,7 @@ class DonorProvider : public FragmentProvider {
     for (int r = 0; r <= schedule.MaxResolution(); ++r) {
       donor.Optimize(inf, r);
     }
-    for (auto& cell : donor.TakePublishableFragments()) {
+    for (auto& cell : donor.PublishableFragments()) {
       if (cell.cell.Count() > max_tables) continue;
       seeds_[cell.cell.mask()] = {cell.resolution_complete,
                                   std::move(cell.plans)};

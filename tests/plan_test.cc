@@ -89,10 +89,12 @@ TEST(CountersTest, ToStringContainsAllFields) {
   Counters c;
   c.plans_generated = 7;
   c.pairs_generated = 3;
+  c.pairs_skipped = 2;
   c.candidate_retrievals = 11;
   const std::string s = c.ToString();
   EXPECT_NE(s.find("plans=7"), std::string::npos);
   EXPECT_NE(s.find("pairs=3"), std::string::npos);
+  EXPECT_NE(s.find("skipped_pairs=2"), std::string::npos);
   EXPECT_NE(s.find("cand_retrievals=11"), std::string::npos);
 }
 

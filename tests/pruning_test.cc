@@ -69,6 +69,41 @@ TEST(PruneTest, ApproximatedPlanParkedAtFirstRelevantResolution) {
   EXPECT_TRUE(f.cand.AnyInRange(f.inf, 3));
 }
 
+TEST(PruneTest, PlanCoveredWithinFinalFactorDiscardedOnArrival) {
+  // Two in-range result plans cover (10, 10) at α_0 = 2.1: A = (15, 2)
+  // with α* = 1.5 and B = (11, 11) with α* = 1.1 <= α_3 = 1.2. A's cost
+  // cell was created first, so a judge that parks from the first cover
+  // it reaches would park the plan at level 3, where B covers it again.
+  // The discard probe finds B: the plan is discarded on arrival.
+  PruneFixture f;
+  f.res.Insert(1, CostVector{15.0, 2.0}, 0, 1);
+  f.res.Insert(2, CostVector{11.0, 11.0}, 0, 1);
+  EXPECT_EQ(f.Call(f.inf, 0, 3, CostVector{10.0, 10.0}),
+            PruneOutcome::kDiscarded);
+  EXPECT_EQ(f.cand.size(), 0u);
+  EXPECT_EQ(f.counters.plans_discarded, 1u);
+  // The paper-literal judge runs no discard probe and parks at r+1.
+  EXPECT_EQ(f.Call(f.inf, 0, 4, CostVector{10.0, 10.0},
+                   /*park_next_level_only=*/true),
+            PruneOutcome::kParkedForHigherResolution);
+  EXPECT_TRUE(f.cand.AnyInRange(f.inf, 1));
+}
+
+TEST(PruneTest, ParkLevelComesFromTheSmallestCoverFactor) {
+  // A = (19, 2) covers (10, 10) with α* = 1.9 and B = (16, 16) with
+  // α* = 1.6; neither within α_3 = 1.2. A is reached first and would
+  // park the plan at level 1 (α_1 = 1.8 < 1.9), where B still covers it.
+  // The smallest α* parks it at level 2 (α_2 = 1.5 < 1.6).
+  PruneFixture f;
+  f.res.Insert(1, CostVector{19.0, 2.0}, 0, 1);
+  f.res.Insert(2, CostVector{16.0, 16.0}, 0, 1);
+  EXPECT_EQ(f.Call(f.inf, 0, 3, CostVector{10.0, 10.0}),
+            PruneOutcome::kParkedForHigherResolution);
+  EXPECT_EQ(f.cand.size(), 1u);
+  EXPECT_FALSE(f.cand.AnyInRange(f.inf, 1));
+  EXPECT_TRUE(f.cand.AnyInRange(f.inf, 2));
+}
+
 TEST(PruneTest, PaperLiteralParkingUsesNextLevel) {
   PruneFixture f;
   f.Call(f.inf, 0, 1, CostVector{10.0, 10.0});
